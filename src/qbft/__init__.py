@@ -20,12 +20,12 @@ from .core import (
     gridfunction_to_json, gridfunction_from_json, decimal_str,
 )
 from .bessel import (
-    BesselEval, j_nu, j_nu_lattice, i_nu, k_nu, g_a, d_nu, bound_constant,
+    BesselEval, j_nu, j_nu_lattice, i_nu, k_nu, g_a, g_a_lattice, d_nu,
+    bound_constant,
 )
 from .transform import (
-    TransformPlan, LpNorm, build_plan, plan_window, fourier, apply_multiplier,
-    triple_kernel, translate, convolve, convolve_direct, norm,
-    plan_to_json, plan_from_json,
+    TransformPlan, LpNorm, build_plan, plan_window, fourier, transform_profile,
+    apply_multiplier, triple_kernel, translate, convolve, convolve_direct, norm,
 )
 from .kernels import (
     KernelSpec, KernelReport, E_eval, composite_kernel, gauss_kernel,

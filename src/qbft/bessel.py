@@ -16,11 +16,11 @@ to pick the working precision up front.
 import math
 
 import mpmath
-from mpmath import mp, mpf, mpmathify
+from mpmath import mp, mpf
 
 from .core import (
-    DomainError, Overflow, PrecisionExhausted, ConstancyViolation, WindowError,
-    QGrid, constants, qpochhammer_infinite, _parse_number,
+    DomainError, Overflow, PrecisionExhausted, ConstancyViolation,
+    constants, qpochhammer_infinite, parse_number,
 )
 
 
@@ -100,13 +100,13 @@ def j_nu(x, params):
     Raises PrecisionExhausted when even the top rung cannot certify.
     """
     with mp.workdps(40):
-        xv = _parse_number(x, "x")
+        xv = parse_number(x, "x")
         if xv < 0:
             raise DomainError("j_nu is evaluated for x >= 0")
     d = params.precision_digits
     for rung in (d, 2 * d, 4 * d, 8 * d):
         with mp.workdps(rung + 10):
-            x2 = _parse_number(x, "x") ** 2
+            x2 = parse_number(x, "x") ** 2
         ev = _jnu_series(x2, params, rung + 10)
         if ev.digits_lost() + d + 10 <= ev.precision_used:
             return ev
@@ -117,12 +117,25 @@ def j_nu(x, params):
 
 _lattice_cache = {}
 
+def _rung(work):
+    """Smallest lattice precision rung (a multiple of 60 dps) holding work digits."""
+    return 60 * (1 + (work - 1) // 60)
+
+def _lattice_series(s, params, rung):
+    with mp.workdps(rung):
+        x2 = params.q ** (2 * s)
+    return _jnu_series(x2, params, rung)
+
 def j_nu_lattice(s, params, digits=None):
     """j_nu(q^s; q^2) for integer s, sized from the envelope bound.
 
     The cancellation allowance is computed up front from the decay envelope,
     so no ladder probing is needed; results are cached per precision rung so
     a whole plan build samples every j value at one coherent precision.
+    The allowance is still checked against the digits the series lost: near
+    q = 1 the terms grow even for s >= 0, where the envelope allows nothing.
+    A rung that falls short is redone once on the rung covering the measured
+    loss, and PrecisionExhausted is raised if that falls short as well.
     """
     if not isinstance(s, int):
         raise DomainError("lattice evaluation needs an integer exponent")
@@ -130,17 +143,28 @@ def j_nu_lattice(s, params, digits=None):
     lq = params.log10_inv_q
     nu = abs(params.nu_float)
     own = math.ceil((2 * s * s + 2 * nu * abs(s) + 4 * abs(s)) * lq) if s < 0 else 0
-    work = max(d, 60) + own + 10
-    rung = 60 * (1 + (work - 1) // 60)
+    rung = _rung(max(d, 60) + own + 10)
     key = (params.q_str, params.nu_str, s, rung)
     hit = _lattice_cache.get(key)
     if hit is not None:
         return hit
-    with mp.workdps(rung):
-        x2 = params.q ** (2 * s)
-    ev = _jnu_series(x2, params, rung)
+    ev = _lattice_series(s, params, rung)
+    if rung - ev.digits_lost() < d:
+        ev = _lattice_series(
+            s, params, _rung(max(d, 60) + math.ceil(ev.digits_lost()) + 10))
+        if ev.precision_used - ev.digits_lost() < d:
+            raise PrecisionExhausted(
+                f"j_nu(q^{s}) cancellation exceeds the lattice rungs "
+                f"(lost ~{ev.digits_lost():.0f} digits at {ev.precision_used} dps)")
     _lattice_cache[key] = ev.value
     return ev.value
+
+def j_nu_lattice_floored(s, params, digits=None):
+    """j_nu_lattice, or an exact zero where the decay envelope certifies
+    |j_nu(q^s)| below the precision floor 10^-(precision_digits + 50)."""
+    if decay_bound_log10(s, params) < -(params.precision_digits + 50):
+        return mp.zero
+    return j_nu_lattice(s, params, digits)
 
 def i_nu(x, params, nu_shift=0):
     """Modified companion series: all terms positive, no cancellation.
@@ -149,7 +173,7 @@ def i_nu(x, params, nu_shift=0):
     that mix neighbouring orders.
     """
     with params.working(20):
-        xv = _parse_number(x, "x")
+        xv = parse_number(x, "x")
         if xv < 0:
             raise DomainError("i_nu is evaluated for x >= 0")
         q = params.q
@@ -173,10 +197,10 @@ def i_nu(x, params, nu_shift=0):
         return +total
 
 
-def _exponent_of(x, params, what="x"):
+def lattice_exponent(x, params, what="x"):
     """Resolve a positive real to its lattice exponent; DomainError off-lattice."""
     with mp.workdps(40):
-        xv = _parse_number(x, what)
+        xv = parse_number(x, what)
         if xv <= 0:
             raise DomainError(f"{what} must be a positive lattice point")
         k_real = mp.log(xv) / mp.log(params.q)
@@ -185,8 +209,8 @@ def _exponent_of(x, params, what="x"):
             raise DomainError(f"{what} = {x} is not a lattice point q^n")
         return k
 
-def _lorentz_transform(k, a, params, window=None):
-    """Quadrature for c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
+def g_a_lattice(k, a, params, window=None):
+    """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
 
     The summation range is chosen adaptively: the tail must push the weight
     q^(l(2nu+2)) below the result's own scale, and the head must cover the
@@ -194,10 +218,12 @@ def _lorentz_transform(k, a, params, window=None):
     certified below the result as well.  A caller-supplied window only ever
     widens the range.
     """
+    if not isinstance(k, int):
+        raise DomainError("lattice evaluation needs an integer exponent")
     lq = params.log10_inv_q
     nu = params.nu_float
     with mp.workdps(40):
-        av = _parse_number(a, "a")
+        av = parse_number(a, "a")
         if av <= 0:
             raise DomainError("scale a must be positive")
         shift = int(mp.nint(mp.log(av) / mp.log(params.q)))
@@ -226,7 +252,7 @@ def _lorentz_transform(k, a, params, window=None):
     with mp.workdps(dps):
         q = params.q
         nuv = params.nu
-        av = _parse_number(a, "a")
+        av = parse_number(a, "a")
         c = constants(params.replace(precision_digits=dps)).c_q_nu
         terms = []
         for l in range(l_lo, l_hi + 1):
@@ -242,16 +268,16 @@ def k_nu(x, params, window=None):
     at x = q^-m, which is why the quadrature range adapts to x instead of
     using a fixed window (a fixed window mis-signs the deep tail).
     """
-    k = _exponent_of(x, params)
-    return _lorentz_transform(k, 1, params, window)
+    k = lattice_exponent(x, params)
+    return g_a_lattice(k, 1, params, window)
 
 def g_a(x, a, params, window=None):
     """Scaled Lorentz transform g_a: the transform of (1 + t^2/a^2)^-1.
 
     For a = q^j on the lattice this equals a^(2(nu+1)) K_nu(a x) exactly.
     """
-    k = _exponent_of(x, params)
-    return _lorentz_transform(k, a, params, window)
+    k = lattice_exponent(x, params)
+    return g_a_lattice(k, a, params, window)
 
 def d_nu(params, probes=(3, 6, 9, 12, 15), with_spread=False):
     """Wronskian-type constant combining K and i at neighbouring orders.

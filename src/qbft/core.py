@@ -94,11 +94,19 @@ DECAY_UNKNOWN = "unknown"
 DECAY_CLASSES = (DECAY_RAPID, DECAY_INTEGRABLE, DECAY_BOUNDED, DECAY_UNKNOWN)
 
 
-def _parse_number(x, what):
+def parse_number(x, what):
+    """Parse x as a number at the active precision; floats keep their decimal meaning.
+
+    Anything that is not a finite number raises InvalidParams: NaN would
+    otherwise pass every range check, since each comparison with it is false.
+    """
     try:
-        return mpmathify(x if not isinstance(x, float) else repr(x))
+        v = mpmathify(x if not isinstance(x, float) else repr(x))
     except (TypeError, ValueError):
         raise InvalidParams(f"{what}: cannot parse {x!r} as a real number")
+    if not mp.isfinite(v):
+        raise InvalidParams(f"{what}: {x!r} is not a finite number")
+    return v
 
 
 class QParams:
@@ -117,9 +125,9 @@ class QParams:
             raise InvalidParams("precision_digits must be an integer >= 30")
         self.precision_digits = precision_digits
         with mp.workdps(50):
-            qv = _parse_number(self.q_str, "q")
-            nuv = _parse_number(self.nu_str, "nu")
-            tv = _parse_number(self.tol_str, "tol")
+            qv = parse_number(self.q_str, "q")
+            nuv = parse_number(self.nu_str, "nu")
+            tv = parse_number(self.tol_str, "tol")
             if not (0 < qv < 1):
                 raise InvalidParams(f"q must satisfy 0 < q < 1, got {self.q_str}")
             if not (nuv > -1):
@@ -217,6 +225,11 @@ class GridFunction:
     values[i] is the sample at x = q^(n_min + i).  decay_class declares the
     behaviour as x -> infinity (the n -> -infinity side) and gates which
     integrals and transforms accept the function.
+
+    lattice is None unless the function came out of fourier, apply_multiplier
+    or convolve: those record (plan params, GridFunction on the plan's whole
+    internal lattice) there, so that a later transform through the same plan
+    sees the off-window samples too.
     """
 
     def __init__(self, grid, values, decay_class=DECAY_UNKNOWN):
@@ -229,6 +242,7 @@ class GridFunction:
         self.grid = grid
         self.values = values
         self.decay_class = decay_class
+        self.lattice = None
 
     def value_at(self, n):
         """Sample at exponent n, i.e. at the point x = q^n."""
@@ -289,8 +303,8 @@ def qpochhammer_finite(a, q, n):
     if not isinstance(n, int) or n < 0:
         raise InvalidParams("pochhammer length n must be a nonnegative integer")
     with mp.workdps(mp.dps + 10):
-        a = _parse_number(a, "a")
-        q = _parse_number(q, "q")
+        a = parse_number(a, "a")
+        q = parse_number(q, "q")
         prod = mp.one
         ap = a
         for _ in range(n):
@@ -307,8 +321,8 @@ def qpochhammer_infinite(a, q, tol=None):
     corrected value by less than the tolerance; otherwise NonConvergent.
     """
     with mp.workdps(mp.dps + 10):
-        a = _parse_number(a, "a")
-        q = _parse_number(q, "q")
+        a = parse_number(a, "a")
+        q = parse_number(q, "q")
         if abs(q) >= 1:
             raise NonConvergent("infinite pochhammer needs |q| < 1")
         eff_tol = mpmathify(tol) if tol is not None else mpf(10) ** (-(mp.dps - 8))
@@ -336,8 +350,8 @@ def q_exponential(z, q):
     Equals 1 / (z; q)_inf on its disk of convergence.
     """
     with mp.workdps(mp.dps + 10):
-        z = _parse_number(z, "z")
-        q = _parse_number(q, "q")
+        z = parse_number(z, "z")
+        q = parse_number(q, "q")
         if abs(q) >= 1:
             raise NonConvergent("q-exponential needs |q| < 1")
         if abs(z) >= 1:
@@ -369,7 +383,7 @@ def jackson_integral_finite(f, a, params, with_tail=False):
     """
     with params.working(10):
         q = params.q
-        av = _parse_number(a, "a")
+        av = parse_number(a, "a")
         if av <= 0:
             raise DomainError("upper limit must be positive")
         m_real = mp.log(av) / mp.log(q)
@@ -509,5 +523,5 @@ def gridfunction_from_json(text, precision_digits=60, tol="1e-40"):
     params = QParams(q=q, nu=nu, precision_digits=precision_digits, tol=tol)
     decay = payload.get("decay_class", DECAY_UNKNOWN)
     with params.working(10):
-        values = [mpmathify(s) for s in raw]
+        values = [parse_number(s, "values") for s in raw]
     return GridFunction(QGrid(n_min, n_max), values, decay), params

@@ -18,12 +18,12 @@ from importlib import resources
 from mpmath import mp, mpf
 
 from .core import (
-    DECAY_INTEGRABLE, DECAY_RAPID, InvalidParams,
+    DECAY_INTEGRABLE, InvalidParams,
     GridFunction, QGrid, QParams, decimal_str,
     gridfunction_to_json, gridfunction_from_json,
 )
-from .kernels import KernelSpec, _phi_vector, gauss_kernel_grid
-from .transform import build_plan, _matvec, _project
+from .kernels import KernelSpec, gauss_kernel_grid
+from .transform import build_plan, transform_profile
 
 REFERENCE_GRID = QGrid(-24, 64)
 
@@ -89,10 +89,7 @@ def _burst(grid, lo, hi):
 def _lorentz_member(j, plan):
     with mp.workdps(40):
         a = decimal_str(plan.params.q ** j, 30)
-    spec = KernelSpec("0", (a,))
-    out = _matvec(plan, _phi_vector(spec, plan))
-    f = _project(plan, out, DECAY_RAPID)
-    return f
+    return transform_profile(plan, KernelSpec("0", (a,)).reciprocal_profile(plan))
 
 
 def build_corpus(params=None, plan=None):

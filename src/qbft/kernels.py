@@ -21,10 +21,10 @@ from mpmath import mp, mpf, mpmathify
 from .core import (
     DECAY_RAPID, DECAY_UNKNOWN, DomainError, IntegrabilityError, InvalidParams,
     NoWitness, WindowError, GridFunction, QGrid, constants, decimal_str,
-    qpochhammer_infinite, q_bessel_operator, _parse_number,
+    qpochhammer_infinite, q_bessel_operator, parse_number,
 )
-from .bessel import i_nu, _exponent_of, _lorentz_transform
-from .transform import _matvec, _project, apply_multiplier, norm
+from .bessel import g_a_lattice, i_nu, lattice_exponent
+from .transform import apply_multiplier, norm, transform_profile
 
 
 class KernelSpec:
@@ -39,12 +39,12 @@ class KernelSpec:
         self.zeros_str = tuple(str(a) if not isinstance(a, float) else repr(a)
                                for a in zeros)
         with mp.workdps(40):
-            cv = _parse_number(self.c_str, "c")
+            cv = parse_number(self.c_str, "c")
             if cv < 0:
                 raise InvalidParams("Gaussian weight c must be nonnegative")
             prev = mp.zero
             for a in self.zeros_str:
-                av = _parse_number(a, "zero")
+                av = parse_number(a, "zero")
                 if av <= 0:
                     raise InvalidParams("zero scales must be positive")
                 if av < prev:
@@ -65,6 +65,24 @@ class KernelSpec:
 
     def prefix(self, m):
         return KernelSpec(self.c_str, self.zeros_str[:m])
+
+    def reciprocal_profile(self, plan):
+        """1/E as a profile for transform_profile: l -> 1/E(q^l).
+
+        q, c and the zeros are materialized once at the plan's working
+        precision, the precision transform_profile evaluates profiles at.
+        """
+        with mp.workdps(plan.dps):
+            q = plan.params.q
+            c = self.c
+            zs = self.zeros
+        def profile(l):
+            t2 = q ** (2 * l)
+            v = mp.e ** (-c * t2) if c != 0 else mp.one
+            for a in zs:
+                v /= (1 + t2 / (a * a))
+            return v
+        return profile
 
     def __repr__(self):
         return f"KernelSpec(c={self.c_str}, zeros={self.zeros_str})"
@@ -91,7 +109,7 @@ class KernelReport:
 def E_eval(t, spec, params):
     """E(t) = exp(c t^2) prod_k (1 + t^2 / a_k^2), the reciprocal multiplier."""
     with params.working(15):
-        tv = _parse_number(t, "t")
+        tv = parse_number(t, "t")
         t2 = tv * tv
         val = mp.e ** (spec.c * t2) if spec.c != 0 else mp.one
         for a in spec.zeros:
@@ -101,22 +119,6 @@ def E_eval(t, spec, params):
 def _is_divergent(spec, params):
     with mp.workdps(30):
         return spec.c == 0 and 2 * len(spec.zeros_str) <= 2 * params.nu + 2
-
-def _phi_vector(spec, plan):
-    """1/E sampled on the plan's internal lattice."""
-    params = plan.params
-    with mp.workdps(plan.dps):
-        q = params.q
-        c = spec.c
-        zs = spec.zeros
-        vec = []
-        for l in range(plan.lat_lo, plan.lat_hi + 1):
-            t2 = q ** (2 * l)
-            v = mp.e ** (-c * t2) if c != 0 else mp.one
-            for a in zs:
-                v /= (1 + t2 / (a * a))
-            vec.append(v)
-        return vec
 
 def composite_kernel(spec, plan, chain=True, gap_tol=None):
     """Transform 1/E into kernel samples on the plan's output window.
@@ -133,8 +135,7 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
             f"1/E with c=0 and {z} zero factor(s) is not lattice-integrable "
             f"at nu={params.nu_str}; supply more zero factors")
     gap_tol = mpf("1e-25") if gap_tol is None else mpmathify(gap_tol)
-    out = _matvec(plan, _phi_vector(spec, plan))
-    kernel = _project(plan, out, DECAY_RAPID)
+    kernel = transform_profile(plan, spec.reciprocal_profile(plan))
     with mp.workdps(plan.dps):
         q = params.q
         nu = params.nu
@@ -155,12 +156,12 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
                 chain_rows.append({"prefix": m, "skipped": True,
                                    "worst_gap": None, "at": None})
                 continue
-            sub_out = _matvec(plan, _phi_vector(sub, plan))
+            sub_kernel = transform_profile(plan, sub.reciprocal_profile(plan))
             with mp.workdps(plan.dps):
                 worst = None
                 worst_at = None
                 for n in kernel.grid.exponents():
-                    gap = +(kernel.value_at(n) - sub_out[n - plan.lat_lo])
+                    gap = +(kernel.value_at(n) - sub_kernel.value_at(n))
                     if worst is None or gap < worst:
                         worst = gap
                         worst_at = n
@@ -180,10 +181,10 @@ def gauss_kernel(x, c, params):
     is e(-c^2 t^2; q^2).
     """
     with params.working(15):
-        cv = _parse_number(c, "c")
+        cv = parse_number(c, "c")
         if cv <= 0:
             raise DomainError("Gauss kernel width must be positive")
-        xv = _parse_number(x, "x")
+        xv = parse_number(x, "x")
         q = params.q
         nu = params.nu
         q2 = q * q
@@ -249,7 +250,7 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
     kcache = {}
     def k_at(e):
         if e not in kcache:
-            kcache[e] = _lorentz_transform(e, 1, params)
+            kcache[e] = g_a_lattice(e, 1, params)
         return kcache[e]
     best = None
     best_profile = None
@@ -258,7 +259,7 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
         nu = params.nu
         exps = list(range(G.grid.n_min, G.grid.n_min + points))
         for a in candidates:
-            m = _exponent_of(a, params, "candidate scale")
+            m = lattice_exponent(a, params, "candidate scale")
             scale = q ** (mpf(m) * (2 * nu + 2))
             ratios = []
             ok = True
@@ -296,7 +297,7 @@ def factorization_check(h, a, params):
     """
     if len(h.grid) < 3:
         raise WindowError("factorization check needs at least three grid points")
-    ja = _exponent_of(a, params, "a")
+    ja = lattice_exponent(a, params, "a")
     with params.working(25):
         q = params.q
         nu = params.nu

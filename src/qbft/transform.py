@@ -13,7 +13,6 @@ reach it.  Plans therefore carry an extended internal lattice; inputs are
 zero-embedded into it and outputs projected back.
 """
 
-import json
 import math
 
 import mpmath
@@ -21,10 +20,12 @@ from mpmath import mp, mpf, mpmathify
 
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
-    DomainError, InvalidParams, PreconditionError, WindowError,
-    GridFunction, QGrid, QParams, constants, decimal_str,
+    InvalidParams, PreconditionError, WindowError,
+    GridFunction, QGrid, constants,
 )
-from .bessel import decay_bound_log10, j_nu_lattice, _exponent_of
+from .bessel import (
+    decay_bound_log10, j_nu_lattice, j_nu_lattice_floored, lattice_exponent,
+)
 
 
 def plan_window(params, io_lo, io_hi):
@@ -80,8 +81,9 @@ def build_plan(params, in_grid=None, out_grid=None):
     """Sample the j row and assemble the transform matrix.
 
     j values whose decay envelope already certifies them below the precision
-    floor 10^-(digits+50) are stored as exact zeros instead of being
-    evaluated; everything else is sampled at one coherent working precision.
+    floor are stored as exact zeros instead of being evaluated (see
+    j_nu_lattice_floored); everything else is sampled at one coherent
+    working precision.
     """
     in_grid = in_grid or QGrid()
     out_grid = out_grid or in_grid
@@ -89,33 +91,27 @@ def build_plan(params, in_grid=None, out_grid=None):
     io_hi = max(in_grid.n_max, out_grid.n_max)
     lat_lo, lat_hi = plan_window(params, io_lo, io_hi)
     dps = params.precision_digits + 15
-    lq = params.log10_inv_q
-    nu = params.nu_float
-    floor = params.precision_digits + 50
-    jrow = {}
     with mp.workdps(dps):
-        for s in range(2 * lat_lo, 2 * lat_hi + 1):
-            if s < 0 and (s * s - (2 * nu + 1) * s) * lq - 2 > floor:
-                jrow[s] = mp.zero
-            else:
-                jrow[s] = +j_nu_lattice(s, params, dps)
+        jrow = {s: +j_nu_lattice_floored(s, params, dps)
+                for s in range(2 * lat_lo, 2 * lat_hi + 1)}
     return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps)
 
 
 def _embed(plan, f):
     """Lift window samples onto the plan's internal lattice.
 
-    If f carries full-lattice samples recorded by a previous fourier() call
-    with the same lattice and parameters, those are used; otherwise the
-    window samples are zero-extended.  The difference matters for functions
-    whose off-window values meet large weights in the next application: a
+    If f carries full-lattice samples recorded by a previous transform with
+    the same lattice and parameters, those are used; otherwise the window
+    samples are zero-extended.  The difference matters for functions whose
+    off-window values meet large weights in the next application: a
     transform's head samples are individually tiny but carry order-one mass
     once multiplied by q^(n(2nu+2)), and dropping them blurs sharp features
     of the original function on the small-x side.
     """
-    cached = getattr(f, "_lattice_cache", None)
-    if cached is not None and cached[0] == (plan.lat_lo, plan.lat_hi, plan.params):
-        return list(cached[1])
+    if f.lattice is not None:
+        params, samples = f.lattice
+        if params == plan.params and samples.grid == QGrid(plan.lat_lo, plan.lat_hi):
+            return list(samples.values)
     if f.grid.n_min < plan.lat_lo or f.grid.n_max > plan.lat_hi:
         raise WindowError(
             f"function window [{f.grid.n_min}, {f.grid.n_max}] exceeds the "
@@ -126,19 +122,22 @@ def _embed(plan, f):
         vec[base + i] = v
     return vec
 
-def _attach_lattice(plan, f, vec):
-    """Record full-lattice samples on f for later same-plan reuse."""
-    f._lattice_cache = ((plan.lat_lo, plan.lat_hi, plan.params), vec)
-    return f
-
 def _matvec(plan, vec):
     with mp.workdps(plan.dps):
         return [mpmath.fdot(row, vec) for row in plan.rows]
 
-def _project(plan, vec, decay_class):
+def _project(plan, vec):
     lo = plan.out_grid.n_min - plan.lat_lo
     hi = plan.out_grid.n_max - plan.lat_lo
-    return GridFunction(plan.out_grid, vec[lo:hi + 1], decay_class)
+    return GridFunction(plan.out_grid, vec[lo:hi + 1], DECAY_RAPID)
+
+def _transform_recorded(plan, vec):
+    """Transform lattice samples; the result keeps all of them for reuse."""
+    out = _matvec(plan, vec)
+    f = _project(plan, out)
+    f.lattice = (plan.params,
+                 GridFunction(QGrid(plan.lat_lo, plan.lat_hi), out, DECAY_RAPID))
+    return f
 
 def _require_transformable(f):
     if f.decay_class not in (DECAY_RAPID, DECAY_INTEGRABLE):
@@ -151,13 +150,26 @@ def fourier(f, plan):
 
     The output is a finite combination of j columns, each of which decays
     like q^(k^2) on the large-x side, so the result is tagged rapid.  It
-    also keeps its own off-window lattice samples, so composing fourier()
-    with itself through the same plan inverts sharp-edged inputs at full
-    accuracy instead of being limited by the window view.
+    also keeps its own off-window lattice samples in its `lattice` field, so
+    composing fourier() with itself through the same plan inverts
+    sharp-edged inputs at full accuracy instead of being limited by the
+    window view.
     """
     _require_transformable(f)
-    out = _matvec(plan, _embed(plan, f))
-    return _attach_lattice(plan, _project(plan, out, DECAY_RAPID), out)
+    return _transform_recorded(plan, _embed(plan, f))
+
+def transform_profile(plan, profile):
+    """Transform a spectral profile given on the plan's whole lattice.
+
+    profile maps an internal lattice exponent l to the profile's value at
+    t = q^l and is evaluated at the plan's working precision.  There is no
+    decay gate: a profile that is not integrable still has a pointwise
+    transform on the window.  The result is tagged rapid and records no
+    lattice samples, so a later transform of it sees only its window.
+    """
+    with mp.workdps(plan.dps):
+        vec = [profile(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
+    return _project(plan, _matvec(plan, vec))
 
 def apply_multiplier(plan, f, multiplier):
     """Transform f, scale the spectrum pointwise, transform back.
@@ -171,8 +183,7 @@ def apply_multiplier(plan, f, multiplier):
     spec = _matvec(plan, _embed(plan, f))
     with mp.workdps(plan.dps):
         scaled = [spec[i] * multiplier(plan.lat_lo + i) for i in range(plan.size())]
-    out = _matvec(plan, scaled)
-    return _attach_lattice(plan, _project(plan, out, DECAY_RAPID), out)
+    return _transform_recorded(plan, scaled)
 
 
 def triple_kernel(x, y, z, params):
@@ -182,9 +193,9 @@ def triple_kernel(x, y, z, params):
     Its weighted z-marginal integrates to exactly 1, which is what makes the
     translation operator mass-preserving.  Arguments are lattice points.
     """
-    kx = _exponent_of(x, params, "x")
-    ky = _exponent_of(y, params, "y")
-    kz = _exponent_of(z, params, "z")
+    kx = lattice_exponent(x, params, "x")
+    ky = lattice_exponent(y, params, "y")
+    kz = lattice_exponent(z, params, "z")
     lq = params.log10_inv_q
     nu = params.nu_float
     digits = params.precision_digits
@@ -223,19 +234,10 @@ def translate(f, x, plan):
     T_x f = F[ j_nu(x .) F f ]: transform, multiply by the j column at x,
     transform back.  x must be a lattice point.
     """
-    m = _exponent_of(x, plan.params, "x")
-    dps = plan.dps
+    m = lattice_exponent(x, plan.params, "x")
     def mult(l):
-        return _j_or_zero(m + l, plan.params, dps)
+        return j_nu_lattice_floored(m + l, plan.params, plan.dps)
     return apply_multiplier(plan, f, mult)
-
-def _j_or_zero(s, params, dps):
-    """j sample with the same envelope flooring rule used by plan builds."""
-    lq = params.log10_inv_q
-    nu = params.nu_float
-    if s < 0 and (s * s - (2 * nu + 1) * s) * lq - 2 > params.precision_digits + 50:
-        return mp.zero
-    return j_nu_lattice(s, params, dps)
 
 
 def convolve(f, g, plan):
@@ -250,8 +252,7 @@ def convolve(f, g, plan):
     gh = _matvec(plan, _embed(plan, g))
     with mp.workdps(plan.dps):
         prod = [a * b for a, b in zip(fh, gh)]
-    out = _matvec(plan, prod)
-    return _attach_lattice(plan, _project(plan, out, DECAY_RAPID), out)
+    return _transform_recorded(plan, prod)
 
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.
@@ -274,7 +275,7 @@ def convolve_direct(f, g, plan):
         c = constants(params.replace(precision_digits=plan.dps)).c_q_nu
         out = []
         for k in plan.out_grid.exponents():
-            mult = [fh[i] * _j_or_zero(k + plan.lat_lo + i, params, plan.dps)
+            mult = [fh[i] * j_nu_lattice_floored(k + plan.lat_lo + i, params, plan.dps)
                     for i in range(plan.size())]
             total = mp.zero
             for n in sup:
@@ -316,39 +317,3 @@ def norm(f, lp, params):
             w = q ** (mpf(n) * (2 * nu + 2)) if lp.weighted else q ** mpf(n)
             terms.append(w * abs(f.value_at(n)) ** pv)
         return +(((1 - q) * mpmath.fsum(terms)) ** (1 / pv))
-
-
-# ---------------------------------------------------------------------------
-# plan serialization (cache format)
-
-def plan_to_json(plan):
-    """Serialize the sampled j row; the matrix is rebuilt on load."""
-    d = plan.dps + 5
-    payload = {
-        "q": plan.params.q_str,
-        "nu": plan.params.nu_str,
-        "precision_digits": plan.params.precision_digits,
-        "tol": plan.params.tol_str,
-        "in_grid": [plan.in_grid.n_min, plan.in_grid.n_max],
-        "out_grid": [plan.out_grid.n_min, plan.out_grid.n_max],
-        "lattice": [plan.lat_lo, plan.lat_hi],
-        "dps": plan.dps,
-        "jrow": {str(s): decimal_str(v, d) for s, v in plan.jrow.items()},
-    }
-    return json.dumps(payload)
-
-def plan_from_json(text):
-    try:
-        payload = json.loads(text)
-        params = QParams(q=payload["q"], nu=payload["nu"],
-                         precision_digits=int(payload["precision_digits"]),
-                         tol=payload["tol"])
-        in_grid = QGrid(*payload["in_grid"])
-        out_grid = QGrid(*payload["out_grid"])
-        lat_lo, lat_hi = payload["lattice"]
-        dps = int(payload["dps"])
-        with mp.workdps(dps + 5):
-            jrow = {int(s): mpmathify(v) for s, v in payload["jrow"].items()}
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidParams(f"malformed plan payload: {exc}")
-    return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps)

@@ -14,17 +14,15 @@ criterion is still computed faithfully and reported as the violation it is.
 import json
 import time
 
-import mpmath
 from mpmath import mp, mpf
 
 from .core import QGrid, QParams, GridFunction, DECAY_RAPID
-from .bessel import d_nu, j_nu_lattice, _lorentz_transform
+from .bessel import d_nu, g_a_lattice, j_nu_lattice
 from .transform import (
-    build_plan, convolve_direct, fourier, norm, _embed, _matvec, _project,
+    build_plan, convolve_direct, fourier, norm, transform_profile,
 )
 from .kernels import (
     KernelSpec, approx_identity_run, composite_kernel, gauss_kernel_grid,
-    _phi_vector,
 )
 from .variation import Qn_polynomial, omega_series, real_roots_check, vd_check
 from .corpus import load_corpus, REFERENCE_GRID
@@ -161,15 +159,10 @@ def _criterion_2(ctx):
             # the corpus member vanishes off its window, so norm() over the
             # window is its exact whole-line norm; the spectrum spreads over
             # the entire lattice, so its norm must be summed there
+            _, spectrum = fourier(entry.f, plan).lattice
             with mp.workdps(ctx.digits + 10):
-                q = params.q
-                nuv = params.nu
                 n_f = norm(entry.f, 2, params)
-                vec = _matvec(plan, _embed(plan, entry.f))
-                total = mpmath.fsum(
-                    q ** (mpf(plan.lat_lo + i) * (2 * nuv + 2)) * vec[i] ** 2
-                    for i in range(plan.size()))
-                n_t = mp.sqrt((1 - q) * total)
+                n_t = norm(spectrum, 2, params)
                 r = abs(n_f - n_t) / n_f
             if r > worst:
                 worst = r
@@ -205,7 +198,7 @@ def _criterion_3(ctx):
                         worst = r
                 # resolvent side: (1 - Delta/a^2) g_a vanishes on the lattice
                 a = q ** a_exp
-                w = {n: _lorentz_transform(n, a, params)
+                w = {n: g_a_lattice(n, a, params)
                      for n in range(-5, 12)}
                 for n in range(-4, 11):
                     stencil = q ** (-2 * n) * (w[n - 1] - co * w[n]
@@ -221,20 +214,23 @@ def _criterion_3(ctx):
                            f"<= {_nstr(threshold)}", time.time() - t0,
                            "stencil residuals against local scale, a in {q^2, 1, q^-2}")
 
+def _ga_floored(k, params):
+    """True where the envelope certifies a g_a sample below the precision floor.
+
+    k is the sample's exponent plus the scale's: g_a(q^n) with a = q^j has
+    k = n + j.
+    """
+    m = max(0, -k)
+    est = ((m * m + (2 * params.nu_float + 1) * m) + 8) * params.log10_inv_q
+    return m > 0 and est - 12 > params.precision_digits + 40
+
 def _ga_samples(params, a_exp, grid):
     """Per-point adaptive g_a on a window, flooring certified-tiny values."""
-    lq = params.log10_inv_q
-    nu = params.nu_float
-    vals = []
     with params.working(15):
         a = params.q ** a_exp
-        for n in grid.exponents():
-            m = max(0, -(n + a_exp))
-            est = ((m * m + (2 * nu + 1) * m) + 8) * lq if m > 0 else 3.0
-            if m > 0 and est - 12 > params.precision_digits + 40:
-                vals.append(mp.zero)
-            else:
-                vals.append(_lorentz_transform(n, a, params))
+        vals = [mp.zero if _ga_floored(n + a_exp, params)
+                else g_a_lattice(n, a, params)
+                for n in grid.exponents()]
     return GridFunction(grid, vals, DECAY_RAPID)
 
 def _criterion_4(ctx):
@@ -246,16 +242,10 @@ def _criterion_4(ctx):
         params = ctx.params(nu)
         plan = ctx.plan(nu)
         kv = _ga_samples(params, 0, ctx.window)
-        with mp.workdps(40):
-            lqf = params.log10_inv_q
-            nuf = params.nu_float
-            for n in ctx.window.exponents():
-                m = max(0, -n)
-                est = ((m * m + (2 * nuf + 1) * m) + 8) * lqf if m > 0 else 3.0
-                if m > 0 and est - 12 > params.precision_digits + 40:
-                    continue  # floored sample, positivity certified by the bound
-                if kv.value_at(n) <= 0:
-                    positive = False
+        for n in ctx.window.exponents():
+            # a floored sample's positivity is certified by the bound
+            if not _ga_floored(n, params) and kv.value_at(n) <= 0:
+                positive = False
         interior = range(ctx.window.n_min + 8, ctx.window.n_max - 7)
         # the pair check samples g_a over the whole plan lattice: g_a levels
         # off to a positive constant at small x, and for slow measure weights
@@ -339,10 +329,9 @@ def _vd_kernels(ctx):
     params = ctx.params(REFERENCE_NU)
     with mp.workdps(40):
         q_str = mp.nstr(params.q, 20)
-    g_q = _project(plan, _matvec(plan, _phi_vector(KernelSpec("0", (q_str,)), plan)),
-                   DECAY_RAPID)
-    g_1 = _project(plan, _matvec(plan, _phi_vector(KernelSpec("0", ("1",)), plan)),
-                   DECAY_RAPID)
+    # neither 1/E is integrable at this nu; their transforms exist pointwise
+    g_q = transform_profile(plan, KernelSpec("0", (q_str,)).reciprocal_profile(plan))
+    g_1 = transform_profile(plan, KernelSpec("0", ("1",)).reciprocal_profile(plan))
     h = gauss_kernel_grid("0.5", params, ctx.window)
     comp12 = composite_kernel(KernelSpec("0", ("1", "2")), plan, chain=False).kernel
     comp25 = composite_kernel(KernelSpec("0.25", ("1",)), plan, chain=False).kernel

@@ -161,6 +161,14 @@ class TestOscillatorySeries:
         with pytest.raises(PrecisionExhausted):
             j_nu(str(2 ** 30), params)
 
+    def test_lattice_value_near_q_one_matches_ladder(self):
+        # near q = 1 the terms grow even at x = 1, where the envelope allows
+        # no cancellation; the measured loss must move the lattice rung
+        from qbft.core import QParams
+        p = QParams(q="0.99", nu="0", precision_digits=110)
+        with mp.workdps(130):
+            assert rel_err(j_nu_lattice(0, p), j_nu("1", p).value) < mpf("1e-100")
+
     def test_lattice_values_deterministic_and_rung_coherent(self, params):
         first = j_nu_lattice(-4, params)
         assert j_nu_lattice(-4, params) == first

@@ -123,6 +123,15 @@ class TestTransformCommand:
         bad.write_text("{not json")
         assert main(["transform", "--in", str(bad)]) == 2
 
+    @pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_exits_2(self, tmp_path, capsys, sample):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"q": "0.5", "nu": "0.5", "n_min": 0,
+                                   "n_max": 2, "decay_class": "rapid",
+                                   "values": ["1", sample, "0"]}))
+        assert main(["transform", "--in", str(bad)]) == 2
+        assert "not a finite number" in capsys.readouterr().err
+
 
 class TestConvolveCommand:
     def test_matches_library_convolution(self, tmp_path, params, plan, members,
@@ -174,6 +183,12 @@ class TestKernelCommand:
     def test_non_integrable_spec_exits_2(self, tmp_path, capsys):
         spec = self.spec_file(tmp_path, {"c": "0", "zeros": ["1"]})
         assert main(WINDOW_ARGS + ["kernel", "--spec", spec]) == 2
+
+    def test_non_finite_spec_exits_2(self, tmp_path, capsys):
+        # every comparison with NaN is false, so only the parser can stop it
+        spec = self.spec_file(tmp_path, {"c": "nan", "zeros": ["1", "2"]})
+        assert main(WINDOW_ARGS + ["kernel", "--spec", spec]) == 2
+        assert "not a finite number" in capsys.readouterr().err
 
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec = self.spec_file(tmp_path, {"zeros": ["1"]})

@@ -47,6 +47,7 @@ class TestQParams:
         {"nu": "-1"}, {"nu": "-2"},
         {"precision_digits": 10}, {"precision_digits": "60"},
         {"tol": "0"}, {"tol": "-1e-40"}, {"q": "banana"},
+        {"nu": "inf"}, {"nu": "nan"}, {"tol": "inf"},
     ])
     def test_rejects_bad_parameters(self, kw):
         with pytest.raises(InvalidParams):

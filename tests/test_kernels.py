@@ -33,9 +33,9 @@ from qbft.core import (
     q_bessel_operator,
     qpochhammer_infinite,
 )
-from qbft.bessel import g_a
+from qbft.bessel import g_a, g_a_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
-from qbft.transform import build_plan, convolve, fourier
+from qbft.transform import build_plan, convolve, fourier, transform_profile
 from qbft.kernels import (
     E_eval,
     KernelSpec,
@@ -114,6 +114,16 @@ class TestCompositeKernel:
         plan1 = build_plan(p1, QGrid(-4, 12))
         with pytest.raises(IntegrabilityError):
             composite_kernel(KernelSpec("0", ("1", "2")), plan1)
+
+    def test_refused_profile_still_transforms_pointwise(self, params, plan):
+        # the gate refuses the one-zero kernel calculus at nu = 1/2, but the
+        # transform of 1/E = 1/(1+t^2) exists pointwise: it is g_1
+        spec = KernelSpec("0", ("1",))
+        g = transform_profile(plan, spec.reciprocal_profile(plan))
+        assert g.decay_class == DECAY_RAPID and g.lattice is None
+        with mp.workdps(90):
+            for n in (-6, 0, 8, 20):
+                assert abs(g.value_at(n) - g_a_lattice(n, 1, params)) < mpf("1e-37")
 
     def test_single_zero_matches_elementary_kernel(self):
         # at nu = -1/2 one zero factor is already integrable and the kernel

@@ -1,5 +1,5 @@
 """Transform layer: plan assembly, the transform and its inverse, translation,
-convolution by two routes, norms, and plan serialization.
+convolution by two routes, and norms.
 
 The expensive reference plan is built once per module and shared; tolerances
 come from a calibration run against independent formulas (profile values of
@@ -35,8 +35,6 @@ from qbft.transform import (
     convolve_direct,
     fourier,
     norm,
-    plan_from_json,
-    plan_to_json,
     translate,
     triple_kernel,
 )
@@ -337,24 +335,3 @@ class TestNorms:
             assert norm(conv, 1, params) <= B * norm(f, 1, params) * norm(g, 1, params)
             assert norm(conv, "inf", params) <= norm(f, 1, params) * norm(g, "inf", params)
             assert norm(conv, "inf", params) <= B * norm(f, 2, params) * norm(g, 2, params)
-
-
-class TestPlanSerialization:
-    def test_round_trip_preserves_transforms(self, params, plan, members):
-        clone = plan_from_json(plan_to_json(plan))
-        f = members["gauss_1"]
-        with mp.workdps(80):
-            assert supdiff(fourier(f, plan), fourier(f, clone)) < mpf("1e-70")
-
-    def test_round_trip_preserves_geometry(self, plan):
-        clone = plan_from_json(plan_to_json(plan))
-        assert (clone.lat_lo, clone.lat_hi, clone.dps) == (
-            plan.lat_lo, plan.lat_hi, plan.dps)
-        assert clone.in_grid == plan.in_grid
-        assert clone.out_grid == plan.out_grid
-
-    def test_malformed_payload_rejected(self):
-        with pytest.raises(InvalidParams):
-            plan_from_json("not json at all")
-        with pytest.raises(InvalidParams):
-            plan_from_json('{"q": "0.5"}')
