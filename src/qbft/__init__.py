@@ -20,8 +20,8 @@ from .core import (
     gridfunction_to_json, gridfunction_from_json, decimal_str,
 )
 from .bessel import (
-    BesselEval, j_nu, j_nu_lattice, i_nu, k_nu, g_a, g_a_lattice, d_nu,
-    bound_constant,
+    BesselEval, j_nu, j_nu_lattice, j_nu_lattice_row, i_nu, k_nu, g_a,
+    g_a_lattice, d_nu, bound_constant,
 )
 from .transform import (
     TransformPlan, LpNorm, build_plan, plan_window, fourier, transform_profile,

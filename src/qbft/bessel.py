@@ -11,8 +11,14 @@ cancellation (the value sits at scale q^(s^2) while series terms reach scale
 q^(-s^2)); evaluation therefore runs on a precision ladder with an explicit
 cancellation certificate, and lattice-indexed callers use an envelope bound
 to pick the working precision up front.
+
+Callers that need j on a contiguous run of lattice exponents take it from
+j_nu_lattice_row, which solves the three-term recurrence instead of summing
+one series per sample.  j_nu and j_nu_lattice stay series-only, so they
+remain an independent oracle for the rows.
 """
 
+import functools
 import math
 
 import mpmath
@@ -159,12 +165,108 @@ def j_nu_lattice(s, params, digits=None):
     _lattice_cache[key] = ev.value
     return ev.value
 
-def j_nu_lattice_floored(s, params, digits=None):
-    """j_nu_lattice, or an exact zero where the decay envelope certifies
+def _fixed(v, bits):
+    """v as a fixed-point integer with bits fraction bits."""
+    return int(v * mpf(2) ** bits)
+
+def _sweep(s_lo, s_hi, params, depth, dps):
+    """Unnormalized j samples on s_lo..s_hi from the q-Bessel recurrence.
+
+    j(s+1) = [(1 + q^(2nu) - q^(2s)) j(s) - j(s-1)] / q^(2nu), run upward
+    from the seeds (0, 1) placed depth steps below min(s_lo, 0).  Toward
+    small x j is the dominant solution, so the seeds' share of the second
+    solution dies out super-exponentially across the large-x side.
+
+    The sweep runs in integer arithmetic at about dps digits: coefficients
+    are fixed-point integers, and the pair (j(s-1), j(s)) shares one binary
+    exponent, rescaled as the values grow.  Entry i is (m, e) with
+    m * 2^e = C j(s_lo + i) for one unknown constant C.
+    """
+    bits = math.ceil(dps * 3.33) + 40
+    start = min(s_lo, 0) - depth
+    with mp.workdps(dps + 10):
+        q2 = params.q ** 2
+        q2nu = q2 ** params.nu
+        co = _fixed(1 + q2nu, bits)
+        inv = _fixed(1 / q2nu, bits)
+        step = _fixed(q2, bits)
+        x2 = _fixed(q2 ** start, bits)
+    prev, cur, exp = 0, 1 << bits, -bits
+    out = []
+    for s in range(start, s_hi):
+        if s >= s_lo:
+            out.append((cur, exp))
+        prev, cur = cur, ((((co - x2) * cur) >> bits) - prev) * inv >> bits
+        x2 = x2 * step >> bits
+        size = max(cur.bit_length(), prev.bit_length())
+        if size > bits + 32:
+            prev >>= size - bits
+            cur >>= size - bits
+            exp += size - bits
+        elif size < bits - 32:
+            prev <<= bits - size
+            cur <<= bits - size
+            exp -= bits - size
+    out.append((cur, exp))
+    return out
+
+@functools.lru_cache(maxsize=256)
+def _certified_row(s_lo, s_hi, params, digits):
+    lq = params.log10_inv_q
+    depth = 4 + math.ceil(math.sqrt(digits / lq))
+    # for nu > 0 the second solution grows like q^(-2nu s) against j
+    guard = max(0, math.ceil(2 * params.nu_float * lq * s_hi))
+    dps = digits + 20 + guard
+    anchor = min(max(0, s_lo), s_hi)
+    ja = j_nu_lattice(anchor, params, digits)
+    first = _sweep(s_lo, s_hi, params, depth, dps)
+    check = _sweep(s_lo, s_hi, params, 2 * depth, dps + 10)
+    m1a, e1a = first[anchor - s_lo]
+    m2a, e2a = check[anchor - s_lo]
+    inv_tol = 10 ** (digits + 5)
+    row = []
+    with mp.workdps(dps):
+        scale = ja / mpf((m1a, e1a))
+        for i, ((m1, e1), (m2, e2)) in enumerate(zip(first, check)):
+            # both sweeps relative to their anchor entry, on one exponent
+            a, ea = m1 * m2a, e1 - e1a
+            b, eb = m2 * m1a, e2 - e2a
+            e = min(ea, eb)
+            a <<= ea - e
+            b <<= eb - e
+            if abs(a - b) * inv_tol > abs(b):
+                row.append(j_nu_lattice(s_lo + i, params, digits))
+            else:
+                row.append(mpf((m1, e1)) * scale)
+    return tuple(row)
+
+def j_nu_lattice_row(s_lo, s_hi, params, digits=None):
+    """Certified j_nu(q^s; q^2) for the lattice exponents s_lo..s_hi, as a tuple.
+
+    The row comes from the three-term recurrence (see _sweep), normalized by
+    the one series value j_nu_lattice at the anchor s = 0 clamped into the
+    row.  A second sweep from twice the depth at ten more digits certifies
+    it: an entry where the two differ by more than 10^-(digits+5) relative
+    falls back to j_nu_lattice.  Values keep the sweep's precision.  Whole
+    rows are memoized in a bounded memo of their own; j_nu_lattice's cache
+    only ever holds the anchor and the fallbacks.
+    """
+    if not (isinstance(s_lo, int) and isinstance(s_hi, int)):
+        raise DomainError("lattice evaluation needs integer exponents")
+    if s_lo > s_hi:
+        raise DomainError(f"empty lattice row [{s_lo}, {s_hi}]")
+    return _certified_row(s_lo, s_hi, params, digits or params.precision_digits)
+
+def j_nu_lattice_row_floored(s_lo, s_hi, params, digits=None):
+    """j_nu_lattice_row, with exact zeros where the decay envelope certifies
     |j_nu(q^s)| below the precision floor 10^-(precision_digits + 50)."""
-    if decay_bound_log10(s, params) < -(params.precision_digits + 50):
-        return mp.zero
-    return j_nu_lattice(s, params, digits)
+    first = s_lo
+    while first <= s_hi and decay_bound_log10(first, params) < -(params.precision_digits + 50):
+        first += 1
+    zeros = (mp.zero,) * (first - s_lo)
+    if first > s_hi:
+        return zeros
+    return zeros + j_nu_lattice_row(first, s_hi, params, digits)
 
 def i_nu(x, params, nu_shift=0):
     """Modified companion series: all terms positive, no cancellation.
@@ -254,11 +356,12 @@ def g_a_lattice(k, a, params, window=None):
         nuv = params.nu
         av = parse_number(a, "a")
         c = constants(params.replace(precision_digits=dps)).c_q_nu
+        row = j_nu_lattice_row(k + l_lo, k + l_hi, params, dps)
         terms = []
         for l in range(l_lo, l_hi + 1):
             t2 = q ** (2 * l)
             w = q ** (mpf(l) * (2 * nuv + 2)) / (1 + t2 / (av * av))
-            terms.append(w * j_nu_lattice(k + l, params, dps))
+            terms.append(w * row[l - l_lo])
         return +(c * (1 - q) * mpmath.fsum(terms))
 
 def k_nu(x, params, window=None):

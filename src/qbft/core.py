@@ -520,6 +520,9 @@ def gridfunction_from_json(text, precision_digits=60, tol="1e-40"):
         raw = payload["values"]
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidParams(f"malformed grid function payload: {exc}")
+    if not isinstance(raw, list):
+        raise InvalidParams(
+            f"malformed grid function payload: values must be a list, got {raw!r}")
     params = QParams(q=q, nu=nu, precision_digits=precision_digits, tol=tol)
     decay = payload.get("decay_class", DECAY_UNKNOWN)
     with params.working(10):

@@ -14,6 +14,7 @@ calculus (no mass, no chain), and composite_kernel refuses it.
 """
 
 import json
+from collections.abc import Sequence
 
 import mpmath
 from mpmath import mp, mpf, mpmathify
@@ -35,6 +36,8 @@ class KernelSpec:
     """
 
     def __init__(self, c, zeros):
+        if isinstance(zeros, (str, bytes)) or not isinstance(zeros, Sequence):
+            raise InvalidParams(f"zeros must be a list of scales, got {zeros!r}")
         self.c_str = str(c) if not isinstance(c, float) else repr(c)
         self.zeros_str = tuple(str(a) if not isinstance(a, float) else repr(a)
                                for a in zeros)
@@ -134,7 +137,7 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
         raise IntegrabilityError(
             f"1/E with c=0 and {z} zero factor(s) is not lattice-integrable "
             f"at nu={params.nu_str}; supply more zero factors")
-    gap_tol = mpf("1e-25") if gap_tol is None else mpmathify(gap_tol)
+    gap_tol = mpf("1e-25") if gap_tol is None else parse_number(gap_tol, "gap_tol")
     kernel = transform_profile(plan, spec.reciprocal_profile(plan))
     with mp.workdps(plan.dps):
         q = params.q
@@ -246,7 +249,7 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
     if candidates is None:
         candidates = [params.q ** m for m in range(-8, 13)]
     points = min(points, len(G.grid))
-    slack = mpmathify(slack)
+    slack = parse_number(slack, "slack")
     kcache = {}
     def k_at(e):
         if e not in kcache:

@@ -21,10 +21,11 @@ from mpmath import mp, mpf, mpmathify
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
     InvalidParams, PreconditionError, WindowError,
-    GridFunction, QGrid, constants,
+    GridFunction, QGrid, constants, parse_number,
 )
 from .bessel import (
-    decay_bound_log10, j_nu_lattice, j_nu_lattice_floored, lattice_exponent,
+    decay_bound_log10, j_nu_lattice_row, j_nu_lattice_row_floored,
+    lattice_exponent,
 )
 
 
@@ -80,10 +81,10 @@ class TransformPlan:
 def build_plan(params, in_grid=None, out_grid=None):
     """Sample the j row and assemble the transform matrix.
 
-    j values whose decay envelope already certifies them below the precision
-    floor are stored as exact zeros instead of being evaluated (see
-    j_nu_lattice_floored); everything else is sampled at one coherent
-    working precision.
+    The row comes from the certified recurrence (j_nu_lattice_row) and is
+    rounded to the plan's working precision.  j values whose decay envelope
+    already certifies them below the precision floor are stored as exact
+    zeros instead of being evaluated (see j_nu_lattice_row_floored).
     """
     in_grid = in_grid or QGrid()
     out_grid = out_grid or in_grid
@@ -91,9 +92,9 @@ def build_plan(params, in_grid=None, out_grid=None):
     io_hi = max(in_grid.n_max, out_grid.n_max)
     lat_lo, lat_hi = plan_window(params, io_lo, io_hi)
     dps = params.precision_digits + 15
+    row = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
     with mp.workdps(dps):
-        jrow = {s: +j_nu_lattice_floored(s, params, dps)
-                for s in range(2 * lat_lo, 2 * lat_hi + 1)}
+        jrow = {s: +v for s, v in zip(range(2 * lat_lo, 2 * lat_hi + 1), row)}
     return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps)
 
 
@@ -215,6 +216,8 @@ def triple_kernel(x, y, z, params):
     while head_bound(l_lo) > floor_log10 and guard < 4000:
         l_lo -= 1
         guard += 1
+    lo = kmin + l_lo
+    row = j_nu_lattice_row(lo, max(kx, ky, kz) + l_hi, params, dps)
     with mp.workdps(dps):
         q = params.q
         nuv = params.nu
@@ -222,9 +225,7 @@ def triple_kernel(x, y, z, params):
         terms = []
         for l in range(l_lo, l_hi + 1):
             w = q ** (mpf(l) * (2 * nuv + 2))
-            terms.append(w * j_nu_lattice(kx + l, params, dps)
-                         * j_nu_lattice(ky + l, params, dps)
-                         * j_nu_lattice(kz + l, params, dps))
+            terms.append(w * row[kx + l - lo] * row[ky + l - lo] * row[kz + l - lo])
         return +(c * c * (1 - q) * mpmath.fsum(terms))
 
 
@@ -232,12 +233,16 @@ def translate(f, x, plan):
     """Generalized translation T_x f via the spectral route.
 
     T_x f = F[ j_nu(x .) F f ]: transform, multiply by the j column at x,
-    transform back.  x must be a lattice point.
+    transform back.  x must be a lattice point; for x on the plan's lattice
+    the column is read from plan.jrow.
     """
     m = lattice_exponent(x, plan.params, "x")
-    def mult(l):
-        return j_nu_lattice_floored(m + l, plan.params, plan.dps)
-    return apply_multiplier(plan, f, mult)
+    if plan.lat_lo <= m <= plan.lat_hi:
+        col = [plan.jrow[m + l] for l in range(plan.lat_lo, plan.lat_hi + 1)]
+    else:
+        col = j_nu_lattice_row_floored(m + plan.lat_lo, m + plan.lat_hi,
+                                       plan.params, plan.dps)
+    return apply_multiplier(plan, f, lambda l: col[l - plan.lat_lo])
 
 
 def convolve(f, g, plan):
@@ -275,7 +280,7 @@ def convolve_direct(f, g, plan):
         c = constants(params.replace(precision_digits=plan.dps)).c_q_nu
         out = []
         for k in plan.out_grid.exponents():
-            mult = [fh[i] * j_nu_lattice_floored(k + plan.lat_lo + i, params, plan.dps)
+            mult = [fh[i] * plan.jrow[k + plan.lat_lo + i]
                     for i in range(plan.size())]
             total = mp.zero
             for n in sup:
@@ -291,7 +296,7 @@ class LpNorm:
     def __init__(self, p, weighted=True):
         if p != "inf":
             with mp.workdps(30):
-                pv = mpmathify(p)
+                pv = parse_number(p, "norm exponent")
                 if not pv >= 1:
                     raise InvalidParams("norm exponent must satisfy p >= 1")
         self.p = p
@@ -307,7 +312,7 @@ def norm(f, lp, params):
     if not isinstance(lp, LpNorm):
         lp = LpNorm(lp)
     with params.working(10):
-        if lp.p == "inf" or lp.p == mp.inf:
+        if lp.p == "inf":
             return +max((abs(v) for v in f.values), default=mp.zero)
         q = params.q
         nu = params.nu

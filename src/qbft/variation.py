@@ -19,7 +19,7 @@ from mpmath import mp, mpf, mpmathify
 from .core import (
     DegenerateLeading, IllConditioned, InvalidParams, PreconditionError,
     WindowError, GridFunction, QGrid, constants,
-    qpochhammer_finite, q_derivative,
+    parse_number, qpochhammer_finite, q_derivative,
 )
 from .transform import fourier, convolve
 
@@ -45,7 +45,8 @@ def sign_changes(f, zero_tol=None):
     every sample drops (including the all-zero function) the pattern is
     empty and the count is zero.
     """
-    tol = mpmathify(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL)
+    tol = parse_number(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL,
+                       "zero_tol")
     with mp.workdps(30):
         mx = max((abs(v) for v in f.values), default=mp.zero)
         if mx == 0:
@@ -97,7 +98,8 @@ def dq_variation_check(f, params, zero_tol=None):
     window; then differentiation cannot lose sign changes and the check
     returns (V[f], V[D_q f], ok).
     """
-    tol = mpmathify(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL)
+    tol = parse_number(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL,
+                       "zero_tol")
     with mp.workdps(30):
         mx = max((abs(v) for v in f.values), default=mp.zero)
         cut = tol * mx
@@ -270,7 +272,7 @@ def real_roots_check(p, params, tol_imag="1e-20"):
     companion matrix.  Real zeros in z require every u-root to be real and
     nonnegative (a negative real u gives purely imaginary z).
     """
-    tol = mpmathify(tol_imag)
+    tol = parse_number(tol_imag, "tol_imag")
     coeffs = list(p.coefficients)
     with params.working(25):
         mxc = max((abs(mpmathify(c)) for c in coeffs), default=mp.zero)

@@ -14,6 +14,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf, mpmathify
 
+from qbft import bessel
 from qbft.core import (
     DECAY_INTEGRABLE,
     ConstancyViolation,
@@ -21,6 +22,7 @@ from qbft.core import (
     GridFunction,
     PrecisionExhausted,
     QGrid,
+    QParams,
     constants,
     jackson_integral_infinite,
     lambda_shift,
@@ -35,6 +37,8 @@ from qbft.bessel import (
     i_nu,
     j_nu,
     j_nu_lattice,
+    j_nu_lattice_row,
+    j_nu_lattice_row_floored,
     k_nu,
 )
 from qbft.transform import build_plan, fourier
@@ -174,6 +178,91 @@ class TestOscillatorySeries:
         assert j_nu_lattice(-4, params) == first
         with mp.workdps(80):
             assert rel_err(j_nu_lattice(-4, params, 100), first) < mpf("1e-55")
+
+
+class TestLatticeRow:
+    """Recurrence rows against the series oracle, which they never feed."""
+
+    @pytest.fixture
+    def series_calls(self, monkeypatch):
+        """Fresh row memo; records every exponent the row asks the series for."""
+        bessel._certified_row.cache_clear()
+        calls = []
+        series = bessel.j_nu_lattice
+        def spy(s, params, digits=None):
+            calls.append(s)
+            return series(s, params, digits)
+        monkeypatch.setattr(bessel, "j_nu_lattice", spy)
+        yield calls
+        bessel._certified_row.cache_clear()
+
+    @staticmethod
+    def perturb_first_sweep(monkeypatch, index):
+        """Make the first of the two sweeps wrong at one entry by 1e-40."""
+        sweep = bessel._sweep
+        seen = []
+        def perturbed(s_lo, s_hi, params, depth, dps):
+            out = sweep(s_lo, s_hi, params, depth, dps)
+            if not seen:
+                m, e = out[index]
+                out[index] = (m + m // 10 ** 40, e)
+            seen.append(depth)
+            return out
+        monkeypatch.setattr(bessel, "_sweep", perturbed)
+
+    @pytest.mark.parametrize("q", ["0.5", "0.7", "0.9"])
+    @pytest.mark.parametrize("nu", ["-0.9", "0", "0.5", "2"])
+    def test_matches_series_oracle(self, q, nu, series_calls):
+        p = QParams(q=q, nu=nu)
+        row = j_nu_lattice_row(-6, 12, p)
+        # only the anchor s = 0 came from the series
+        assert series_calls == [0]
+        with mp.workdps(p.precision_digits):
+            for s, v in zip(range(-6, 13), row):
+                assert +v == +j_nu_lattice(s, p), (q, nu, s)
+
+    def test_disagreeing_entry_falls_back_to_series(self, monkeypatch, series_calls):
+        p = QParams(q="0.6", nu="0.5")
+        self.perturb_first_sweep(monkeypatch, 7)
+        row = j_nu_lattice_row(-4, 9, p, 70)
+        assert sorted(series_calls) == [0, 3]
+        assert row[7] == j_nu_lattice(3, p, 70)
+        with mp.workdps(70):
+            for s, v in zip(range(-4, 10), row):
+                if s != 3:
+                    assert +v == +j_nu_lattice(s, p, 70), s
+
+    def test_leaves_series_cache_to_anchor_and_fallbacks(self, monkeypatch, series_calls):
+        p = QParams(q="0.55", nu="0.25")
+        def sampled():
+            return {key[2] for key in bessel._lattice_cache
+                    if key[:2] == (p.q_str, p.nu_str)}
+        before = sampled()
+        self.perturb_first_sweep(monkeypatch, 2)
+        j_nu_lattice_row(3, 20, p)
+        # anchor clamped to s_lo = 3, fallback at s = 5
+        assert sampled() - before == {3, 5}
+
+    def test_rows_are_memoized(self, series_calls):
+        p = QParams(q="0.5", nu="1")
+        first = j_nu_lattice_row(-5, 15, p)
+        assert j_nu_lattice_row(-5, 15, p) is first
+        assert series_calls == [0]
+
+    def test_floored_row_zeroes_below_the_envelope_floor(self, params):
+        floor = -(params.precision_digits + 50)
+        row = j_nu_lattice_row_floored(-24, 4, params)
+        first = -24 + sum(1 for v in row if v == 0)
+        assert -24 < first < 0
+        assert all(decay_bound_log10(s, params) < floor for s in range(-24, first))
+        assert decay_bound_log10(first, params) >= floor
+        assert row[first + 24:] == j_nu_lattice_row(first, 4, params)
+
+    def test_bad_ranges_rejected(self, params):
+        with pytest.raises(DomainError):
+            j_nu_lattice_row(0.5, 3, params)
+        with pytest.raises(DomainError):
+            j_nu_lattice_row(4, 3, params)
 
 
 class TestPositiveCompanion:

@@ -6,11 +6,14 @@ through capsys or written to tmp_path files and parsed back.
 """
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
-from qbft.cli import main
+from qbft.cli import _build_parser, main
 from qbft.core import gridfunction_from_json, gridfunction_to_json
 from qbft.bessel import g_a, j_nu_lattice, k_nu
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
@@ -132,6 +135,16 @@ class TestTransformCommand:
         assert main(["transform", "--in", str(bad)]) == 2
         assert "not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values", [5, "123"], ids=["number", "string"])
+    def test_non_list_values_exits_2(self, tmp_path, capsys, values):
+        # a string must not be read sample by sample as its characters
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"q": "0.5", "nu": "0.5", "n_min": 0,
+                                   "n_max": 2, "decay_class": "rapid",
+                                   "values": values}))
+        assert main(["transform", "--in", str(bad)]) == 2
+        assert "values must be a list" in capsys.readouterr().err
+
 
 class TestConvolveCommand:
     def test_matches_library_convolution(self, tmp_path, params, plan, members,
@@ -190,6 +203,13 @@ class TestKernelCommand:
         assert main(WINDOW_ARGS + ["kernel", "--spec", spec]) == 2
         assert "not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("zeros", ["12", 12], ids=["string", "number"])
+    def test_non_list_zeros_exits_2(self, tmp_path, capsys, zeros):
+        # the string "12" must not run as the zeros 1 and 2
+        spec = self.spec_file(tmp_path, {"c": "0.5", "zeros": zeros})
+        assert main(WINDOW_ARGS + ["kernel", "--spec", spec]) == 2
+        assert "zeros must be a list" in capsys.readouterr().err
+
     def test_malformed_spec_exits_2(self, tmp_path, capsys):
         spec = self.spec_file(tmp_path, {"zeros": ["1"]})
         assert main(["kernel", "--spec", spec]) == 2
@@ -238,3 +258,20 @@ class TestReportCommand:
         bad = tmp_path / "r.json"
         bad.write_text('{"results": "nope"}')
         assert main(["report", "--in", str(bad)]) == 2
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        lines = [line.strip()
+                 for block in re.findall(r"```[a-z]*\n(.*?)```", readme, re.S)
+                 for line in block.splitlines()
+                 if line.strip().startswith("qbft ")]
+        assert len(lines) >= 8
+        rejected = []
+        for line in lines:
+            try:
+                _build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                rejected.append(line)
+        assert rejected == []

@@ -257,6 +257,19 @@ class TestApproxIdentity:
             approx_identity_run(f, plan)
 
 
+class TestNonFiniteTolerances:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_gap_tol_rejected(self, plan, bad):
+        with pytest.raises(InvalidParams):
+            composite_kernel(KernelSpec("0", ("1", "2")), plan, gap_tol=bad)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_slack_rejected(self, params, bad):
+        G = GridFunction.zero(REFERENCE_GRID)
+        with pytest.raises(InvalidParams):
+            order_diagnostic(G, params, slack=bad)
+
+
 class TestOrderDiagnostic:
     def test_elementary_kernel_recovers_its_own_scale(self, params):
         with mp.workdps(40):

@@ -304,6 +304,13 @@ class TestNorms:
         with pytest.raises(InvalidParams):
             LpNorm("0.5")
 
+    @pytest.mark.parametrize("p", ["nan", "+inf", float("inf"), mp.inf],
+                             ids=["nan", "plus-inf", "float-inf", "mp-inf"])
+    def test_non_finite_exponent_rejected(self, p):
+        # "inf" selects the sup norm; any other infinity is not an exponent
+        with pytest.raises(InvalidParams):
+            LpNorm(p)
+
     def test_plain_measure_differs_from_weighted(self, params, members):
         f = members["gauss_1"]
         with mp.workdps(80):

@@ -115,6 +115,23 @@ class TestSignChanges:
         assert c_hi <= c_lo
 
 
+class TestNonFiniteTolerances:
+    # every comparison with NaN is false, so an unparsed NaN tolerance
+    # would silently change which samples count as zero
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_zero_tol_rejected(self, params, bad):
+        f = window([0, 1, -1, 0])
+        with pytest.raises(InvalidParams):
+            sign_changes(f, zero_tol=bad)
+        with pytest.raises(InvalidParams):
+            dq_variation_check(f, params, zero_tol=bad)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_tol_imag_rejected(self, params, bad):
+        with pytest.raises(InvalidParams):
+            real_roots_check(EvenPolynomial([1, -1]), params, tol_imag=bad)
+
+
 class TestVdCheck:
     def test_elementary_kernel_never_gains_changes(self, params, plan, members):
         names = ["const_plus", "step_one_flip", "step_three_flips",
