@@ -311,14 +311,40 @@ def lattice_exponent(x, params, what="x"):
             raise DomainError(f"{what} = {x} is not a lattice point q^n")
         return k
 
-def g_a_lattice(k, a, params, window=None):
+def envelope_scale(m, params):
+    """Digits of j's decay q^(m^2+(2nu+1)m) at x = q^-m, plus 8 steps; 3.0 if m <= 0."""
+    lq = params.log10_inv_q
+    nu = params.nu_float
+    return ((m * m + (2 * nu + 1) * m) + 8) * lq if m > 0 else 3.0
+
+def quadrature_range(ks, est, l_lo, params):
+    """Summation range (l_lo, l_hi) of c (1-q) sum_l q^(l(2nu+2)) prod_k j(q^(k+l)).
+
+    est is the envelope_scale of the deepest column.  The tail ends where the
+    weight falls below the result's scale; the head runs down from l_lo until
+    weight times envelopes is certified below 10^-(est+digits+10).
+    """
+    lq = params.log10_inv_q
+    nu = params.nu_float
+    digits = params.precision_digits
+    l_hi = math.ceil((est + digits + 12) / ((2 * nu + 2) * lq)) + 2
+    floor_log10 = -(est + digits + 10)
+    def head_bound(l):
+        total = -l * (2 * nu + 2) * lq
+        for k in ks:
+            total += decay_bound_log10(k + l, params)
+        return total
+    guard = 0
+    while head_bound(l_lo) > floor_log10 and guard < 4000:
+        l_lo -= 1
+        guard += 1
+    return l_lo, l_hi
+
+def g_a_lattice(k, a, params):
     """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
 
-    The summation range is chosen adaptively: the tail must push the weight
-    q^(l(2nu+2)) below the result's own scale, and the head must cover the
-    oscillatory region of j far enough that the neglected envelope is
-    certified below the result as well.  A caller-supplied window only ever
-    widens the range.
+    Summed over quadrature_range; for k > 0 the head starts beyond j's
+    oscillatory region.
     """
     if not isinstance(k, int):
         raise DomainError("lattice evaluation needs an integer exponent")
@@ -330,32 +356,17 @@ def g_a_lattice(k, a, params, window=None):
             raise DomainError("scale a must be positive")
         shift = int(mp.nint(mp.log(av) / mp.log(params.q)))
     m_eff = max(0, -(k + shift))
-    est = ((m_eff * m_eff + (2 * nu + 1) * m_eff) + 8) * lq if m_eff > 0 else 3.0
+    est = envelope_scale(m_eff, params)
     max_weight = (m_eff * (2 * nu + 2)) * lq if m_eff > 0 else 0.0
     digits = params.precision_digits
     dps = int(digits + est + max_weight + 30)
-    l_hi = math.ceil((est + digits + 12) / ((2 * nu + 2) * lq)) + 2
-    if k > 0:
-        marg = math.ceil(math.sqrt((digits + est) / lq)) + 6
-        l_lo = -k - marg
-    else:
-        l_lo = -4
-    floor_log10 = -(est + digits + 10)
-    def head_bound(l):
-        s = k + l
-        return decay_bound_log10(s, params) - l * (2 * nu + 2) * lq
-    guard = 0
-    while head_bound(l_lo) > floor_log10 and guard < 4000:
-        l_lo -= 1
-        guard += 1
-    if window is not None:
-        l_lo = min(l_lo, window.n_min)
-        l_hi = max(l_hi, window.n_max)
+    start = -k - math.ceil(math.sqrt((digits + est) / lq)) - 6 if k > 0 else -4
+    l_lo, l_hi = quadrature_range((k,), est, start, params)
     with mp.workdps(dps):
         q = params.q
         nuv = params.nu
         av = parse_number(a, "a")
-        c = constants(params.replace(precision_digits=dps)).c_q_nu
+        c = constants(params, dps).c_q_nu
         row = j_nu_lattice_row(k + l_lo, k + l_hi, params, dps)
         terms = []
         for l in range(l_lo, l_hi + 1):
@@ -364,7 +375,13 @@ def g_a_lattice(k, a, params, window=None):
             terms.append(w * row[l - l_lo])
         return +(c * (1 - q) * mpmath.fsum(terms))
 
-def k_nu(x, params, window=None):
+def g_a_floored(k, params):
+    """True where the envelope certifies g_a below 10^-(digits+40); g_a(q^n)
+    with a = q^j has k = n + j."""
+    m = max(0, -k)
+    return m > 0 and envelope_scale(m, params) - 12 > params.precision_digits + 40
+
+def k_nu(x, params):
     """Positive kernel K_nu at a lattice point: transform of (1+t^2)^-1.
 
     Strictly positive on the whole lattice; decays like q^(m^2+(2nu+1)m)
@@ -372,15 +389,15 @@ def k_nu(x, params, window=None):
     using a fixed window (a fixed window mis-signs the deep tail).
     """
     k = lattice_exponent(x, params)
-    return g_a_lattice(k, 1, params, window)
+    return g_a_lattice(k, 1, params)
 
-def g_a(x, a, params, window=None):
+def g_a(x, a, params):
     """Scaled Lorentz transform g_a: the transform of (1 + t^2/a^2)^-1.
 
     For a = q^j on the lattice this equals a^(2(nu+1)) K_nu(a x) exactly.
     """
     k = lattice_exponent(x, params)
-    return g_a_lattice(k, a, params, window)
+    return g_a_lattice(k, a, params)
 
 def d_nu(params, probes=(3, 6, 9, 12, 15), with_spread=False):
     """Wronskian-type constant combining K and i at neighbouring orders.

@@ -13,6 +13,7 @@ from the active precision or the supplied parameters.  Results are returned
 rounded to the scope that produced them.
 """
 
+import functools
 import json
 import math
 
@@ -239,6 +240,8 @@ class GridFunction:
         if len(values) != len(grid):
             raise InvalidParams(
                 f"value count {len(values)} does not match window size {len(grid)}")
+        if not all(map(mp.isfinite, values)):
+            raise InvalidParams("grid function samples must be finite numbers")
         self.grid = grid
         self.values = values
         self.decay_class = decay_class
@@ -279,11 +282,18 @@ class Constants:
         self.sigma_nu = sigma_nu
 
 
-def constants(params, extra=10):
-    """Compute the Constants bundle at digits + extra working precision."""
-    with params.working(extra + 10):
-        q = params.q
-        nu = params.nu
+def constants(params, dps=None):
+    """The Constants bundle for working precision dps (default: the params' digits).
+
+    Computed at dps + 20 digits and memoized on q, nu and dps, its only inputs.
+    """
+    return _constants(params.q_str, params.nu_str, dps or params.precision_digits)
+
+@functools.lru_cache(maxsize=256)
+def _constants(q_str, nu_str, dps):
+    with mp.workdps(dps + 20):
+        q = mpmathify(q_str)
+        nu = mpmathify(nu_str)
         q2 = q * q
         a = qpochhammer_infinite(q ** (2 * nu + 2), q2)
         b = qpochhammer_infinite(q2, q2)

@@ -142,7 +142,7 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
     with mp.workdps(plan.dps):
         q = params.q
         nu = params.nu
-        c = constants(params.replace(precision_digits=plan.dps)).c_q_nu
+        c = constants(params, plan.dps).c_q_nu
         mass = c * (1 - q) * mpmath.fsum(
             q ** (mpf(n) * (2 * nu + 2)) * kernel.value_at(n)
             for n in kernel.grid.exponents())

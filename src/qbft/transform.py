@@ -24,9 +24,14 @@ from .core import (
     GridFunction, QGrid, constants, parse_number,
 )
 from .bessel import (
-    decay_bound_log10, j_nu_lattice_row, j_nu_lattice_row_floored,
-    lattice_exponent,
+    envelope_scale, j_nu_lattice_row, j_nu_lattice_row_floored,
+    lattice_exponent, quadrature_range,
 )
+
+
+MAX_PLAN_POINTS = 2000
+"""Largest internal lattice build_plan accepts.  A plan stores a dense L x L
+matrix of mpf entries, about 250 bytes each, so the bound is about 1 GB."""
 
 
 def plan_window(params, io_lo, io_hi):
@@ -54,13 +59,11 @@ class TransformPlan:
         with mp.workdps(dps):
             q = params.q
             nu = params.nu
-            c1q = constants(params.replace(precision_digits=dps)).c_q_nu * (1 - q)
-            self.weights = {n: c1q * q ** (mpf(n) * (2 * nu + 2))
-                            for n in range(lat_lo, lat_hi + 1)}
-            self.rows = []
-            for k in range(lat_lo, lat_hi + 1):
-                self.rows.append([self.weights[n] * jrow[k + n]
-                                  for n in range(lat_lo, lat_hi + 1)])
+            c1q = constants(params, dps).c_q_nu * (1 - q)
+            weights = {n: c1q * q ** (mpf(n) * (2 * nu + 2))
+                       for n in range(lat_lo, lat_hi + 1)}
+            self.rows = [[w * jrow[k + n] for n, w in weights.items()]
+                         for k in range(lat_lo, lat_hi + 1)]
 
     def entry(self, k, n):
         """Matrix element for output exponent k, input exponent n (I/O view)."""
@@ -84,13 +87,19 @@ def build_plan(params, in_grid=None, out_grid=None):
     The row comes from the certified recurrence (j_nu_lattice_row) and is
     rounded to the plan's working precision.  j values whose decay envelope
     already certifies them below the precision floor are stored as exact
-    zeros instead of being evaluated (see j_nu_lattice_row_floored).
+    zeros instead of being evaluated (see j_nu_lattice_row_floored).  An
+    internal lattice of more than MAX_PLAN_POINTS points raises WindowError.
     """
     in_grid = in_grid or QGrid()
     out_grid = out_grid or in_grid
     io_lo = min(in_grid.n_min, out_grid.n_min)
     io_hi = max(in_grid.n_max, out_grid.n_max)
     lat_lo, lat_hi = plan_window(params, io_lo, io_hi)
+    size = lat_hi - lat_lo + 1
+    if size > MAX_PLAN_POINTS:
+        raise WindowError(
+            f"plan lattice of {size} points exceeds the bound of {MAX_PLAN_POINTS} "
+            f"points (its matrix would take about {size * size * 250 / 1e9:.1f} GB)")
     dps = params.precision_digits + 15
     row = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
     with mp.workdps(dps):
@@ -197,31 +206,16 @@ def triple_kernel(x, y, z, params):
     kx = lattice_exponent(x, params, "x")
     ky = lattice_exponent(y, params, "y")
     kz = lattice_exponent(z, params, "z")
-    lq = params.log10_inv_q
-    nu = params.nu_float
-    digits = params.precision_digits
     kmin = min(kx, ky, kz)
-    m = max(0, -kmin)
-    est = (m * m + (2 * nu + 1) * m + 8) * lq if m > 0 else 3.0
-    dps = int(digits + 3 * est + 30)
-    l_hi = math.ceil((est + digits + 12) / ((2 * nu + 2) * lq)) + 2
-    floor_log10 = -(est + digits + 10)
-    def head_bound(l):
-        total = -l * (2 * nu + 2) * lq
-        for k in (kx, ky, kz):
-            total += decay_bound_log10(k + l, params)
-        return total
-    l_lo = -4
-    guard = 0
-    while head_bound(l_lo) > floor_log10 and guard < 4000:
-        l_lo -= 1
-        guard += 1
+    est = envelope_scale(max(0, -kmin), params)
+    dps = int(params.precision_digits + 3 * est + 30)
+    l_lo, l_hi = quadrature_range((kx, ky, kz), est, -4, params)
     lo = kmin + l_lo
     row = j_nu_lattice_row(lo, max(kx, ky, kz) + l_hi, params, dps)
     with mp.workdps(dps):
         q = params.q
         nuv = params.nu
-        c = constants(params.replace(precision_digits=dps)).c_q_nu
+        c = constants(params, dps).c_q_nu
         terms = []
         for l in range(l_lo, l_hi + 1):
             w = q ** (mpf(l) * (2 * nuv + 2))
@@ -277,7 +271,7 @@ def convolve_direct(f, g, plan):
     with mp.workdps(plan.dps):
         q = params.q
         nu = params.nu
-        c = constants(params.replace(precision_digits=plan.dps)).c_q_nu
+        c = constants(params, plan.dps).c_q_nu
         out = []
         for k in plan.out_grid.exponents():
             mult = [fh[i] * plan.jrow[k + plan.lat_lo + i]

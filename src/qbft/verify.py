@@ -17,7 +17,7 @@ import time
 from mpmath import mp, mpf
 
 from .core import QGrid, QParams, GridFunction, DECAY_RAPID
-from .bessel import d_nu, g_a_lattice, j_nu_lattice
+from .bessel import d_nu, g_a_floored, g_a_lattice, j_nu_lattice
 from .transform import (
     build_plan, convolve_direct, fourier, norm, transform_profile,
 )
@@ -214,21 +214,11 @@ def _criterion_3(ctx):
                            f"<= {_nstr(threshold)}", time.time() - t0,
                            "stencil residuals against local scale, a in {q^2, 1, q^-2}")
 
-def _ga_floored(k, params):
-    """True where the envelope certifies a g_a sample below the precision floor.
-
-    k is the sample's exponent plus the scale's: g_a(q^n) with a = q^j has
-    k = n + j.
-    """
-    m = max(0, -k)
-    est = ((m * m + (2 * params.nu_float + 1) * m) + 8) * params.log10_inv_q
-    return m > 0 and est - 12 > params.precision_digits + 40
-
 def _ga_samples(params, a_exp, grid):
     """Per-point adaptive g_a on a window, flooring certified-tiny values."""
     with params.working(15):
         a = params.q ** a_exp
-        vals = [mp.zero if _ga_floored(n + a_exp, params)
+        vals = [mp.zero if g_a_floored(n + a_exp, params)
                 else g_a_lattice(n, a, params)
                 for n in grid.exponents()]
     return GridFunction(grid, vals, DECAY_RAPID)
@@ -244,7 +234,7 @@ def _criterion_4(ctx):
         kv = _ga_samples(params, 0, ctx.window)
         for n in ctx.window.exponents():
             # a floored sample's positivity is certified by the bound
-            if not _ga_floored(n, params) and kv.value_at(n) <= 0:
+            if not g_a_floored(n, params) and kv.value_at(n) <= 0:
                 positive = False
         interior = range(ctx.window.n_min + 8, ctx.window.n_max - 7)
         # the pair check samples g_a over the whole plan lattice: g_a levels

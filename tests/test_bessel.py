@@ -9,6 +9,7 @@ context, never at import time.
 """
 
 import functools
+import inspect
 
 import mpmath
 import pytest
@@ -33,13 +34,17 @@ from qbft.bessel import (
     bound_constant,
     d_nu,
     decay_bound_log10,
+    envelope_scale,
     g_a,
+    g_a_floored,
+    g_a_lattice,
     i_nu,
     j_nu,
     j_nu_lattice,
     j_nu_lattice_row,
     j_nu_lattice_row_floored,
     k_nu,
+    quadrature_range,
 )
 from qbft.transform import build_plan, fourier
 
@@ -393,6 +398,51 @@ class TestScaledKernelFamily:
     def test_rejects_nonpositive_scale(self, params):
         with pytest.raises(DomainError):
             g_a("1", "0", params)
+
+
+class TestQuadratureRange:
+    """The one truncation rule behind g_a, k_nu and triple_kernel."""
+
+    @staticmethod
+    def head_bound(ks, l, params):
+        total = -l * (2 * params.nu_float + 2) * params.log10_inv_q
+        return total + sum(decay_bound_log10(k + l, params) for k in ks)
+
+    @pytest.mark.parametrize("nu", ["-0.5", "0.5", "2"])
+    @pytest.mark.parametrize("ks,start", [((0,), -4), ((-7,), -4), ((5,), -20),
+                                          ((0, 3, 6), -4), ((-4, -1, 2), -4)])
+    def test_head_and_tail_certified_below_the_floor(self, nu, ks, start):
+        p = QParams(nu=nu)
+        est = envelope_scale(max(0, -min(ks)), p)
+        floor = -(est + p.precision_digits + 10)
+        l_lo, l_hi = quadrature_range(ks, est, start, p)
+        assert l_lo <= start < l_hi
+        assert self.head_bound(ks, l_lo, p) <= floor
+        # the head stops at the first certified term, not beyond it
+        assert l_lo == start or self.head_bound(ks, l_lo + 1, p) > floor
+        # tail: the weight q^(l(2nu+2)) at l_hi is below the floor
+        assert -l_hi * (2 * p.nu_float + 2) * p.log10_inv_q < floor
+
+    def test_envelope_scale(self, params):
+        lq = params.log10_inv_q
+        assert envelope_scale(0, params) == envelope_scale(-3, params) == 3.0
+        assert envelope_scale(4, params) == pytest.approx((16 + 2 * 4 + 8) * lq)
+
+    @pytest.mark.parametrize("a_exp", [0, -2])
+    def test_g_a_floor_is_honest(self, params, a_exp):
+        k = -1
+        while not g_a_floored(k, params):
+            k -= 1
+        assert k < -1
+        with mp.workdps(30):
+            a = params.q ** a_exp
+            # g_a(q^n) with a = q^j is floored by its effective exponent n + j
+            value = g_a_lattice(k - a_exp, a, params)
+            assert 0 < value < mpf(10) ** -(params.precision_digits + 40)
+
+    def test_range_is_not_widened_by_callers(self):
+        for fn in (g_a_lattice, g_a, k_nu):
+            assert "window" not in inspect.signature(fn).parameters
 
 
 class TestWronskianConstant:

@@ -215,6 +215,13 @@ class TestKernelCommand:
         assert main(["kernel", "--spec", spec]) == 2
         assert "malformed kernel spec" in capsys.readouterr().err
 
+    def test_oversized_plan_exits_2(self, tmp_path, capsys):
+        spec = self.spec_file(tmp_path, {"c": "0.5", "zeros": ["1", "2"]})
+        argv = ["--q", "0.9", "--nu", "-0.9", "--nmin", "-6", "--nmax", "12",
+                "kernel", "--spec", spec]
+        assert main(argv) == 2
+        assert "exceeds the bound" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_passing_criterion_exits_0(self, capsys):

@@ -108,6 +108,15 @@ class TestGridFunction:
         z = GridFunction.zero(QGrid(-1, 1))
         assert all(v == 0 for v in z.values)
 
+    @pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf, float("nan"),
+                                     float("inf")],
+                             ids=["nan", "inf", "-inf", "float-nan", "float-inf"])
+    def test_rejects_non_finite_samples(self, bad):
+        # every comparison with NaN is false, so a transform would spread it
+        # over every output sample without raising
+        with pytest.raises(InvalidParams, match="finite"):
+            GridFunction(QGrid(0, 4), [1, bad, 2, 3, 0])
+
 
 # ---------------------------------------------------------------------------
 # pochhammer symbols and the q-exponential
@@ -190,6 +199,29 @@ class TestConstants:
             assert rel_err(c.c_q_nu, C_Q_NU) < mpf("1e-58")
             assert rel_err(c.B_q_nu, B_Q_NU) < mpf("1e-58")
             assert rel_err(c.sigma_nu, SIGMA_NU) < mpf("1e-58")
+
+    @pytest.mark.parametrize("dps", [60, 95, 137])
+    def test_working_precision_argument(self, params, dps):
+        # the bundle for working precision dps is computed at dps + 20 digits
+        c = constants(params, dps)
+        assert c is constants(params.replace(precision_digits=dps))
+        with mp.workdps(dps + 20):
+            q = params.q
+            nu = params.nu
+            q2 = q * q
+            a = qpochhammer_infinite(q ** (2 * nu + 2), q2)
+            b = qpochhammer_infinite(q2, q2)
+            an = qpochhammer_infinite(-q ** (2 * nu + 2), q2)
+            bn = qpochhammer_infinite(-q2, q2)
+            assert c.c_q_nu == +(a / b / (1 - q))
+            assert c.B_q_nu == +(bn * an / b / (1 - q))
+            assert c.sigma_nu == +(a * b)
+
+    def test_memo_shared_across_tolerances(self, params):
+        assert constants(params) is constants(params, params.precision_digits)
+        assert constants(params, 80) is constants(params.replace(tol="1e-30"), 80)
+        assert constants(params, 80) is not constants(params, 81)
+        assert constants(params, 80) is not constants(params.replace(nu="0.25"), 80)
 
 
 # ---------------------------------------------------------------------------

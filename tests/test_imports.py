@@ -1,7 +1,11 @@
-"""Package layout: no qbft module imports another module's private names.
+"""Package layout: no qbft module imports another module's private names,
+and only bessel evaluates the decay envelope of j.
 
 A private helper (leading underscore) belongs to the module that defines
 it; a second module that needs it should get a public entry point instead.
+Truncation decisions built on the envelope go through bessel's quadrature
+rules (quadrature_range, g_a_floored, j_nu_lattice_row_floored), so the
+rule is written once.
 """
 
 import ast
@@ -27,4 +31,26 @@ def private_imports(path):
 def test_no_module_imports_private_names():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
                  for hit in private_imports(path)]
+    assert offenders == []
+
+
+def envelope_references(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name == "decay_bound_log10":
+            yield f"{path.name}:{getattr(node, 'lineno', '?')} uses {name}"
+
+
+def test_only_bessel_uses_the_decay_envelope():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "bessel.py"
+                 for hit in envelope_references(path)]
     assert offenders == []

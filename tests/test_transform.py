@@ -7,6 +7,8 @@ transformed Lorentz kernels, the triple-kernel identities, norm inequalities
 with explicit constants).
 """
 
+import time
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
@@ -20,6 +22,7 @@ from qbft.core import (
     InvalidParams,
     PreconditionError,
     QGrid,
+    QParams,
     WindowError,
     constants,
     gridfunction_from_json,
@@ -28,6 +31,7 @@ from qbft.core import (
 from qbft.bessel import j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 from qbft.transform import (
+    MAX_PLAN_POINTS,
     LpNorm,
     TransformPlan,
     build_plan,
@@ -35,6 +39,7 @@ from qbft.transform import (
     convolve_direct,
     fourier,
     norm,
+    plan_window,
     translate,
     triple_kernel,
 )
@@ -87,6 +92,18 @@ class TestPlanAssembly:
 
     def test_repr_shows_windows(self, plan):
         assert "[-24,64]" in repr(plan)
+
+    def test_oversized_plan_refused_before_allocating(self):
+        # about 6600 lattice points: the dense matrix would need about 11 GB
+        t0 = time.time()
+        with pytest.raises(WindowError, match="6605 points exceeds the bound of 2000"):
+            build_plan(QParams(q="0.9", nu="-0.9"), QGrid(-6, 12))
+        assert time.time() - t0 < 1
+
+    def test_bound_admits_the_supported_plans(self):
+        # nu = -0.9 on the reference window: 1115 points, still under the bound
+        lo, hi = plan_window(QParams(nu="-0.9"), -24, 64)
+        assert hi - lo + 1 == 1115 <= MAX_PLAN_POINTS
 
 
 class TestFourier:
