@@ -207,6 +207,10 @@ def _cmd_report(args):
         passed = bool(payload["passed"])
     except (ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"malformed report file: {exc}")
+    if not (isinstance(results, list) and all(
+            isinstance(r, dict) and isinstance(r.get("criterion"), int) for r in results)):
+        raise UsageError("malformed report file: results must be a list of "
+                         "records with an integer criterion")
     for r in results:
         verdict = "PASS" if r.get("passed") else "FAIL"
         print(f"criterion {r.get('criterion'):>2} [{r.get('title')}]: {verdict}  "

@@ -519,14 +519,22 @@ def gridfunction_to_json(f, params, digits=None):
     }
     return json.dumps(payload, indent=1)
 
+def _window_bound(x, what):
+    """A window bound from a payload: an integer, an integral float or an
+    integer string.  Booleans and fractions are refused, not truncated."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise InvalidParams(f"malformed grid function payload: {what} must be "
+                            f"an integer, got {x!r}")
+    return int(x)
+
 def gridfunction_from_json(text, precision_digits=60, tol="1e-40"):
     """Parse a serialized grid function; returns (GridFunction, QParams)."""
     try:
         payload = json.loads(text)
         q = payload["q"]
         nu = payload["nu"]
-        n_min = int(payload["n_min"])
-        n_max = int(payload["n_max"])
+        n_min = _window_bound(payload["n_min"], "n_min")
+        n_max = _window_bound(payload["n_max"], "n_max")
         raw = payload["values"]
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidParams(f"malformed grid function payload: {exc}")

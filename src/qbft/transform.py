@@ -2,8 +2,9 @@
 
 F f(x) = c (1-q) sum_n q^(n(2nu+2)) f(q^n) j_nu(x q^n) is a matrix acting on
 window samples.  The transform is its own inverse, so one plan serves both
-directions.  Building the matrix is the expensive step (thousands of
-certified j evaluations); applying it is two dot products per output point.
+directions.  The kernel depends on k+n only, so the matrix is a Hankel matrix
+times a diagonal: a plan keeps 2L-1 j samples and L weights, and applying it
+is one dot product over a slice of the j row per output point.
 
 The caller's window is only the I/O view.  The quadrature itself needs
 lattice points outside it: a head on the large-t side deep enough that the
@@ -30,8 +31,8 @@ from .bessel import (
 
 
 MAX_PLAN_POINTS = 2000
-"""Largest internal lattice build_plan accepts.  A plan stores a dense L x L
-matrix of mpf entries, about 250 bytes each, so the bound is about 1 GB."""
+"""Largest internal lattice build_plan accepts.  A plan takes O(L) memory, but
+one application costs L^2 multiply-adds at its dps: the bound is on time."""
 
 
 def plan_window(params, io_lo, io_hi):
@@ -46,7 +47,8 @@ def plan_window(params, io_lo, io_hi):
 
 
 class TransformPlan:
-    """Precomputed transform matrix over an extended internal lattice."""
+    """Transform matrix over an extended internal lattice, kept as its factors:
+    entry (k, n) is weights[n - lat_lo] * jrow[k + n - 2 lat_lo] at dps."""
 
     def __init__(self, params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps):
         self.params = params
@@ -54,22 +56,21 @@ class TransformPlan:
         self.out_grid = out_grid
         self.lat_lo = lat_lo
         self.lat_hi = lat_hi
-        self.jrow = jrow  # j samples indexed by exponent sum k+n
+        self.jrow = jrow
         self.dps = dps
         with mp.workdps(dps):
             q = params.q
             nu = params.nu
             c1q = constants(params, dps).c_q_nu * (1 - q)
-            weights = {n: c1q * q ** (mpf(n) * (2 * nu + 2))
-                       for n in range(lat_lo, lat_hi + 1)}
-            self.rows = [[w * jrow[k + n] for n, w in weights.items()]
-                         for k in range(lat_lo, lat_hi + 1)]
+            self.weights = tuple(c1q * q ** (mpf(n) * (2 * nu + 2))
+                                 for n in range(lat_lo, lat_hi + 1))
 
     def entry(self, k, n):
         """Matrix element for output exponent k, input exponent n (I/O view)."""
         if k not in self.out_grid or n not in self.in_grid:
             raise WindowError(f"entry ({k}, {n}) outside the plan's I/O window")
-        return self.rows[k - self.lat_lo][n - self.lat_lo]
+        with mp.workdps(self.dps):
+            return self.weights[n - self.lat_lo] * self.jrow[k + n - 2 * self.lat_lo]
 
     def size(self):
         return self.lat_hi - self.lat_lo + 1
@@ -82,7 +83,7 @@ class TransformPlan:
 
 
 def build_plan(params, in_grid=None, out_grid=None):
-    """Sample the j row and assemble the transform matrix.
+    """Sample the j row and the weights of the transform matrix.
 
     The row comes from the certified recurrence (j_nu_lattice_row) and is
     rounded to the plan's working precision.  j values whose decay envelope
@@ -99,11 +100,11 @@ def build_plan(params, in_grid=None, out_grid=None):
     if size > MAX_PLAN_POINTS:
         raise WindowError(
             f"plan lattice of {size} points exceeds the bound of {MAX_PLAN_POINTS} "
-            f"points (its matrix would take about {size * size * 250 / 1e9:.1f} GB)")
+            f"points (one application would take {size * size:,} multiply-adds)")
     dps = params.precision_digits + 15
     row = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
     with mp.workdps(dps):
-        jrow = {s: +v for s, v in zip(range(2 * lat_lo, 2 * lat_hi + 1), row)}
+        jrow = tuple(+v for v in row)
     return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps)
 
 
@@ -132,9 +133,13 @@ def _embed(plan, f):
         vec[base + i] = v
     return vec
 
-def _matvec(plan, vec):
+def _matvec(plan, vec, rows=None):
+    """Plan matrix times lattice samples vec, on the given rows (default all)."""
+    size = plan.size()
     with mp.workdps(plan.dps):
-        return [mpmath.fdot(row, vec) for row in plan.rows]
+        u = [w * v for w, v in zip(plan.weights, vec)]
+        return [mpmath.fdot(plan.jrow[i:i + size], u)
+                for i in (range(size) if rows is None else rows)]
 
 def _project(plan, vec):
     lo = plan.out_grid.n_min - plan.lat_lo
@@ -228,11 +233,11 @@ def translate(f, x, plan):
 
     T_x f = F[ j_nu(x .) F f ]: transform, multiply by the j column at x,
     transform back.  x must be a lattice point; for x on the plan's lattice
-    the column is read from plan.jrow.
+    the column is a slice of plan.jrow.
     """
     m = lattice_exponent(x, plan.params, "x")
     if plan.lat_lo <= m <= plan.lat_hi:
-        col = [plan.jrow[m + l] for l in range(plan.lat_lo, plan.lat_hi + 1)]
+        col = plan.jrow[m - plan.lat_lo:m - plan.lat_lo + plan.size()]
     else:
         col = j_nu_lattice_row_floored(m + plan.lat_lo, m + plan.lat_hi,
                                        plan.params, plan.dps)
@@ -259,28 +264,21 @@ def convolve_direct(f, g, plan):
     f * g(x) = c integral of T_x f(y) g(y) y^(2nu+1) d_q y.  The translation
     values come from per-point spectral synthesis restricted to g's support,
     so no step of this path shares code with convolve()'s product-of-spectra
-    shortcut beyond the plan matrix itself.
+    shortcut beyond applying the plan matrix.
     """
     _require_transformable(f)
     _require_transformable(g)
-    params = plan.params
     fh = _matvec(plan, _embed(plan, f))
-    sup = [n for n in g.grid.exponents() if g.value_at(n) != 0]
+    sup = [n - plan.lat_lo for n in g.grid.exponents() if g.value_at(n) != 0]
     if not sup:
         return GridFunction.zero(plan.out_grid)
     with mp.workdps(plan.dps):
-        q = params.q
-        nu = params.nu
-        c = constants(params, plan.dps).c_q_nu
+        gw = [plan.weights[i] * g.value_at(plan.lat_lo + i) for i in sup]
         out = []
         for k in plan.out_grid.exponents():
-            mult = [fh[i] * plan.jrow[k + plan.lat_lo + i]
-                    for i in range(plan.size())]
-            total = mp.zero
-            for n in sup:
-                t_here = mpmath.fdot(plan.rows[n - plan.lat_lo], mult)
-                total += q ** (mpf(n) * (2 * nu + 2)) * t_here * g.value_at(n)
-            out.append(+(c * (1 - q) * total))
+            col = plan.jrow[k - plan.lat_lo:]
+            t_x = _matvec(plan, [a * b for a, b in zip(fh, col)], sup)
+            out.append(mpmath.fdot(gw, t_x))
     return GridFunction(plan.out_grid, out, DECAY_RAPID)
 
 

@@ -145,6 +145,23 @@ class TestTransformCommand:
         assert main(["transform", "--in", str(bad)]) == 2
         assert "values must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_min", [0.7, True, "0.7", float("inf")],
+                             ids=["fraction", "boolean", "string", "infinite"])
+    def test_non_integral_bound_exits_2(self, tmp_path, capsys, n_min):
+        # a fractional or boolean bound must not be truncated to an integer
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"q": "0.5", "nu": "0.5", "n_min": n_min,
+                                   "n_max": 2, "decay_class": "rapid",
+                                   "values": ["1", "0", "0"]}))
+        assert main(["--nmin", "0", "--nmax", "2", "transform", "--in", str(bad)]) == 2
+        assert "malformed grid function payload" in capsys.readouterr().err
+
+    def test_integral_bounds_still_parse(self):
+        f, _ = gridfunction_from_json(json.dumps(
+            {"q": "0.5", "nu": "0.5", "n_min": 0.0, "n_max": "2",
+             "decay_class": "rapid", "values": ["1", "0", "0"]}))
+        assert (f.grid.n_min, f.grid.n_max) == (0, 2)
+
 
 class TestConvolveCommand:
     def test_matches_library_convolution(self, tmp_path, params, plan, members,
@@ -263,8 +280,12 @@ class TestReportCommand:
 
     def test_malformed_report_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "r.json"
-        bad.write_text('{"results": "nope"}')
-        assert main(["report", "--in", str(bad)]) == 2
+        for text in ('{"results": "nope"}',
+                     '{"passed": true, "results": 5}',
+                     '{"passed": true, "results": ["x"]}',
+                     '{"passed": true, "results": [{}]}'):
+            bad.write_text(text)
+            assert main(["report", "--in", str(bad)]) == 2, text
 
 
 class TestReadmeCommands:

@@ -8,6 +8,7 @@ with explicit constants).
 """
 
 import time
+import tracemalloc
 
 import mpmath
 import pytest
@@ -85,16 +86,26 @@ class TestPlanAssembly:
         a = build_plan(params, QGrid(-2, 6))
         b = build_plan(params, QGrid(-2, 6))
         assert (a.lat_lo, a.lat_hi, a.dps) == (b.lat_lo, b.lat_hi, b.dps)
-        assert all(x == y for s in a.jrow for x, y in [(a.jrow[s], b.jrow[s])])
-        assert all(x == y
-                   for ra, rb in zip(a.rows, b.rows)
-                   for x, y in zip(ra, rb))
+        assert a.jrow == b.jrow
+        assert a.weights == b.weights
+
+    def test_plan_memory_is_linear_in_the_lattice(self):
+        # nu = -0.9 on the reference window: 1115 points; storing its 1.2M
+        # matrix entries instead of the Hankel factors takes about 300 MB
+        tracemalloc.start()
+        try:
+            plan = build_plan(QParams(nu="-0.9"), REFERENCE_GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.size() == 1115
+        assert peak < 32e6
 
     def test_repr_shows_windows(self, plan):
         assert "[-24,64]" in repr(plan)
 
     def test_oversized_plan_refused_before_allocating(self):
-        # about 6600 lattice points: the dense matrix would need about 11 GB
+        # about 6600 lattice points: about 44M multiply-adds per application
         t0 = time.time()
         with pytest.raises(WindowError, match="6605 points exceeds the bound of 2000"):
             build_plan(QParams(q="0.9", nu="-0.9"), QGrid(-6, 12))
@@ -110,6 +121,20 @@ class TestFourier:
     def test_zero_maps_to_zero(self, params, plan):
         out = fourier(GridFunction.zero(REFERENCE_GRID), plan)
         assert all(v == 0 for v in out.values)
+
+    def test_matches_dense_sum_of_entries(self, plan, members):
+        # the Hankel-factored application against the matrix summed entry by
+        # entry over the I/O window, where the inputs live
+        ns = REFERENCE_GRID.exponents()
+        for name in ("step_two_flips", "gauss_1", "lorentz_qm2"):
+            f = members[name]
+            out = fourier(f, plan)
+            with mp.workdps(plan.dps):
+                dense = [mpmath.fsum(plan.entry(k, n) * f.value_at(n) for n in ns)
+                         for k in ns]
+                sup = max(abs(v) for v in dense)
+                worst = max(abs(a - b) for a, b in zip(out.values, dense))
+                assert worst <= mpf(10) ** (3 - plan.dps) * sup, name
 
     def test_output_tagged_rapid(self, plan, members):
         assert fourier(members["gauss_1"], plan).decay_class == DECAY_RAPID
