@@ -228,9 +228,9 @@ class GridFunction:
     integrals and transforms accept the function.
 
     lattice is None unless the function came out of fourier, apply_multiplier
-    or convolve: those record (plan params, GridFunction on the plan's whole
-    internal lattice) there, so that a later transform through the same plan
-    sees the off-window samples too.
+    or convolve: that record of (plan params, GridFunction on the plan's whole
+    internal lattice) is transform's own, read back when the same plan
+    transforms it again; transform.spectrum is the public way to reach it.
     """
 
     def __init__(self, grid, values, decay_class=DECAY_UNKNOWN):

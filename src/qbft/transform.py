@@ -108,6 +108,12 @@ def build_plan(params, in_grid=None, out_grid=None):
     return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps)
 
 
+def _require_on_lattice(plan, f):
+    if f.grid.n_min < plan.lat_lo or f.grid.n_max > plan.lat_hi:
+        raise WindowError(
+            f"function window [{f.grid.n_min}, {f.grid.n_max}] exceeds the "
+            f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
+
 def _embed(plan, f):
     """Lift window samples onto the plan's internal lattice.
 
@@ -123,10 +129,7 @@ def _embed(plan, f):
         params, samples = f.lattice
         if params == plan.params and samples.grid == QGrid(plan.lat_lo, plan.lat_hi):
             return list(samples.values)
-    if f.grid.n_min < plan.lat_lo or f.grid.n_max > plan.lat_hi:
-        raise WindowError(
-            f"function window [{f.grid.n_min}, {f.grid.n_max}] exceeds the "
-            f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
+    _require_on_lattice(plan, f)
     vec = [mp.zero] * plan.size()
     base = f.grid.n_min - plan.lat_lo
     for i, v in enumerate(f.values):
@@ -146,19 +149,17 @@ def _project(plan, vec):
     hi = plan.out_grid.n_max - plan.lat_lo
     return GridFunction(plan.out_grid, vec[lo:hi + 1], DECAY_RAPID)
 
-def _transform_recorded(plan, vec):
-    """Transform lattice samples; the result keeps all of them for reuse."""
-    out = _matvec(plan, vec)
-    f = _project(plan, out)
-    f.lattice = (plan.params,
-                 GridFunction(QGrid(plan.lat_lo, plan.lat_hi), out, DECAY_RAPID))
-    return f
-
 def _require_transformable(f):
     if f.decay_class not in (DECAY_RAPID, DECAY_INTEGRABLE):
         raise PreconditionError(
             f"transform needs rapid or integrable decay, got {f.decay_class!r}")
 
+
+def spectrum(f, plan):
+    """Transform of f on the plan's whole internal lattice, tagged rapid."""
+    _require_transformable(f)
+    return GridFunction(QGrid(plan.lat_lo, plan.lat_hi),
+                        _matvec(plan, _embed(plan, f)), DECAY_RAPID)
 
 def fourier(f, plan):
     """Apply the transform; result sampled on the plan's output window.
@@ -170,8 +171,10 @@ def fourier(f, plan):
     sharp-edged inputs at full accuracy instead of being limited by the
     window view.
     """
-    _require_transformable(f)
-    return _transform_recorded(plan, _embed(plan, f))
+    spec = spectrum(f, plan)
+    out = _project(plan, spec.values)
+    out.lattice = (plan.params, spec)
+    return out
 
 def transform_profile(plan, profile):
     """Transform a spectral profile given on the plan's whole lattice.
@@ -194,11 +197,10 @@ def apply_multiplier(plan, f, multiplier):
     letting them run at ambient precision corrupts results far above the
     precision floor.
     """
-    _require_transformable(f)
-    spec = _matvec(plan, _embed(plan, f))
+    spec = spectrum(f, plan)
     with mp.workdps(plan.dps):
-        scaled = [spec[i] * multiplier(plan.lat_lo + i) for i in range(plan.size())]
-    return _transform_recorded(plan, scaled)
+        scaled = [v * multiplier(plan.lat_lo + i) for i, v in enumerate(spec.values)]
+    return fourier(GridFunction(spec.grid, scaled, DECAY_RAPID), plan)
 
 
 def triple_kernel(x, y, z, params):
@@ -245,18 +247,10 @@ def translate(f, x, plan):
 
 
 def convolve(f, g, plan):
-    """q-convolution by the spectral route: F(f * g) = F f . F g.
-
-    Both inputs are zero-embedded into the plan lattice; the product of the
-    two spectra is transformed back and read off on the output window.
-    """
+    """q-convolution F(f * g) = F f . F g: apply_multiplier by g's spectrum."""
+    # both decay gates run before either window is checked
     _require_transformable(f)
-    _require_transformable(g)
-    fh = _matvec(plan, _embed(plan, f))
-    gh = _matvec(plan, _embed(plan, g))
-    with mp.workdps(plan.dps):
-        prod = [a * b for a, b in zip(fh, gh)]
-    return _transform_recorded(plan, prod)
+    return apply_multiplier(plan, f, spectrum(g, plan).value_at)
 
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.
@@ -268,6 +262,7 @@ def convolve_direct(f, g, plan):
     """
     _require_transformable(f)
     _require_transformable(g)
+    _require_on_lattice(plan, g)
     fh = _matvec(plan, _embed(plan, f))
     sup = [n - plan.lat_lo for n in g.grid.exponents() if g.value_at(n) != 0]
     if not sup:

@@ -1,11 +1,13 @@
 """Package layout: no qbft module imports another module's private names,
-and only bessel evaluates the decay envelope of j.
+only bessel evaluates the decay envelope of j, and only transform reads the
+whole-lattice record a transform output keeps.
 
 A private helper (leading underscore) belongs to the module that defines
 it; a second module that needs it should get a public entry point instead.
 Truncation decisions built on the envelope go through bessel's quadrature
 rules (quadrature_range, g_a_floored, j_nu_lattice_row_floored), so the
-rule is written once.
+rule is written once.  Other modules reach a whole-lattice spectrum through
+transform.spectrum.
 """
 
 import ast
@@ -53,4 +55,18 @@ def test_only_bessel_uses_the_decay_envelope():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
                  if path.name != "bessel.py"
                  for hit in envelope_references(path)]
+    assert offenders == []
+
+
+def lattice_record_reads(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "lattice":
+            yield f"{path.name}:{node.lineno} reads .lattice"
+
+
+def test_only_transform_reads_the_lattice_record():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name not in ("core.py", "transform.py")
+                 for hit in lattice_record_reads(path)]
     assert offenders == []

@@ -35,12 +35,14 @@ from qbft.transform import (
     MAX_PLAN_POINTS,
     LpNorm,
     TransformPlan,
+    apply_multiplier,
     build_plan,
     convolve,
     convolve_direct,
     fourier,
     norm,
     plan_window,
+    spectrum,
     translate,
     triple_kernel,
 )
@@ -207,6 +209,24 @@ class TestFourier:
         assert all(a == b for a, b in zip(first.values, second.values))
 
 
+class TestSpectrum:
+    def test_whole_lattice_transform_behind_the_window(self, plan, members):
+        f = members["gauss_1"]
+        spec = spectrum(f, plan)
+        assert spec.decay_class == DECAY_RAPID
+        assert spec.grid == QGrid(plan.lat_lo, plan.lat_hi)
+        win = fourier(f, plan)
+        assert all(spec.value_at(k) == v
+                   for k, v in zip(win.grid.exponents(), win.values))
+
+    def test_transform_of_spectrum_is_double_transform(self, plan, members):
+        for name in ("step_one_flip", "gauss_1"):
+            f = members[name]
+            a = fourier(spectrum(f, plan), plan)
+            b = fourier(fourier(f, plan), plan)
+            assert a.values == b.values
+
+
 class TestTripleKernel:
     def test_symmetric_under_all_permutations(self, params):
         with mp.workdps(80):
@@ -324,6 +344,40 @@ class TestConvolve:
         bad = GridFunction.zero(REFERENCE_GRID, DECAY_BOUNDED)
         with pytest.raises(PreconditionError):
             convolve(members["gauss_1"], bad, plan)
+
+    def test_is_multiplier_by_the_spectrum(self, plan, members):
+        f = members["step_three_flips"]
+        g = members["lorentz_q2"]
+        conv = convolve(f, g, plan)
+        mult = apply_multiplier(plan, f, spectrum(g, plan).value_at)
+        assert conv.values == mult.values
+        assert conv.lattice[0] == mult.lattice[0]
+        assert conv.lattice[1].grid == mult.lattice[1].grid
+        assert conv.lattice[1].values == mult.lattice[1].values
+
+    @pytest.fixture(scope="class")
+    def off_lattice(self):
+        """A small plan (lattice [-35, 75]) and g supported below its lattice."""
+        plan = build_plan(QParams(), QGrid(-4, 10))
+        assert (plan.lat_lo, plan.lat_hi) == (-35, 75)
+        g = GridFunction.from_callable(QGrid(-60, -40), lambda n: mpf(n == -45),
+                                       DECAY_RAPID)
+        return plan, g
+
+    def test_window_off_the_lattice_rejected_by_both_routes(self, off_lattice):
+        plan, g = off_lattice
+        f = GridFunction.from_callable(QGrid(-4, 10), lambda n: mpf(1), DECAY_RAPID)
+        with pytest.raises(WindowError):
+            convolve(f, g, plan)
+        with pytest.raises(WindowError):
+            convolve_direct(f, g, plan)
+
+    def test_decay_checked_before_window(self, off_lattice):
+        plan, g = off_lattice
+        bounded = GridFunction.zero(QGrid(-4, 10), DECAY_BOUNDED)
+        for route in (convolve, convolve_direct):
+            with pytest.raises(PreconditionError):
+                route(bounded, g, plan)
 
 
 class TestNorms:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+import qbft.transform
 from qbft.core import (
     DECAY_RAPID,
     DegenerateLeading,
@@ -152,6 +153,26 @@ class TestVdCheck:
         assert rep.passed is True
         assert rep.rows[0]["name"] == "f0"
         assert rep.rows[0]["v_in"] == 2
+
+    def test_kernel_transformed_once(self, plan, members, two_zero_kernel,
+                                     monkeypatch):
+        calls = []
+        matvec = qbft.transform._matvec
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matvec(*args, **kwargs)
+
+        monkeypatch.setattr(qbft.transform, "_matvec", counted)
+        functions = [members[n] for n in ("step_one_flip", "gauss_1", "lorentz_1")]
+        vd_check(two_zero_kernel, functions, plan)
+        assert len(calls) == 2 * len(functions) + 1
+
+    def test_names_must_match_functions(self, plan, members, two_zero_kernel):
+        with pytest.raises(InvalidParams):
+            vd_check(two_zero_kernel,
+                     [members["step_one_flip"], members["gauss_1"]], plan,
+                     names=["a"])
 
 
 class TestDqVariation:
