@@ -20,6 +20,7 @@ remain an independent oracle for the rows.
 
 import functools
 import math
+from collections import OrderedDict
 
 import mpmath
 from mpmath import mp, mpf
@@ -121,6 +122,9 @@ def j_nu(x, params):
         f"(lost ~{ev.digits_lost():.0f} digits at {ev.precision_used} dps)")
 
 
+LATTICE_CACHE_CAP = 4096
+"""Most series values j_nu_lattice keeps; past it the oldest entry goes."""
+
 _lattice_cache = {}
 
 def _rung(work):
@@ -162,6 +166,8 @@ def j_nu_lattice(s, params, digits=None):
             raise PrecisionExhausted(
                 f"j_nu(q^{s}) cancellation exceeds the lattice rungs "
                 f"(lost ~{ev.digits_lost():.0f} digits at {ev.precision_used} dps)")
+    if len(_lattice_cache) >= LATTICE_CACHE_CAP:
+        del _lattice_cache[next(iter(_lattice_cache))]
     _lattice_cache[key] = ev.value
     return ev.value
 
@@ -287,11 +293,15 @@ def i_nu(x, params, nu_shift=0):
         n = 0
         below = 0
         floor = mpf(10) ** (-mp.dps - 3)
+        key = ("i_nu", params.q_str, params.nu_str, nu_shift, mp.prec)
+        def ratio(n):
+            # term n+1 over term n is num x^2 / den
+            return (q2 ** (n + 1),
+                    (1 - q ** (2 * nu + 2 + 2 * n)) * (1 - q2 ** (n + 1)))
         while below < 10:
             total += term
-            ratio = (q2 ** (n + 1)) * x2 / ((1 - q ** (2 * nu + 2 + 2 * n))
-                                            * (1 - q2 ** (n + 1)))
-            term *= ratio
+            num, den = _memo_weights(key, n, n, ratio)[0]
+            term *= num * x2 / den
             n += 1
             below = below + 1 if term < floor * total else 0
         if mp.isinf(total):
@@ -335,10 +345,68 @@ def quadrature_range(ks, est, l_lo, params):
             total += decay_bound_log10(k + l, params)
         return total
     guard = 0
-    while head_bound(l_lo) > floor_log10 and guard < 4000:
+    while head_bound(l_lo) > floor_log10:
+        if guard == 4000:
+            raise PrecisionExhausted(
+                f"quadrature head for exponents {tuple(ks)} not certified "
+                f"within 4000 steps below l = {l_lo + guard}")
         l_lo -= 1
         guard += 1
     return l_lo, l_hi
+
+
+WEIGHT_TABLE_CAP = 12000
+"""Most entries the weight table keeps, summed over all its keys."""
+
+_weight_tables = OrderedDict()
+_weight_count = 0
+
+def _memo_weights(key, lo, hi, weight):
+    """[weight(l) for l in lo..hi], memoized under key in the weight table.
+
+    The table holds the lattice weights of the quadratures, plans and norms
+    and the term ratios of i_nu's series, one dict l -> entry per key.  A key
+    names the family, q, nu and the working precision, so an entry has the
+    bits a fresh evaluation would.  Past WEIGHT_TABLE_CAP entries in total
+    the least recently used keys are dropped; a range longer than the cap is
+    computed without being stored.
+    """
+    global _weight_count
+    n = hi - lo + 1
+    if n > WEIGHT_TABLE_CAP:
+        return [weight(l) for l in range(lo, hi + 1)]
+    table = _weight_tables.pop(key, {})
+    _weight_count -= len(table)
+    if len(table) + n > WEIGHT_TABLE_CAP:
+        table = {}
+    while _weight_count + len(table) + n > WEIGHT_TABLE_CAP:
+        _weight_count -= len(_weight_tables.popitem(last=False)[1])
+    out = []
+    for l in range(lo, hi + 1):
+        w = table.get(l)
+        if w is None:
+            w = table[l] = weight(l)
+        out.append(w)
+    _weight_tables[key] = table
+    _weight_count += len(table)
+    return out
+
+def lattice_weights(params, lo, hi):
+    """The lattice weights q ** (mpf(l) * (2 * nu + 2)) for l = lo..hi at
+    the current working precision, from the weight table."""
+    q = params.q
+    e = 2 * params.nu + 2
+    return _memo_weights(("weight", params.q_str, params.nu_str, mp.prec), lo, hi,
+                         lambda l: q ** (mpf(l) * e))
+
+def _lorentz_weights(params, a, lo, hi):
+    """g_a's weights q^(l(2nu+2)) / (1 + q^(2l)/a^2) for l = lo..hi at the
+    current precision; a is an mpf at that precision."""
+    q = params.q
+    e = 2 * params.nu + 2
+    a2 = a * a
+    return _memo_weights(("lorentz", params.q_str, params.nu_str, a._mpf_, mp.prec),
+                         lo, hi, lambda l: q ** (mpf(l) * e) / (1 + q ** (2 * l) / a2))
 
 def g_a_lattice(k, a, params):
     """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
@@ -364,16 +432,10 @@ def g_a_lattice(k, a, params):
     l_lo, l_hi = quadrature_range((k,), est, start, params)
     with mp.workdps(dps):
         q = params.q
-        nuv = params.nu
-        av = parse_number(a, "a")
         c = constants(params, dps).c_q_nu
         row = j_nu_lattice_row(k + l_lo, k + l_hi, params, dps)
-        terms = []
-        for l in range(l_lo, l_hi + 1):
-            t2 = q ** (2 * l)
-            w = q ** (mpf(l) * (2 * nuv + 2)) / (1 + t2 / (av * av))
-            terms.append(w * row[l - l_lo])
-        return +(c * (1 - q) * mpmath.fsum(terms))
+        weights = _lorentz_weights(params, parse_number(a, "a"), l_lo, l_hi)
+        return +(c * (1 - q) * mpmath.fsum(w * j for w, j in zip(weights, row)))
 
 def g_a_floored(k, params):
     """True where the envelope certifies g_a below 10^-(digits+40); g_a(q^n)

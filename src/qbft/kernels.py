@@ -24,7 +24,7 @@ from .core import (
     NoWitness, WindowError, GridFunction, QGrid, constants, decimal_str,
     qpochhammer_infinite, q_bessel_operator, parse_number,
 )
-from .bessel import g_a_lattice, i_nu, lattice_exponent
+from .bessel import g_a_lattice, i_nu, lattice_exponent, lattice_weights
 from .transform import apply_multiplier, norm, transform_profile
 
 
@@ -141,11 +141,11 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
     kernel = transform_profile(plan, spec.reciprocal_profile(plan))
     with mp.workdps(plan.dps):
         q = params.q
-        nu = params.nu
         c = constants(params, plan.dps).c_q_nu
+        grid = kernel.grid
         mass = c * (1 - q) * mpmath.fsum(
-            q ** (mpf(n) * (2 * nu + 2)) * kernel.value_at(n)
-            for n in kernel.grid.exponents())
+            w * v for w, v in zip(lattice_weights(params, grid.n_min, grid.n_max),
+                                  kernel.values))
         mass = +mass
         mass_defect = +abs(mass - 1)
         min_value = +min(kernel.values)

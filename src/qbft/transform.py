@@ -18,6 +18,7 @@ import math
 
 import mpmath
 from mpmath import mp, mpf, mpmathify
+from mpmath.libmp import mpf_mul, mpf_sum, round_nearest
 
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
@@ -26,7 +27,7 @@ from .core import (
 )
 from .bessel import (
     envelope_scale, j_nu_lattice_row, j_nu_lattice_row_floored,
-    lattice_exponent, quadrature_range,
+    lattice_exponent, lattice_weights, quadrature_range,
 )
 
 
@@ -58,12 +59,11 @@ class TransformPlan:
         self.lat_hi = lat_hi
         self.jrow = jrow
         self.dps = dps
+        self._jraw = tuple(v._mpf_ for v in jrow)
         with mp.workdps(dps):
-            q = params.q
-            nu = params.nu
-            c1q = constants(params, dps).c_q_nu * (1 - q)
-            self.weights = tuple(c1q * q ** (mpf(n) * (2 * nu + 2))
-                                 for n in range(lat_lo, lat_hi + 1))
+            c1q = constants(params, dps).c_q_nu * (1 - params.q)
+            self.weights = tuple(c1q * w
+                                 for w in lattice_weights(params, lat_lo, lat_hi))
 
     def entry(self, k, n):
         """Matrix element for output exponent k, input exponent n (I/O view)."""
@@ -137,12 +137,27 @@ def _embed(plan, f):
     return vec
 
 def _matvec(plan, vec, rows=None):
-    """Plan matrix times lattice samples vec, on the given rows (default all)."""
+    """Plan matrix times lattice samples vec, on the given rows (default all).
+
+    Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec: exact
+    products, summed in index order and rounded once.  For real samples it
+    runs on the raw mpf tuples and skips the zeros of u, which mpf_sum
+    ignores anyway.
+    """
     size = plan.size()
+    rows = range(size) if rows is None else rows
     with mp.workdps(plan.dps):
         u = [w * v for w, v in zip(plan.weights, vec)]
-        return [mpmath.fdot(plan.jrow[i:i + size], u)
-                for i in (range(size) if rows is None else rows)]
+        if not all(type(x) is mpf for x in u):
+            # complex samples take fdot's general path
+            return [mpmath.fdot(plan.jrow[r:r + size], u) for r in rows]
+        prec = mp.prec
+    terms = [(i, x._mpf_) for i, x in enumerate(u) if x]
+    jraw = plan._jraw
+    make = mp.make_mpf
+    return [make(mpf_sum([mpf_mul(jraw[r + i], x) for i, x in terms],
+                         prec, round_nearest))
+            for r in rows]
 
 def _project(plan, vec):
     lo = plan.out_grid.n_min - plan.lat_lo
@@ -216,17 +231,16 @@ def triple_kernel(x, y, z, params):
     kmin = min(kx, ky, kz)
     est = envelope_scale(max(0, -kmin), params)
     dps = int(params.precision_digits + 3 * est + 30)
-    l_lo, l_hi = quadrature_range((kx, ky, kz), est, -4, params)
+    # above l = -kmin every column is still oscillatory: the head cannot end there
+    l_lo, l_hi = quadrature_range((kx, ky, kz), est, min(-4, -kmin), params)
     lo = kmin + l_lo
     row = j_nu_lattice_row(lo, max(kx, ky, kz) + l_hi, params, dps)
     with mp.workdps(dps):
         q = params.q
-        nuv = params.nu
         c = constants(params, dps).c_q_nu
-        terms = []
-        for l in range(l_lo, l_hi + 1):
-            w = q ** (mpf(l) * (2 * nuv + 2))
-            terms.append(w * row[kx + l - lo] * row[ky + l - lo] * row[kz + l - lo])
+        weights = lattice_weights(params, l_lo, l_hi)
+        terms = [w * row[kx + l - lo] * row[ky + l - lo] * row[kz + l - lo]
+                 for l, w in enumerate(weights, l_lo)]
         return +(c * c * (1 - q) * mpmath.fsum(terms))
 
 
@@ -302,10 +316,11 @@ def norm(f, lp, params):
         if lp.p == "inf":
             return +max((abs(v) for v in f.values), default=mp.zero)
         q = params.q
-        nu = params.nu
         pv = mpmathify(lp.p)
-        terms = []
-        for n in f.grid.exponents():
-            w = q ** (mpf(n) * (2 * nu + 2)) if lp.weighted else q ** mpf(n)
-            terms.append(w * abs(f.value_at(n)) ** pv)
+        grid = f.grid
+        if lp.weighted:
+            weights = lattice_weights(params, grid.n_min, grid.n_max)
+        else:
+            weights = [q ** mpf(n) for n in grid.exponents()]
+        terms = [w * abs(v) ** pv for w, v in zip(weights, f.values)]
         return +(((1 - q) * mpmath.fsum(terms)) ** (1 / pv))

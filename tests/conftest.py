@@ -1,8 +1,10 @@
 """Shared fixtures and the end-of-run verification summary."""
 
+from collections import OrderedDict
+
 import pytest
 
-from qbft import QParams, QGrid
+from qbft import QParams, QGrid, bessel
 
 # Filled by the acceptance tests when the full suite runs; the terminal
 # summary hook below prints one line per criterion at the end of the run.
@@ -17,6 +19,14 @@ def params():
 @pytest.fixture(scope="session")
 def small_grid():
     return QGrid(-6, 20)
+
+
+@pytest.fixture
+def weight_table(monkeypatch):
+    """bessel with an empty weight table; the old table returns afterwards."""
+    monkeypatch.setattr(bessel, "_weight_tables", OrderedDict())
+    monkeypatch.setattr(bessel, "_weight_count", 0)
+    return bessel
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -248,6 +248,16 @@ class TestLatticeRow:
         # anchor clamped to s_lo = 3, fallback at s = 5
         assert sampled() - before == {3, 5}
 
+    def test_series_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(bessel, "LATTICE_CACHE_CAP", 5)
+        monkeypatch.setattr(bessel, "_lattice_cache", {})
+        p = QParams(q="0.45", nu="0.75")
+        for s in range(-3, 12):
+            j_nu_lattice(s, p)
+            assert len(bessel._lattice_cache) <= 5
+        # the oldest entries went first
+        assert [key[2] for key in bessel._lattice_cache] == list(range(7, 12))
+
     def test_rows_are_memoized(self, series_calls):
         p = QParams(q="0.5", nu="1")
         first = j_nu_lattice_row(-5, 15, p)
@@ -423,6 +433,11 @@ class TestQuadratureRange:
         # tail: the weight q^(l(2nu+2)) at l_hi is below the floor
         assert -l_hi * (2 * p.nu_float + 2) * p.log10_inv_q < floor
 
+    def test_uncertified_head_raises(self, params):
+        # the head of a column at k = 5000 lies 5000 steps below l = -4
+        with pytest.raises(PrecisionExhausted):
+            quadrature_range((5000,), 3.0, -4, params)
+
     def test_envelope_scale(self, params):
         lq = params.log10_inv_q
         assert envelope_scale(0, params) == envelope_scale(-3, params) == 3.0
@@ -443,6 +458,71 @@ class TestQuadratureRange:
     def test_range_is_not_widened_by_callers(self):
         for fn in (g_a_lattice, g_a, k_nu):
             assert "window" not in inspect.signature(fn).parameters
+
+
+class TestWeightTable:
+    """One bounded table of lattice weights behind g_a, triple_kernel, norm
+    and the plans, which also keeps i_nu's term ratios; a stored entry has
+    the bits of a fresh one."""
+
+    @staticmethod
+    def stored(table):
+        return sum(len(t) for t in table._weight_tables.values())
+
+    @pytest.mark.parametrize("nu", ["-0.5", "0", "1"])
+    def test_g_a_cold_equals_warm(self, nu, weight_table):
+        p = QParams(nu=nu)
+        args = [(k, a) for k in (-3, 0, 4) for a in ("0.25", "1", "4")]
+        cold = []
+        for k, a in args:
+            weight_table._weight_tables.clear()
+            weight_table._weight_count = 0
+            cold.append(g_a_lattice(k, a, p))
+        warm = [g_a_lattice(k, a, p) for k, a in args]
+        assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
+
+    def test_i_nu_and_d_nu_cold_equal_warm(self, weight_table):
+        p = QParams(q="0.6", nu="0.25")
+        xs = [mpf(3), mpf("0.6") ** 4]
+        def values():
+            return ([i_nu(x, p, nu_shift=s) for x in xs for s in (0, 1)]
+                    + [d_nu(p)])
+        cold = values()
+        warm = values()
+        assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
+
+    def test_weights_are_the_plain_expression(self, params, weight_table):
+        with mp.workdps(90):
+            q = params.q
+            nu = params.nu
+            want = [q ** (mpf(l) * (2 * nu + 2)) for l in range(-7, 30)]
+            bessel.lattice_weights(params, 0, 12)
+            got = bessel.lattice_weights(params, -7, 29)
+        assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
+
+    def test_precision_is_part_of_the_key(self, weight_table):
+        p = QParams(q="0.6")
+        with mp.workdps(40):
+            low = bessel.lattice_weights(p, 1, 3)
+        with mp.workdps(90):
+            high = bessel.lattice_weights(p, 1, 3)
+        assert low[0]._mpf_ != high[0]._mpf_
+        assert len(weight_table._weight_tables) == 2
+
+    def test_never_holds_more_than_the_cap(self, monkeypatch, weight_table):
+        monkeypatch.setattr(bessel, "WEIGHT_TABLE_CAP", 40)
+        p = QParams(q="0.6", nu="0.25")
+        for lo, hi, dps in [(0, 20, 50), (10, 35, 50), (-5, 5, 70), (0, 39, 50),
+                            (3, 60, 50), (-9, 9, 50)]:
+            with mp.workdps(dps):
+                got = bessel.lattice_weights(p, lo, hi)
+                q = p.q
+                want = [q ** (mpf(l) * (2 * p.nu + 2)) for l in range(lo, hi + 1)]
+            assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
+            assert self.stored(weight_table) == weight_table._weight_count <= 40
+        for k in range(0, 8):
+            g_a_lattice(k, "2", p)
+            assert self.stored(weight_table) == weight_table._weight_count <= 40
 
 
 class TestWronskianConstant:

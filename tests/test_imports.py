@@ -1,13 +1,15 @@
 """Package layout: no qbft module imports another module's private names,
-only bessel evaluates the decay envelope of j, and only transform reads the
-whole-lattice record a transform output keeps.
+only bessel evaluates the decay envelope of j, only transform reads the
+whole-lattice record a transform output keeps, and only transform does
+arithmetic on raw mpf tuples.
 
 A private helper (leading underscore) belongs to the module that defines
 it; a second module that needs it should get a public entry point instead.
 Truncation decisions built on the envelope go through bessel's quadrature
 rules (quadrature_range, g_a_floored, j_nu_lattice_row_floored), so the
 rule is written once.  Other modules reach a whole-lattice spectrum through
-transform.spectrum.
+transform.spectrum.  The plan matvec is the one place that calls
+mpmath.libmp on raw tuples; everything else works on mpf values.
 """
 
 import ast
@@ -70,3 +72,26 @@ def test_only_transform_reads_the_lattice_record():
                  if path.name not in ("core.py", "transform.py")
                  for hit in lattice_record_reads(path)]
     assert offenders == []
+
+
+def libmp_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "mpmath":
+                names += [f"mpmath.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(n == "mpmath.libmp" or n.startswith("mpmath.libmp.") for n in names):
+            yield f"{path.name}:{node.lineno} imports mpmath.libmp"
+
+
+def test_only_transform_imports_libmp():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "transform.py"
+                 for hit in libmp_imports(path)]
+    assert offenders == []
+    assert list(libmp_imports(PACKAGE / "transform.py"))

@@ -12,6 +12,7 @@ import tracemalloc
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qbft.core import (
@@ -35,6 +36,8 @@ from qbft.transform import (
     MAX_PLAN_POINTS,
     LpNorm,
     TransformPlan,
+    _embed,
+    _matvec,
     apply_multiplier,
     build_plan,
     convolve,
@@ -227,6 +230,94 @@ class TestSpectrum:
             assert a.values == b.values
 
 
+# exact zeros, plain ints and mpf values whose exponents spread far wider
+# than 2 * prec, so mpf_sum's rule for dropping a negligible partial sum
+# runs; the few-valued branch makes exact cancellations, which is where the
+# order of summation shows
+SAMPLE = st.one_of(
+    st.just(0),
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.builds(lambda m, e: mpmath.ldexp(mpf(m), e),
+              st.integers(min_value=-2 ** 90, max_value=2 ** 90),
+              st.integers(min_value=-1500, max_value=1500)),
+    st.builds(lambda m, e: mpmath.ldexp(mpf(m), e),
+              st.integers(min_value=-2, max_value=2),
+              st.sampled_from((-1500, -400, 0, 400, 1500))))
+
+
+class TestMatvec:
+    """_matvec against the plain mpmath.fdot formulation, bit for bit."""
+
+    @staticmethod
+    def fdot_rows(plan, vec, rows):
+        size = plan.size()
+        with mp.workdps(plan.dps):
+            u = [w * v for w, v in zip(plan.weights, vec)]
+            return [mpmath.fdot(plan.jrow[i:i + size], u) for i in rows]
+
+    @given(data=st.data(), size=st.integers(min_value=1, max_value=7))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fdot_bit_for_bit(self, params, data, size):
+        def draw_mpf(n):
+            with mp.workdps(30):
+                return tuple(mpf(v) for v in data.draw(
+                    st.lists(SAMPLE, min_size=n, max_size=n)))
+        plan = TransformPlan(params, QGrid(0, size - 1), QGrid(0, size - 1),
+                             0, size - 1, draw_mpf(2 * size - 1), 20)
+        # random factors in place of the lattice weights
+        plan.weights = draw_mpf(size)
+        vec = data.draw(st.lists(SAMPLE, min_size=size, max_size=size))
+        rows = data.draw(st.one_of(
+            st.none(), st.lists(st.integers(min_value=0, max_value=size - 1))))
+        got = _matvec(plan, vec, rows)
+        want = self.fdot_rows(plan, vec, range(size) if rows is None else rows)
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+    def test_sums_in_index_order(self, params):
+        # 2^2000 - 2^2000 + 1 is 1 in index order; mpf_sum drops the 1 if
+        # it comes before the cancelling pair
+        plan = TransformPlan(params, QGrid(0, 2), QGrid(0, 2), 0, 2,
+                             (mp.one,) * 5, 20)
+        plan.weights = (mp.one,) * 3
+        big = mpmath.ldexp(mp.one, 2000)
+        vec = [big, -big, mp.one]
+        assert self.fdot_rows(plan, vec, [0]) == [1]
+        assert _matvec(plan, vec, [0]) == [1]
+
+    def test_complex_samples_take_the_fdot_path(self, params):
+        grid = QGrid(-6, 20)
+        small = build_plan(params, grid)
+        vec = [mpmath.mpc(n, -1) if n % 3 else mp.zero for n in range(small.size())]
+        assert _matvec(small, vec) == self.fdot_rows(small, vec, range(small.size()))
+
+    def test_reference_plan_equals_fdot(self, params, plan, members):
+        vec = _embed(plan, members["alternating_burst"])
+        got = _matvec(plan, vec)
+        want = self.fdot_rows(plan, vec, range(plan.size()))
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+class TestWeightTable:
+    """Weights from bessel's table give the bits of a fresh evaluation."""
+
+    def test_triple_kernel_and_norm_cold_equal_warm(self, members, weight_table):
+        p = QParams(q="0.6", nu="0.25")
+        x = [mpf("0.6") ** k for k in (2, 0, -1)]
+        f = members["gauss_half"]
+        def values():
+            return [triple_kernel(*x, p), norm(f, 1, p), norm(f, 2, p)]
+        cold = values()
+        assert weight_table._weight_count > 0
+        warm = values()
+        assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
+
+    def test_plan_weights_cold_equal_warm(self, weight_table):
+        p = QParams(q="0.6", nu="0.25")
+        cold = build_plan(p, QGrid(-6, 20))
+        warm = build_plan(p, QGrid(-6, 20))
+        assert [w._mpf_ for w in cold.weights] == [w._mpf_ for w in warm.weights]
+
+
 class TestTripleKernel:
     def test_symmetric_under_all_permutations(self, params):
         with mp.workdps(80):
@@ -258,6 +349,15 @@ class TestTripleKernel:
     def test_off_lattice_argument_rejected(self, params):
         with pytest.raises(DomainError):
             triple_kernel("1.5", "1", "1", params)
+
+    def test_scaled_diagonal_stays_put_at_small_x(self, params):
+        # D(x, x, x) x^3 does not depend on x for x = q^k, k >= 0; the head of
+        # the sum must follow x down instead of giving up 4000 steps below -4
+        with mp.workdps(80):
+            q = params.q
+            def scaled(k):
+                return triple_kernel(q ** k, q ** k, q ** k, params) * q ** (3 * k)
+            assert abs(scaled(4100) - scaled(40)) < mpf("1e-50")
 
 
 class TestTranslate:
