@@ -18,7 +18,7 @@ import json
 import math
 
 import mpmath
-from mpmath import mp, mpf, mpmathify
+from mpmath import mp, mpc, mpf, mpmathify
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +220,10 @@ class QGrid:
         return f"QGrid({self.n_min}, {self.n_max})"
 
 
+def _finite_real(v):
+    return not isinstance(v, (mpc, complex)) and mp.isfinite(v)
+
+
 class GridFunction:
     """Samples of a function on a QGrid, with a declared decay class.
 
@@ -227,10 +231,15 @@ class GridFunction:
     behaviour as x -> infinity (the n -> -infinity side) and gates which
     integrals and transforms accept the function.
 
+    Samples must be finite and real: complex values raise InvalidParams.
+
     lattice is None unless the function came out of fourier, apply_multiplier
-    or convolve: that record of (plan params, GridFunction on the plan's whole
+    or convolve: that record of (plan params, samples on the plan's whole
     internal lattice) is transform's own, read back when the same plan
     transforms it again; transform.spectrum is the public way to reach it.
+    Its samples are packed (one bytes blob of fixed-width signed mantissas
+    and an array of exponents) and keep every bit; their .grid is the
+    lattice's QGrid and .values unpacks them to a new list of mpf.
     """
 
     def __init__(self, grid, values, decay_class=DECAY_UNKNOWN):
@@ -240,8 +249,8 @@ class GridFunction:
         if len(values) != len(grid):
             raise InvalidParams(
                 f"value count {len(values)} does not match window size {len(grid)}")
-        if not all(map(mp.isfinite, values)):
-            raise InvalidParams("grid function samples must be finite numbers")
+        if not all(map(_finite_real, values)):
+            raise InvalidParams("grid function samples must be finite real numbers")
         self.grid = grid
         self.values = values
         self.decay_class = decay_class

@@ -176,6 +176,26 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
                         chain_rows, chain_ok, gap_tol)
 
 
+def _gauss_constants(c, params):
+    """The x-free parts of h_c at the caller's precision: q^2, c^2, -q^(-2nu)
+    and the ratio of its four c-only q-Pochhammer products."""
+    cv = parse_number(c, "c")
+    if cv <= 0:
+        raise DomainError("Gauss kernel width must be positive")
+    q = params.q
+    nu = params.nu
+    q2 = q * q
+    c2 = cv * cv
+    num = (qpochhammer_infinite(-q ** (2 * nu + 2) * c2, q2)
+           * qpochhammer_infinite(-q ** (-2 * nu) / c2, q2))
+    den = (qpochhammer_infinite(-c2, q2)
+           * qpochhammer_infinite(-q2 / c2, q2))
+    return q2, c2, -q ** (-2 * nu), num / den
+
+def _gauss_at(xv, consts):
+    q2, c2, s, ratio = consts
+    return +(ratio / qpochhammer_infinite(s * xv * xv / c2, q2))
+
 def gauss_kernel(x, c, params):
     """Gauss kernel h_c(x), mass-one for every width c > 0.
 
@@ -184,51 +204,64 @@ def gauss_kernel(x, c, params):
     is e(-c^2 t^2; q^2).
     """
     with params.working(15):
-        cv = parse_number(c, "c")
-        if cv <= 0:
-            raise DomainError("Gauss kernel width must be positive")
-        xv = parse_number(x, "x")
-        q = params.q
-        nu = params.nu
-        q2 = q * q
-        c2 = cv * cv
-        num = (qpochhammer_infinite(-q ** (2 * nu + 2) * c2, q2)
-               * qpochhammer_infinite(-q ** (-2 * nu) / c2, q2))
-        den = (qpochhammer_infinite(-c2, q2)
-               * qpochhammer_infinite(-q2 / c2, q2))
-        z = -q ** (-2 * nu) * xv * xv / c2
-        return +(num / den / qpochhammer_infinite(z, q2))
+        consts = _gauss_constants(c, params)
+        return _gauss_at(parse_number(x, "x"), consts)
 
 def gauss_kernel_grid(c, params, grid=None):
-    """Gauss kernel sampled on a window, tagged rapid."""
+    """Gauss kernel sampled on a window, tagged rapid.
+
+    The c-only products are computed once for the whole window, at the same
+    precision gauss_kernel uses, so each sample equals gauss_kernel(q^n, c).
+    """
     grid = grid or QGrid()
     with params.working(10):
         q = params.q
-        vals = [gauss_kernel(q ** n, c, params) for n in grid.exponents()]
+        xs = [q ** n for n in grid.exponents()]
+    with params.working(15):
+        consts = _gauss_constants(c, params)
+        vals = [_gauss_at(x, consts) for x in xs]
     return GridFunction(grid, vals, DECAY_RAPID)
 
+
+def _gauss_multiplier_row(params, n, lo, hi, dps):
+    """The spectral multiplier 1/(-q^(2n) t^2; q^2)_inf of h_(q^n) at t = q^l,
+    for l = lo..hi, at dps digits.
+
+    One infinite product at the small-t end l = hi, then the telescoping
+    (-q^(2n+2l); q^2)_inf = (1 + q^(2n+2l)) (-q^(2n+2l+2); q^2)_inf swept
+    toward l = lo at dps + 10 digits, and the reciprocals taken at dps.  A
+    step rounds the power, the sum and the product, at most about 3 units of
+    10^-(dps+10), so over L = hi - lo + 1 points the products' relative error
+    is at most 3L 10^-(dps+10) plus the starting product's tolerance
+    10^-(dps+12).  For L <= MAX_PLAN_POINTS = 2000 that is below 10^-(dps+6).
+    """
+    with mp.workdps(dps + 10):
+        q = params.q
+        q2 = q * q
+        p = qpochhammer_infinite(-q2 ** (n + hi), q2)
+        prods = [p]
+        for l in range(hi - 1, lo - 1, -1):
+            p = (1 + q2 ** (n + l)) * p
+            prods.append(p)
+    with mp.workdps(dps):
+        return tuple(1 / p for p in reversed(prods))
 
 def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
     """Distances ||f - f * h_(q^n)||_1 for shrinking Gauss widths q^n.
 
     The convolutions go through the spectral multiplier e(-q^(2n) t^2; q^2)
-    of the Gauss kernel.  For an approximate identity the distances must
-    shrink as n grows.
+    of the Gauss kernel, one telescoped row per n (_gauss_multiplier_row).
+    For an approximate identity the distances must shrink as n grows.
     """
     params = plan.params
-    q2 = None
     results = []
     ov_lo = max(f.grid.n_min, plan.out_grid.n_min)
     ov_hi = min(f.grid.n_max, plan.out_grid.n_max)
     if ov_lo > ov_hi:
         raise WindowError("input and output windows do not overlap")
     for n in ns:
-        def mult(l, n=n):
-            with mp.workdps(plan.dps):
-                zq = params.q
-                return 1 / qpochhammer_infinite(-zq ** (2 * n) * zq ** (2 * l),
-                                                zq * zq)
-        conv = apply_multiplier(plan, f, mult)
+        row = _gauss_multiplier_row(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
+        conv = apply_multiplier(plan, f, lambda l, row=row: row[l - plan.lat_lo])
         with mp.workdps(plan.dps):
             diff = GridFunction(
                 QGrid(ov_lo, ov_hi),

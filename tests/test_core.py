@@ -2,12 +2,13 @@
 
 import json
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpmathify
 
 from qbft import (
-    DivergentTail, DomainError, InvalidParams, NonConvergent,
+    DECAY_RAPID, DivergentTail, DomainError, InvalidParams, NonConvergent,
     PreconditionError, WindowError,
     GridFunction, QGrid, QParams, constants,
     gridfunction_from_json, gridfunction_to_json,
@@ -116,6 +117,15 @@ class TestGridFunction:
         # over every output sample without raising
         with pytest.raises(InvalidParams, match="finite"):
             GridFunction(QGrid(0, 4), [1, bad, 2, 3, 0])
+
+    @pytest.mark.parametrize("bad", [mpmath.mpc(1, 1), mpmath.mpc(1, 0), 1j],
+                             ids=["mpc", "mpc-zero-imag", "complex"])
+    def test_rejects_complex_samples(self, bad):
+        # an mpc passes mp.isfinite, and sign_changes or vd_check would then
+        # fail untyped on the first ordering of it
+        with pytest.raises(InvalidParams, match="real"):
+            GridFunction(QGrid(-6, 20), [bad if n == 3 else 0 for n in range(-6, 21)],
+                         DECAY_RAPID)
 
 
 # ---------------------------------------------------------------------------

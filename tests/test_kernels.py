@@ -35,10 +35,12 @@ from qbft.core import (
 )
 from qbft.bessel import g_a, g_a_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
-from qbft.transform import build_plan, convolve, fourier, transform_profile
+import qbft.kernels
+from qbft.transform import build_plan, convolve, fourier, plan_window, transform_profile
 from qbft.kernels import (
     E_eval,
     KernelSpec,
+    _gauss_multiplier_row,
     approx_identity_run,
     composite_kernel,
     factorization_check,
@@ -233,6 +235,69 @@ class TestGaussKernel:
             gauss_kernel(1, 0, params)
         with pytest.raises(DomainError):
             gauss_kernel(1, "-2", params)
+        with pytest.raises(DomainError):
+            gauss_kernel_grid("0", params, QGrid(0, 3))
+
+    def test_grid_samples_are_pointwise_kernel(self):
+        # the window shares its c-only products; every bit stays the same
+        params = QParams(q="0.7", nu="0")
+        grid = QGrid(-6, 6)
+        h = gauss_kernel_grid("0.5", params, grid)
+        with params.working(10):
+            xs = [params.q ** n for n in grid.exponents()]
+        assert ([v._mpf_ for v in h.values]
+                == [gauss_kernel(x, "0.5", params)._mpf_ for x in xs])
+
+
+def per_point_multiplier(params, n, l, dps):
+    """1/(-q^(2n+2l); q^2)_inf as one infinite product at dps digits."""
+    with mp.workdps(dps):
+        zq = params.q
+        return 1 / qpochhammer_infinite(-zq ** (2 * n) * zq ** (2 * l), zq * zq)
+
+
+class TestGaussMultiplierRow:
+    """The telescoped Gauss multiplier row against one product per point."""
+
+    @pytest.mark.parametrize("nu", ["-0.5", "0", "1"])
+    @pytest.mark.parametrize("q", ["0.5", "0.6", "0.7", "0.9"])
+    def test_matches_per_point_product(self, q, nu):
+        params = QParams(q=q, nu=nu)
+        lo, hi = plan_window(params, REFERENCE_GRID.n_min, REFERENCE_GRID.n_max)
+        dps = params.precision_digits + 15
+        # at q = 1/2 every power is exact and each point is checked; elsewhere
+        # the two routes read q at different precisions, so a spread sample
+        # is checked against a relative tolerance
+        ls = (range(lo, hi + 1) if q == "0.5"
+              else sorted({lo, lo + 1, hi - 1, hi, *range(lo, hi, (hi - lo) // 12)}))
+        for n in (2, 4, 6, 8):
+            row = _gauss_multiplier_row(params, n, lo, hi, dps)
+            assert len(row) == hi - lo + 1
+            for l in ls:
+                want = per_point_multiplier(params, n, l, dps)
+                if q == "0.5":
+                    assert row[l - lo]._mpf_ == want._mpf_, (n, l)
+                else:
+                    with mp.workdps(dps):
+                        err = abs(row[l - lo] / want - 1)
+                        assert err <= mpf(10) ** (5 - dps), (n, l)
+
+    def test_stated_error_bound(self):
+        # the longest sweep the reference window gives (L = 1430 at q = 0.9,
+        # nu = -0.5) against products 40 digits deeper: the row is within
+        # 10^-(dps+6) of the exact multiplier plus its final rounding at dps
+        params = QParams(q="0.9", nu="-0.5")
+        lo, hi = plan_window(params, REFERENCE_GRID.n_min, REFERENCE_GRID.n_max)
+        dps = params.precision_digits + 15
+        assert hi - lo + 1 > 1000
+        n = 2
+        row = _gauss_multiplier_row(params, n, lo, hi, dps)
+        with mp.workdps(dps):
+            bound = mpf(10) ** (-dps - 6) + mp.eps
+        for l in (lo, lo + 1, lo + 50, (lo + hi) // 2, hi):
+            want = per_point_multiplier(params, n, l, dps + 40)
+            with mp.workdps(dps + 40):
+                assert abs(row[l - lo] / want - 1) <= bound, l
 
 
 class TestApproxIdentity:
@@ -255,6 +320,19 @@ class TestApproxIdentity:
         f = GridFunction.zero(QGrid(-120, -100))
         with pytest.raises(WindowError):
             approx_identity_run(f, plan)
+
+    def test_one_product_per_width(self, plan, members, monkeypatch):
+        calls = []
+        product = qbft.kernels.qpochhammer_infinite
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return product(*args, **kwargs)
+
+        monkeypatch.setattr(qbft.kernels, "qpochhammer_infinite", counted)
+        ns = (2, 4, 6)
+        approx_identity_run(members["lorentz_1"], plan, ns)
+        assert len(calls) == len(ns)
 
 
 class TestNonFiniteTolerances:

@@ -7,6 +7,8 @@ transformed Lorentz kernels, the triple-kernel identities, norm inequalities
 with explicit constants).
 """
 
+import gc
+import sys
 import time
 import tracemalloc
 
@@ -36,6 +38,7 @@ from qbft.transform import (
     MAX_PLAN_POINTS,
     LpNorm,
     TransformPlan,
+    _LatticeRecord,
     _embed,
     _matvec,
     apply_multiplier,
@@ -228,6 +231,45 @@ class TestSpectrum:
             a = fourier(spectrum(f, plan), plan)
             b = fourier(fourier(f, plan), plan)
             assert a.values == b.values
+
+
+class TestLatticeRecord:
+    """The whole-lattice record of a transform output, packed bit-exactly."""
+
+    @given(data=st.data(), dps=st.integers(min_value=20, max_value=200),
+           size=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_unpack_bit_for_bit(self, data, dps, size):
+        with mp.workdps(dps):
+            bits = mp.prec + 8
+            values = [mp.zero if m == 0 else mpmath.ldexp(mpf(m), e)
+                      for m, e in data.draw(st.lists(
+                          st.tuples(
+                              st.one_of(st.just(0), st.integers(
+                                  min_value=-2 ** bits, max_value=2 ** bits)),
+                              st.integers(min_value=-1500, max_value=1500)),
+                          min_size=size, max_size=size))]
+        rec = _LatticeRecord(QGrid(3, 2 + size), values)
+        assert rec.grid == QGrid(3, 2 + size)
+        assert [v._mpf_ for v in rec.values] == [v._mpf_ for v in values]
+
+    @pytest.mark.parametrize("bad", [mpmath.mpc(1, 1), mp.inf, mp.nan],
+                             ids=["complex", "inf", "nan"])
+    def test_refuses_what_it_cannot_keep(self, bad):
+        with pytest.raises(InvalidParams):
+            _LatticeRecord(QGrid(0, 2), [mp.one, bad, mp.zero])
+
+    def test_fourier_record_is_packed(self, plan, members):
+        out = fourier(members["step_two_flips"], plan)
+        params, rec = out.lattice
+        assert params == plan.params and rec.grid == QGrid(plan.lat_lo, plan.lat_hi)
+        assert rec.values == spectrum(members["step_two_flips"], plan).values
+        # the class object is shared by every record, not held by this one
+        parts = [x for x in gc.get_referents(rec) if not isinstance(x, type)]
+        assert not hasattr(rec, "__dict__")
+        assert not any(isinstance(x, mpf) for x in parts)
+        nbytes = sys.getsizeof(rec) + sum(sys.getsizeof(x) for x in parts)
+        assert nbytes <= 50 * plan.size()
 
 
 # exact zeros, plain ints and mpf values whose exponents spread far wider
