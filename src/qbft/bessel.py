@@ -20,10 +20,9 @@ remain an independent oracle for the rows.
 
 import functools
 import math
-from collections import OrderedDict
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpf, mpmathify
 
 from .core import (
     DomainError, Overflow, PrecisionExhausted, ConstancyViolation,
@@ -53,31 +52,48 @@ class BesselEval:
                     f"lost~{self.digits_lost():.0f}, dps={self.precision_used})")
 
 
+def _envelope_constant(q, nu):
+    q2 = q * q
+    return (qpochhammer_infinite(-q2, q2)
+            * qpochhammer_infinite(-q ** (2 * nu + 2), q2)
+            / qpochhammer_infinite(q ** (2 * nu + 2), q2))
+
 def bound_constant(params):
     """Envelope constant for |j_nu| on the large-argument side."""
     with params.working(15):
-        q = params.q
-        nu = params.nu
-        q2 = q * q
-        return +(qpochhammer_infinite(-q2, q2)
-                 * qpochhammer_infinite(-q ** (2 * nu + 2), q2)
-                 / qpochhammer_infinite(q ** (2 * nu + 2), q2))
+        return +_envelope_constant(params.q, params.nu)
+
+@functools.lru_cache(maxsize=256)
+def _log10_bound_constant(q_str, nu_str):
+    """log10 of bound_constant for q and nu, at least 2.0; a float needs
+    no more than 15 digits of the constant."""
+    with mp.workdps(15):
+        return max(2.0, math.log10(_envelope_constant(mpmathify(q_str),
+                                                      mpmathify(nu_str))))
 
 def decay_bound_log10(s, params):
     """log10 of the envelope bound for |j_nu(q^s)|; quadratic decay for s < 0."""
     lq = params.log10_inv_q
     nu = params.nu_float
-    base = 2.0  # generous stand-in for log10 of the envelope constant
+    base = _log10_bound_constant(params.q_str, params.nu_str)
     if s >= 0:
         return base
     return base - (s * s - (2 * nu + 1) * s) * lq
 
 
-def _jnu_series(x2, params, dps):
+@functools.lru_cache(maxsize=256)
+def _q_nu(q_str, nu_str, prec):
+    """q, nu and the weight exponent 2 nu + 2 at prec bits, parsed once per
+    precision."""
+    with mp.workprec(prec):
+        q = mpmathify(q_str)
+        nu = mpmathify(nu_str)
+        return q, nu, 2 * nu + 2
+
+def _jnu_series(x2, q_str, nu_str, dps):
     """One ladder rung: the alternating series at fixed working precision."""
     with mp.workdps(dps):
-        q = params.q
-        nu = params.nu
+        q, nu, _ = _q_nu(q_str, nu_str, mp.prec)
         q2 = q * q
         term = mp.one
         total = mp.zero
@@ -114,7 +130,7 @@ def j_nu(x, params):
     for rung in (d, 2 * d, 4 * d, 8 * d):
         with mp.workdps(rung + 10):
             x2 = parse_number(x, "x") ** 2
-        ev = _jnu_series(x2, params, rung + 10)
+        ev = _jnu_series(x2, params.q_str, params.nu_str, rung + 10)
         if ev.digits_lost() + d + 10 <= ev.precision_used:
             return ev
     raise PrecisionExhausted(
@@ -123,29 +139,31 @@ def j_nu(x, params):
 
 
 LATTICE_CACHE_CAP = 4096
-"""Most series values j_nu_lattice keeps; past it the oldest entry goes."""
-
-_lattice_cache = {}
+"""Most series values j_nu_lattice keeps; past it the least recently used goes."""
 
 def _rung(work):
     """Smallest lattice precision rung (a multiple of 60 dps) holding work digits."""
     return 60 * (1 + (work - 1) // 60)
 
-def _lattice_series(s, params, rung):
+@functools.lru_cache(maxsize=LATTICE_CACHE_CAP)
+def _lattice_series(q_str, nu_str, s, rung):
+    """The series for j_nu(q^s) at rung dps: its value and the digits it lost."""
     with mp.workdps(rung):
-        x2 = params.q ** (2 * s)
-    return _jnu_series(x2, params, rung)
+        x2 = _q_nu(q_str, nu_str, mp.prec)[0] ** (2 * s)
+    ev = _jnu_series(x2, q_str, nu_str, rung)
+    return ev.value, ev.digits_lost()
 
 def j_nu_lattice(s, params, digits=None):
     """j_nu(q^s; q^2) for integer s, sized from the envelope bound.
 
     The cancellation allowance is computed up front from the decay envelope,
-    so no ladder probing is needed; results are cached per precision rung so
-    a whole plan build samples every j value at one coherent precision.
-    The allowance is still checked against the digits the series lost: near
-    q = 1 the terms grow even for s >= 0, where the envelope allows nothing.
-    A rung that falls short is redone once on the rung covering the measured
-    loss, and PrecisionExhausted is raised if that falls short as well.
+    so no ladder probing is needed; series values are memoized per precision
+    rung so a whole plan build samples every j value at one coherent
+    precision.  The allowance is still checked against the digits the series
+    lost: near q = 1 the terms grow even for s >= 0, where the envelope
+    allows nothing.  A rung that falls short is redone once on the rung
+    covering the measured loss, and PrecisionExhausted is raised if that
+    falls short as well.  The value depends only on s, q, nu and digits.
     """
     if not isinstance(s, int):
         raise DomainError("lattice evaluation needs an integer exponent")
@@ -154,22 +172,15 @@ def j_nu_lattice(s, params, digits=None):
     nu = abs(params.nu_float)
     own = math.ceil((2 * s * s + 2 * nu * abs(s) + 4 * abs(s)) * lq) if s < 0 else 0
     rung = _rung(max(d, 60) + own + 10)
-    key = (params.q_str, params.nu_str, s, rung)
-    hit = _lattice_cache.get(key)
-    if hit is not None:
-        return hit
-    ev = _lattice_series(s, params, rung)
-    if rung - ev.digits_lost() < d:
-        ev = _lattice_series(
-            s, params, _rung(max(d, 60) + math.ceil(ev.digits_lost()) + 10))
-        if ev.precision_used - ev.digits_lost() < d:
+    value, lost = _lattice_series(params.q_str, params.nu_str, s, rung)
+    if rung - lost < d:
+        rung = _rung(max(d, 60) + math.ceil(lost) + 10)
+        value, lost = _lattice_series(params.q_str, params.nu_str, s, rung)
+        if rung - lost < d:
             raise PrecisionExhausted(
                 f"j_nu(q^{s}) cancellation exceeds the lattice rungs "
-                f"(lost ~{ev.digits_lost():.0f} digits at {ev.precision_used} dps)")
-    if len(_lattice_cache) >= LATTICE_CACHE_CAP:
-        del _lattice_cache[next(iter(_lattice_cache))]
-    _lattice_cache[key] = ev.value
-    return ev.value
+                f"(lost ~{lost:.0f} digits at {rung} dps)")
+    return value
 
 def _fixed(v, bits):
     """v as a fixed-point integer with bits fraction bits."""
@@ -284,23 +295,15 @@ def i_nu(x, params, nu_shift=0):
         xv = parse_number(x, "x")
         if xv < 0:
             raise DomainError("i_nu is evaluated for x >= 0")
-        q = params.q
-        nu = params.nu + nu_shift
-        q2 = q * q
         x2 = xv * xv
         term = mp.one
         total = mp.zero
         n = 0
         below = 0
         floor = mpf(10) ** (-mp.dps - 3)
-        key = ("i_nu", params.q_str, params.nu_str, nu_shift, mp.prec)
-        def ratio(n):
-            # term n+1 over term n is num x^2 / den
-            return (q2 ** (n + 1),
-                    (1 - q ** (2 * nu + 2 + 2 * n)) * (1 - q2 ** (n + 1)))
         while below < 10:
             total += term
-            num, den = _memo_weights(key, n, n, ratio)[0]
+            num, den = _i_nu_ratio(params.q_str, params.nu_str, nu_shift, n, mp.prec)
             term *= num * x2 / den
             n += 1
             below = below + 1 if term < floor * total else 0
@@ -356,57 +359,42 @@ def quadrature_range(ks, est, l_lo, params):
 
 
 WEIGHT_TABLE_CAP = 12000
-"""Most entries the weight table keeps, summed over all its keys."""
+"""Most entries each weight memo (plain, Lorentz, i_nu's ratios) keeps."""
 
-_weight_tables = OrderedDict()
-_weight_count = 0
+# Each memo below computes its entry at the caller's working precision,
+# which callers pass as prec, so an entry has the bits of a fresh evaluation.
 
-def _memo_weights(key, lo, hi, weight):
-    """[weight(l) for l in lo..hi], memoized under key in the weight table.
+@functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
+def _weight(q_str, nu_str, l, prec):
+    q, _, e = _q_nu(q_str, nu_str, prec)
+    return q ** (mpf(l) * e)
 
-    The table holds the lattice weights of the quadratures, plans and norms
-    and the term ratios of i_nu's series, one dict l -> entry per key.  A key
-    names the family, q, nu and the working precision, so an entry has the
-    bits a fresh evaluation would.  Past WEIGHT_TABLE_CAP entries in total
-    the least recently used keys are dropped; a range longer than the cap is
-    computed without being stored.
-    """
-    global _weight_count
-    n = hi - lo + 1
-    if n > WEIGHT_TABLE_CAP:
-        return [weight(l) for l in range(lo, hi + 1)]
-    table = _weight_tables.pop(key, {})
-    _weight_count -= len(table)
-    if len(table) + n > WEIGHT_TABLE_CAP:
-        table = {}
-    while _weight_count + len(table) + n > WEIGHT_TABLE_CAP:
-        _weight_count -= len(_weight_tables.popitem(last=False)[1])
-    out = []
-    for l in range(lo, hi + 1):
-        w = table.get(l)
-        if w is None:
-            w = table[l] = weight(l)
-        out.append(w)
-    _weight_tables[key] = table
-    _weight_count += len(table)
-    return out
+@functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
+def _lorentz_weight(q_str, nu_str, a_raw, l, prec):
+    q, _, e = _q_nu(q_str, nu_str, prec)
+    a = mp.make_mpf(a_raw)
+    return q ** (mpf(l) * e) / (1 + q ** (2 * l) / (a * a))
+
+@functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
+def _i_nu_ratio(q_str, nu_str, nu_shift, n, prec):
+    """Term n+1 over term n of i_nu's series at order nu + nu_shift is
+    num x^2 / den; returns (num, den)."""
+    q, nu, _ = _q_nu(q_str, nu_str, prec)
+    nu = nu + nu_shift
+    q2 = q * q
+    return q2 ** (n + 1), (1 - q ** (2 * nu + 2 + 2 * n)) * (1 - q2 ** (n + 1))
 
 def lattice_weights(params, lo, hi):
     """The lattice weights q ** (mpf(l) * (2 * nu + 2)) for l = lo..hi at
-    the current working precision, from the weight table."""
-    q = params.q
-    e = 2 * params.nu + 2
-    return _memo_weights(("weight", params.q_str, params.nu_str, mp.prec), lo, hi,
-                         lambda l: q ** (mpf(l) * e))
+    the current working precision, memoized per entry."""
+    q_str, nu_str, prec = params.q_str, params.nu_str, mp.prec
+    return [_weight(q_str, nu_str, l, prec) for l in range(lo, hi + 1)]
 
 def _lorentz_weights(params, a, lo, hi):
     """g_a's weights q^(l(2nu+2)) / (1 + q^(2l)/a^2) for l = lo..hi at the
     current precision; a is an mpf at that precision."""
-    q = params.q
-    e = 2 * params.nu + 2
-    a2 = a * a
-    return _memo_weights(("lorentz", params.q_str, params.nu_str, a._mpf_, mp.prec),
-                         lo, hi, lambda l: q ** (mpf(l) * e) / (1 + q ** (2 * l) / a2))
+    q_str, nu_str, a_raw, prec = params.q_str, params.nu_str, a._mpf_, mp.prec
+    return [_lorentz_weight(q_str, nu_str, a_raw, l, prec) for l in range(lo, hi + 1)]
 
 def g_a_lattice(k, a, params):
     """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).

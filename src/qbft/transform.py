@@ -18,7 +18,7 @@ import math
 from array import array
 
 import mpmath
-from mpmath import mp, mpf, mpmathify
+from mpmath import mp, mpc, mpf, mpmathify
 from mpmath.libmp import MPZ, fzero, mpf_mul, mpf_sum, round_nearest
 
 from .core import (
@@ -183,17 +183,15 @@ def _matvec(plan, vec, rows=None):
     """Plan matrix times lattice samples vec, on the given rows (default all).
 
     Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec: exact
-    products, summed in index order and rounded once.  For real samples it
-    runs on the raw mpf tuples and skips the zeros of u, which mpf_sum
-    ignores anyway.
+    products, summed in index order and rounded once.  It runs on the raw
+    mpf tuples and skips the zeros of u, which mpf_sum ignores anyway.
+    Complex samples raise InvalidParams before any product is formed.
     """
-    size = plan.size()
-    rows = range(size) if rows is None else rows
+    if any(isinstance(v, (mpc, complex)) for v in vec):
+        raise InvalidParams("the transform takes real samples only")
+    rows = range(plan.size()) if rows is None else rows
     with mp.workdps(plan.dps):
         u = [w * v for w, v in zip(plan.weights, vec)]
-        if not all(type(x) is mpf for x in u):
-            # complex samples take fdot's general path
-            return [mpmath.fdot(plan.jrow[r:r + size], u) for r in rows]
         prec = mp.prec
     terms = [(i, x._mpf_) for i, x in enumerate(u) if x]
     jraw = plan._jraw

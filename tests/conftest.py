@@ -1,7 +1,5 @@
 """Shared fixtures and the end-of-run verification summary."""
 
-from collections import OrderedDict
-
 import pytest
 
 from qbft import QParams, QGrid, bessel
@@ -22,11 +20,14 @@ def small_grid():
 
 
 @pytest.fixture
-def weight_table(monkeypatch):
-    """bessel with an empty weight table; the old table returns afterwards."""
-    monkeypatch.setattr(bessel, "_weight_tables", OrderedDict())
-    monkeypatch.setattr(bessel, "_weight_count", 0)
-    return bessel
+def cold_weights():
+    """Empties bessel's weight memos; calling the returned function empties
+    them again."""
+    def clear():
+        for memo in (bessel._weight, bessel._lorentz_weight, bessel._i_nu_ratio):
+            memo.cache_clear()
+    clear()
+    return clear
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -143,6 +143,15 @@ class TestOscillatorySeries:
                 bound = mpf(10) ** decay_bound_log10(s, params)
                 assert abs(j_nu_lattice(s, params)) <= bound
 
+    @pytest.mark.parametrize("q, nu", [("0.8", "-0.9"), ("0.9", "-0.5"), ("0.95", "-0.5")])
+    def test_log_envelope_holds_near_q_one(self, q, nu):
+        # here log10 bound_constant is 3.9, 6.5 and 13.6, above the floor of 2
+        p = QParams(q=q, nu=nu)
+        for s in (-20, -40):
+            with mp.workdps(30):
+                got = float(mp.log10(abs(j_nu_lattice(s, p))))
+            assert got <= decay_bound_log10(s, p), s
+
     def test_negative_argument_rejected(self, params):
         with pytest.raises(DomainError):
             j_nu("-1", params)
@@ -183,6 +192,14 @@ class TestOscillatorySeries:
         assert j_nu_lattice(-4, params) == first
         with mp.workdps(80):
             assert rel_err(j_nu_lattice(-4, params, 100), first) < mpf("1e-55")
+
+    def test_lattice_value_does_not_depend_on_call_order(self):
+        # the 100-digit call redoes rung 120 at rung 180; the 60-digit call
+        # needs rung 120 alone.  "0.990" is the same q under another key.
+        after = QParams(q="0.99", nu="0.5")
+        cold = QParams(q="0.990", nu="0.5")
+        j_nu_lattice(-3, after, 100)
+        assert j_nu_lattice(-3, after, 60)._mpf_ == j_nu_lattice(-3, cold, 60)._mpf_
 
 
 class TestLatticeRow:
@@ -239,24 +256,23 @@ class TestLatticeRow:
 
     def test_leaves_series_cache_to_anchor_and_fallbacks(self, monkeypatch, series_calls):
         p = QParams(q="0.55", nu="0.25")
-        def sampled():
-            return {key[2] for key in bessel._lattice_cache
-                    if key[:2] == (p.q_str, p.nu_str)}
-        before = sampled()
+        series = bessel._lattice_series
+        series.cache_clear()
         self.perturb_first_sweep(monkeypatch, 2)
         j_nu_lattice_row(3, 20, p)
-        # anchor clamped to s_lo = 3, fallback at s = 5
-        assert sampled() - before == {3, 5}
+        assert series.cache_info().misses == 2
+        # anchor clamped to s_lo = 3, fallback at s = 5: both are now hits
+        for s in (3, 5):
+            j_nu_lattice(s, p)
+        assert series.cache_info().misses == 2
 
-    def test_series_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(bessel, "LATTICE_CACHE_CAP", 5)
-        monkeypatch.setattr(bessel, "_lattice_cache", {})
+    def test_series_cache_is_bounded(self):
+        series = bessel._lattice_series
+        assert series.cache_info().maxsize == bessel.LATTICE_CACHE_CAP
         p = QParams(q="0.45", nu="0.75")
         for s in range(-3, 12):
             j_nu_lattice(s, p)
-            assert len(bessel._lattice_cache) <= 5
-        # the oldest entries went first
-        assert [key[2] for key in bessel._lattice_cache] == list(range(7, 12))
+            assert series.cache_info().currsize <= bessel.LATTICE_CACHE_CAP
 
     def test_rows_are_memoized(self, series_calls):
         p = QParams(q="0.5", nu="1")
@@ -461,27 +477,24 @@ class TestQuadratureRange:
 
 
 class TestWeightTable:
-    """One bounded table of lattice weights behind g_a, triple_kernel, norm
-    and the plans, which also keeps i_nu's term ratios; a stored entry has
-    the bits of a fresh one."""
+    """Bounded per-entry memos of the lattice weights behind g_a,
+    triple_kernel, norm and the plans, and of i_nu's term ratios; a stored
+    entry has the bits of a fresh one."""
 
-    @staticmethod
-    def stored(table):
-        return sum(len(t) for t in table._weight_tables.values())
+    MEMOS = ("_weight", "_lorentz_weight", "_i_nu_ratio")
 
     @pytest.mark.parametrize("nu", ["-0.5", "0", "1"])
-    def test_g_a_cold_equals_warm(self, nu, weight_table):
+    def test_g_a_cold_equals_warm(self, nu, cold_weights):
         p = QParams(nu=nu)
         args = [(k, a) for k in (-3, 0, 4) for a in ("0.25", "1", "4")]
         cold = []
         for k, a in args:
-            weight_table._weight_tables.clear()
-            weight_table._weight_count = 0
+            cold_weights()
             cold.append(g_a_lattice(k, a, p))
         warm = [g_a_lattice(k, a, p) for k, a in args]
         assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
 
-    def test_i_nu_and_d_nu_cold_equal_warm(self, weight_table):
+    def test_i_nu_and_d_nu_cold_equal_warm(self, cold_weights):
         p = QParams(q="0.6", nu="0.25")
         xs = [mpf(3), mpf("0.6") ** 4]
         def values():
@@ -491,7 +504,7 @@ class TestWeightTable:
         warm = values()
         assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
 
-    def test_weights_are_the_plain_expression(self, params, weight_table):
+    def test_weights_are_the_plain_expression(self, params, cold_weights):
         with mp.workdps(90):
             q = params.q
             nu = params.nu
@@ -500,29 +513,32 @@ class TestWeightTable:
             got = bessel.lattice_weights(params, -7, 29)
         assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
 
-    def test_precision_is_part_of_the_key(self, weight_table):
+    def test_precision_is_part_of_the_key(self, cold_weights):
         p = QParams(q="0.6")
         with mp.workdps(40):
             low = bessel.lattice_weights(p, 1, 3)
         with mp.workdps(90):
             high = bessel.lattice_weights(p, 1, 3)
         assert low[0]._mpf_ != high[0]._mpf_
-        assert len(weight_table._weight_tables) == 2
+        assert bessel._weight.cache_info().currsize == 6
 
-    def test_never_holds_more_than_the_cap(self, monkeypatch, weight_table):
-        monkeypatch.setattr(bessel, "WEIGHT_TABLE_CAP", 40)
+    def test_never_holds_more_than_the_cap(self, cold_weights):
+        for name in self.MEMOS:
+            assert getattr(bessel, name).cache_info().maxsize == bessel.WEIGHT_TABLE_CAP
         p = QParams(q="0.6", nu="0.25")
+        cap = bessel.WEIGHT_TABLE_CAP
         for lo, hi, dps in [(0, 20, 50), (10, 35, 50), (-5, 5, 70), (0, 39, 50),
-                            (3, 60, 50), (-9, 9, 50)]:
+                            (-9, cap + 9, 30), (3, 60, 50), (-9, 9, 50)]:
             with mp.workdps(dps):
                 got = bessel.lattice_weights(p, lo, hi)
                 q = p.q
                 want = [q ** (mpf(l) * (2 * p.nu + 2)) for l in range(lo, hi + 1)]
             assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
-            assert self.stored(weight_table) == weight_table._weight_count <= 40
+            assert bessel._weight.cache_info().currsize <= cap
         for k in range(0, 8):
             g_a_lattice(k, "2", p)
-            assert self.stored(weight_table) == weight_table._weight_count <= 40
+        for name in self.MEMOS:
+            assert getattr(bessel, name).cache_info().currsize <= cap
 
 
 class TestWronskianConstant:

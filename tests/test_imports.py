@@ -1,7 +1,7 @@
 """Package layout: no qbft module imports another module's private names,
 only bessel evaluates the decay envelope of j, only transform reads the
-whole-lattice record a transform output keeps, and only transform does
-arithmetic on raw mpf tuples.
+whole-lattice record a transform output keeps, only transform does
+arithmetic on raw mpf tuples, and no module keeps hand-rolled module state.
 
 A private helper (leading underscore) belongs to the module that defines
 it; a second module that needs it should get a public entry point instead.
@@ -9,7 +9,9 @@ Truncation decisions built on the envelope go through bessel's quadrature
 rules (quadrature_range, g_a_floored, j_nu_lattice_row_floored), so the
 rule is written once.  Other modules reach a whole-lattice spectrum through
 transform.spectrum.  The plan matvec is the one place that calls
-mpmath.libmp on raw tuples; everything else works on mpf values.
+mpmath.libmp on raw tuples; everything else works on mpf values.  Memos
+are functools.lru_cache functions, bounded and keyed on their inputs, so no
+module needs a global statement or a module-level container to fill.
 """
 
 import ast
@@ -95,3 +97,31 @@ def test_only_transform_imports_libmp():
                  for hit in libmp_imports(path)]
     assert offenders == []
     assert list(libmp_imports(PACKAGE / "transform.py"))
+
+
+EMPTY_CONTAINERS = ("set", "dict", "list", "OrderedDict")
+
+
+def module_state(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield f"{path.name}:{node.lineno} global {', '.join(node.names)}"
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+            continue
+        value = node.value
+        empty = (isinstance(value, ast.Dict) and not value.keys
+                 or isinstance(value, ast.List) and not value.elts
+                 or isinstance(value, ast.Call) and not value.args
+                 and not value.keywords
+                 and getattr(value.func, "id", getattr(value.func, "attr", None))
+                 in EMPTY_CONTAINERS)
+        if empty:
+            yield f"{path.name}:{node.lineno} binds an empty container"
+
+
+def test_no_hand_rolled_module_state():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
+                 for hit in module_state(path)]
+    assert offenders == []

@@ -32,6 +32,7 @@ from qbft.core import (
     gridfunction_from_json,
     gridfunction_to_json,
 )
+from qbft import bessel
 from qbft.bessel import j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 from qbft.transform import (
@@ -49,6 +50,7 @@ from qbft.transform import (
     norm,
     plan_window,
     spectrum,
+    transform_profile,
     translate,
     triple_kernel,
 )
@@ -326,11 +328,9 @@ class TestMatvec:
         assert self.fdot_rows(plan, vec, [0]) == [1]
         assert _matvec(plan, vec, [0]) == [1]
 
-    def test_complex_samples_take_the_fdot_path(self, params):
-        grid = QGrid(-6, 20)
-        small = build_plan(params, grid)
-        vec = [mpmath.mpc(n, -1) if n % 3 else mp.zero for n in range(small.size())]
-        assert _matvec(small, vec) == self.fdot_rows(small, vec, range(small.size()))
+    def test_complex_profile_is_refused(self, plan):
+        with pytest.raises(InvalidParams):
+            transform_profile(plan, lambda l: mpmath.mpc(1, 1))
 
     def test_reference_plan_equals_fdot(self, params, plan, members):
         vec = _embed(plan, members["alternating_burst"])
@@ -340,20 +340,20 @@ class TestMatvec:
 
 
 class TestWeightTable:
-    """Weights from bessel's table give the bits of a fresh evaluation."""
+    """Weights from bessel's memos give the bits of a fresh evaluation."""
 
-    def test_triple_kernel_and_norm_cold_equal_warm(self, members, weight_table):
+    def test_triple_kernel_and_norm_cold_equal_warm(self, members, cold_weights):
         p = QParams(q="0.6", nu="0.25")
         x = [mpf("0.6") ** k for k in (2, 0, -1)]
         f = members["gauss_half"]
         def values():
             return [triple_kernel(*x, p), norm(f, 1, p), norm(f, 2, p)]
         cold = values()
-        assert weight_table._weight_count > 0
+        assert bessel._weight.cache_info().currsize > 0
         warm = values()
         assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
 
-    def test_plan_weights_cold_equal_warm(self, weight_table):
+    def test_plan_weights_cold_equal_warm(self, cold_weights):
         p = QParams(q="0.6", nu="0.25")
         cold = build_plan(p, QGrid(-6, 20))
         warm = build_plan(p, QGrid(-6, 20))
