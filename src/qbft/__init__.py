@@ -24,7 +24,7 @@ from .bessel import (
     g_a_lattice, d_nu, bound_constant,
 )
 from .transform import (
-    TransformPlan, LpNorm, build_plan, plan_window, fourier, spectrum, transform_profile,
+    TransformPlan, build_plan, plan_window, fourier, spectrum, transform_profile,
     apply_multiplier, triple_kernel, translate, convolve, convolve_direct, norm,
 )
 from .kernels import (

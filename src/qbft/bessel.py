@@ -25,8 +25,8 @@ import mpmath
 from mpmath import mp, mpf, mpmathify
 
 from .core import (
-    DomainError, Overflow, PrecisionExhausted, ConstancyViolation,
-    constants, qpochhammer_infinite, parse_number,
+    DomainError, Overflow, PrecisionExhausted, ConstancyViolation, WindowError,
+    QParams, constants, lattice_exponent, parse_number,
 )
 
 
@@ -52,24 +52,21 @@ class BesselEval:
                     f"lost~{self.digits_lost():.0f}, dps={self.precision_used})")
 
 
-def _envelope_constant(q, nu):
-    q2 = q * q
-    return (qpochhammer_infinite(-q2, q2)
-            * qpochhammer_infinite(-q ** (2 * nu + 2), q2)
-            / qpochhammer_infinite(q ** (2 * nu + 2), q2))
-
 def bound_constant(params):
-    """Envelope constant for |j_nu| on the large-argument side."""
-    with params.working(15):
-        return +_envelope_constant(params.q, params.nu)
+    """Envelope constant for |j_nu| on the large-argument side:
+    (-q^2; q^2)_inf (-q^(2nu+2); q^2)_inf / (q^(2nu+2); q^2)_inf = B_q_nu / c_q_nu."""
+    dps = params.precision_digits + 15
+    k = constants(params, dps)
+    with mp.workdps(dps):
+        return k.B_q_nu / k.c_q_nu
 
 @functools.lru_cache(maxsize=256)
 def _log10_bound_constant(q_str, nu_str):
     """log10 of bound_constant for q and nu, at least 2.0; a float needs
     no more than 15 digits of the constant."""
+    k = constants(QParams(q=q_str, nu=nu_str), 15)
     with mp.workdps(15):
-        return max(2.0, math.log10(_envelope_constant(mpmathify(q_str),
-                                                      mpmathify(nu_str))))
+        return max(2.0, math.log10(k.B_q_nu / k.c_q_nu))
 
 def decay_bound_log10(s, params):
     """log10 of the envelope bound for |j_nu(q^s)|; quadratic decay for s < 0."""
@@ -93,8 +90,6 @@ def _q_nu(q_str, nu_str, prec):
 def _jnu_series(x2, q_str, nu_str, dps):
     """One ladder rung: the alternating series at fixed working precision."""
     with mp.workdps(dps):
-        q, nu, _ = _q_nu(q_str, nu_str, mp.prec)
-        q2 = q * q
         term = mp.one
         total = mp.zero
         max_term = mp.one
@@ -106,9 +101,8 @@ def _jnu_series(x2, q_str, nu_str, dps):
             at = abs(term)
             if at > max_term:
                 max_term = at
-            ratio = -(q2 ** (n + 1)) * x2 / ((1 - q ** (2 * nu + 2 + 2 * n))
-                                             * (1 - q2 ** (n + 1)))
-            term *= ratio
+            num, den = _term_ratio(q_str, nu_str, n, mp.prec)
+            term *= -num * x2 / den
             n += 1
             scale = max_term if max_term > abs(total) else abs(total)
             below = below + 1 if abs(term) < floor * scale else 0
@@ -285,11 +279,11 @@ def j_nu_lattice_row_floored(s_lo, s_hi, params, digits=None):
         return zeros
     return zeros + j_nu_lattice_row(first, s_hi, params, digits)
 
-def i_nu(x, params, nu_shift=0):
+def i_nu(x, params):
     """Modified companion series: all terms positive, no cancellation.
 
-    nu_shift evaluates the function at order nu + shift, used by identities
-    that mix neighbouring orders.
+    Its term ratio is j_nu's without the sign, from the same memo.  Order
+    nu + 1 is i_nu(x, params.replace(nu=...)).
     """
     with params.working(20):
         xv = parse_number(x, "x")
@@ -303,7 +297,7 @@ def i_nu(x, params, nu_shift=0):
         floor = mpf(10) ** (-mp.dps - 3)
         while below < 10:
             total += term
-            num, den = _i_nu_ratio(params.q_str, params.nu_str, nu_shift, n, mp.prec)
+            num, den = _term_ratio(params.q_str, params.nu_str, n, mp.prec)
             term *= num * x2 / den
             n += 1
             below = below + 1 if term < floor * total else 0
@@ -311,18 +305,6 @@ def i_nu(x, params, nu_shift=0):
             raise Overflow("i_nu overflowed the representable range")
         return +total
 
-
-def lattice_exponent(x, params, what="x"):
-    """Resolve a positive real to its lattice exponent; DomainError off-lattice."""
-    with mp.workdps(40):
-        xv = parse_number(x, what)
-        if xv <= 0:
-            raise DomainError(f"{what} must be a positive lattice point")
-        k_real = mp.log(xv) / mp.log(params.q)
-        k = int(mp.nint(k_real))
-        if abs(k_real - k) > mpf("1e-9"):
-            raise DomainError(f"{what} = {x} is not a lattice point q^n")
-        return k
 
 def envelope_scale(m, params):
     """Digits of j's decay q^(m^2+(2nu+1)m) at x = q^-m, plus 8 steps; 3.0 if m <= 0."""
@@ -359,7 +341,26 @@ def quadrature_range(ks, est, l_lo, params):
 
 
 WEIGHT_TABLE_CAP = 12000
-"""Most entries each weight memo (plain, Lorentz, i_nu's ratios) keeps."""
+"""Most entries each weight memo (plain, Lorentz, the series' term ratios) keeps."""
+
+def check_quadrature_cost(s_lo, s_hi, dps, params):
+    """Refuse a per-point quadrature before its j row s_lo..s_hi is computed.
+
+    A working precision above j_nu's top rung (8 x digits) raises
+    PrecisionExhausted.  A row longer than WEIGHT_TABLE_CAP raises
+    WindowError: its weights would not fit in their memo, so every call
+    would evict its own entries and everyone else's.
+    """
+    top = 8 * params.precision_digits
+    if dps > top:
+        raise PrecisionExhausted(
+            f"quadrature over j(q^{s_lo})..j(q^{s_hi}) needs {dps} digits, "
+            f"beyond the top rung of {top}")
+    size = s_hi - s_lo + 1
+    if size > WEIGHT_TABLE_CAP:
+        raise WindowError(
+            f"quadrature row of {size} points exceeds the bound of "
+            f"{WEIGHT_TABLE_CAP} points")
 
 # Each memo below computes its entry at the caller's working precision,
 # which callers pass as prec, so an entry has the bits of a fresh evaluation.
@@ -376,11 +377,10 @@ def _lorentz_weight(q_str, nu_str, a_raw, l, prec):
     return q ** (mpf(l) * e) / (1 + q ** (2 * l) / (a * a))
 
 @functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
-def _i_nu_ratio(q_str, nu_str, nu_shift, n, prec):
-    """Term n+1 over term n of i_nu's series at order nu + nu_shift is
-    num x^2 / den; returns (num, den)."""
+def _term_ratio(q_str, nu_str, n, prec):
+    """Term n+1 over term n of i_nu's series is num x^2 / den, and of
+    j_nu's -num x^2 / den; returns (num, den)."""
     q, nu, _ = _q_nu(q_str, nu_str, prec)
-    nu = nu + nu_shift
     q2 = q * q
     return q2 ** (n + 1), (1 - q ** (2 * nu + 2 + 2 * n)) * (1 - q2 ** (n + 1))
 
@@ -418,6 +418,7 @@ def g_a_lattice(k, a, params):
     dps = int(digits + est + max_weight + 30)
     start = -k - math.ceil(math.sqrt((digits + est) / lq)) - 6 if k > 0 else -4
     l_lo, l_hi = quadrature_range((k,), est, start, params)
+    check_quadrature_cost(k + l_lo, k + l_hi, dps, params)
     with mp.workdps(dps):
         q = params.q
         c = constants(params, dps).c_q_nu
@@ -467,7 +468,7 @@ def d_nu(params, probes=(3, 6, 9, 12, 15), with_spread=False):
             kn = k_nu(x, params)
             kn1 = k_nu(x, up)
             in0 = i_nu(x, params)
-            in1 = i_nu(x, params, nu_shift=1)
+            in1 = i_nu(x, up)
             v = x ** (2 * (nu + 1)) * (kn * in1 / (1 - q ** (2 * nu + 2)) + kn1 * in0)
             vals.append(v)
         mean = mpmath.fsum(vals) / len(vals)

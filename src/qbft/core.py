@@ -390,6 +390,19 @@ def q_exponential(z, q):
         return +total
 
 
+def lattice_exponent(x, params, what="x"):
+    """Resolve a positive real to its lattice exponent; DomainError off-lattice."""
+    with mp.workdps(40):
+        xv = parse_number(x, what)
+        if xv <= 0:
+            raise DomainError(f"{what} must be a positive lattice point")
+        k_real = mp.log(xv) / mp.log(params.q)
+        k = int(mp.nint(k_real))
+        if abs(k_real - k) > mpf("1e-9"):
+            raise DomainError(f"{what} = {x} is not a lattice point q^n")
+        return k
+
+
 # ---------------------------------------------------------------------------
 # Jackson integrals
 
@@ -400,15 +413,10 @@ def jackson_integral_finite(f, a, params, with_tail=False):
     window in at least 8 points.  The neglected tail below the window is
     estimated geometrically from the last kept summand.
     """
+    m = lattice_exponent(a, params, "upper limit")
     with params.working(10):
         q = params.q
         av = parse_number(a, "a")
-        if av <= 0:
-            raise DomainError("upper limit must be positive")
-        m_real = mp.log(av) / mp.log(q)
-        m = int(mp.nint(m_real))
-        if abs(m_real - m) > mpf("1e-9"):
-            raise DomainError(f"upper limit {a} is not a lattice point q^m")
         if m < f.grid.n_min:
             raise WindowError(
                 f"upper limit exponent {m} lies above the window; "
@@ -511,9 +519,14 @@ def q_bessel_operator(f, params):
 # serialization
 
 def decimal_str(x, digits):
-    """Deterministic decimal string with the given number of significant digits."""
-    with mp.workdps(digits + 5):
-        return mp.nstr(mpmathify(x), digits, strip_zeros=True)
+    """Deterministic decimal string with the given number of significant digits.
+
+    x is first rounded to 2 digits + 20 digits, far more than nstr reads, so
+    a value with a mantissa of many thousand bits prints without converting
+    it whole.
+    """
+    with mp.workdps(2 * digits + 20):
+        return mp.nstr(+mpmathify(x), digits, strip_zeros=True)
 
 def gridfunction_to_json(f, params, digits=None):
     """Serialize a grid function with its parameters as decimal strings."""

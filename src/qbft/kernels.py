@@ -22,9 +22,9 @@ from mpmath import mp, mpf, mpmathify
 from .core import (
     DECAY_RAPID, DECAY_UNKNOWN, DomainError, IntegrabilityError, InvalidParams,
     NoWitness, WindowError, GridFunction, QGrid, constants, decimal_str,
-    qpochhammer_infinite, q_bessel_operator, parse_number,
+    lattice_exponent, qpochhammer_infinite, q_bessel_operator, parse_number,
 )
-from .bessel import g_a_lattice, i_nu, lattice_exponent, lattice_weights
+from .bessel import g_a_lattice, i_nu, lattice_weights
 from .transform import apply_multiplier, norm, transform_profile
 
 
@@ -291,12 +291,10 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
     best = None
     best_profile = None
     with params.working(10):
-        q = params.q
-        nu = params.nu
         exps = list(range(G.grid.n_min, G.grid.n_min + points))
         for a in candidates:
             m = lattice_exponent(a, params, "candidate scale")
-            scale = q ** (mpf(m) * (2 * nu + 2))
+            scale = lattice_weights(params, m, m)[0]
             ratios = []
             ok = True
             for n in exps:

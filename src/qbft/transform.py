@@ -24,11 +24,11 @@ from mpmath.libmp import MPZ, fzero, mpf_mul, mpf_sum, round_nearest
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
     InvalidParams, PreconditionError, WindowError,
-    GridFunction, QGrid, constants, parse_number,
+    GridFunction, QGrid, constants, lattice_exponent, parse_number,
 )
 from .bessel import (
-    envelope_scale, j_nu_lattice_row, j_nu_lattice_row_floored,
-    lattice_exponent, lattice_weights, quadrature_range,
+    check_quadrature_cost, envelope_scale, j_nu_lattice_row,
+    j_nu_lattice_row_floored, lattice_weights, quadrature_range,
 )
 
 
@@ -275,7 +275,9 @@ def triple_kernel(x, y, z, params):
     # above l = -kmin every column is still oscillatory: the head cannot end there
     l_lo, l_hi = quadrature_range((kx, ky, kz), est, min(-4, -kmin), params)
     lo = kmin + l_lo
-    row = j_nu_lattice_row(lo, max(kx, ky, kz) + l_hi, params, dps)
+    hi = max(kx, ky, kz) + l_hi
+    check_quadrature_cost(lo, hi, dps, params)
+    row = j_nu_lattice_row(lo, hi, params, dps)
     with mp.workdps(dps):
         q = params.q
         c = constants(params, dps).c_q_nu
@@ -332,36 +334,18 @@ def convolve_direct(f, g, plan):
     return GridFunction(plan.out_grid, out, DECAY_RAPID)
 
 
-class LpNorm:
-    """Norm selector: exponent p >= 1 or 'inf', measure weighted or plain."""
-
-    def __init__(self, p, weighted=True):
-        if p != "inf":
-            with mp.workdps(30):
-                pv = parse_number(p, "norm exponent")
-                if not pv >= 1:
-                    raise InvalidParams("norm exponent must satisfy p >= 1")
-        self.p = p
-        self.weighted = weighted
-
-
-def norm(f, lp, params):
-    """L^p norm of window samples against the lattice measure.
-
-    Weighted means the measure x^(2nu+1) d_q x of the transform calculus;
-    plain means d_q x.  The sup norm ignores the measure.
-    """
-    if not isinstance(lp, LpNorm):
-        lp = LpNorm(lp)
+def norm(f, p, params):
+    """L^p norm of window samples against the measure x^(2nu+1) d_q x of the
+    transform calculus, for an exponent p >= 1; p = "inf" is the sup norm."""
+    if p != "inf":
+        with mp.workdps(30):
+            if not parse_number(p, "norm exponent") >= 1:
+                raise InvalidParams("norm exponent must satisfy p >= 1")
     with params.working(10):
-        if lp.p == "inf":
+        if p == "inf":
             return +max((abs(v) for v in f.values), default=mp.zero)
         q = params.q
-        pv = mpmathify(lp.p)
-        grid = f.grid
-        if lp.weighted:
-            weights = lattice_weights(params, grid.n_min, grid.n_max)
-        else:
-            weights = [q ** mpf(n) for n in grid.exponents()]
+        pv = mpmathify(p)
+        weights = lattice_weights(params, f.grid.n_min, f.grid.n_max)
         terms = [w * abs(v) ** pv for w, v in zip(weights, f.values)]
         return +(((1 - q) * mpmath.fsum(terms)) ** (1 / pv))

@@ -102,17 +102,12 @@ def dq_variation_check(f, params, zero_tol=None):
     window; then differentiation cannot lose sign changes and the check
     returns (V[f], V[D_q f], ok).
     """
-    tol = parse_number(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL,
-                       "zero_tol")
-    with mp.workdps(30):
-        mx = max((abs(v) for v in f.values), default=mp.zero)
-        cut = tol * mx
-        small_end = abs(f.value_at(f.grid.n_max)) <= cut
-        large_end = abs(f.value_at(f.grid.n_min)) <= cut
-    if not (small_end or large_end):
+    pattern = sign_changes(f, zero_tol)
+    kept = pattern.exponents
+    if f.grid.n_max in kept and f.grid.n_min in kept:
         raise PreconditionError(
             "derivative variation bound needs f to vanish at one window end")
-    v_in = sign_changes(f, zero_tol).changes
+    v_in = pattern.changes
     df = q_derivative(f, params)
     v_out = sign_changes(df, zero_tol).changes
     return v_in, v_out, v_out >= v_in

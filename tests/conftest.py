@@ -24,7 +24,7 @@ def cold_weights():
     """Empties bessel's weight memos; calling the returned function empties
     them again."""
     def clear():
-        for memo in (bessel._weight, bessel._lorentz_weight, bessel._i_nu_ratio):
+        for memo in (bessel._weight, bessel._lorentz_weight, bessel._term_ratio):
             memo.cache_clear()
     clear()
     return clear

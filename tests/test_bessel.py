@@ -10,6 +10,7 @@ context, never at import time.
 
 import functools
 import inspect
+import time
 
 import mpmath
 import pytest
@@ -24,6 +25,7 @@ from qbft.core import (
     PrecisionExhausted,
     QGrid,
     QParams,
+    WindowError,
     constants,
     jackson_integral_infinite,
     lambda_shift,
@@ -319,12 +321,6 @@ class TestPositiveCompanion:
             for n in (6, 2, 0, -2):
                 assert i_nu(params.q ** n, params) >= 1
 
-    def test_order_shift_matches_replaced_order(self, params):
-        with mp.workdps(80):
-            shifted = i_nu("1", params, nu_shift=1)
-            replaced = i_nu("1", params.replace(nu="1.5"))
-            assert rel_err(shifted, replaced) < mpf("1e-60")
-
     def test_negative_argument_rejected(self, params):
         with pytest.raises(DomainError):
             i_nu("-2", params)
@@ -475,13 +471,26 @@ class TestQuadratureRange:
         for fn in (g_a_lattice, g_a, k_nu):
             assert "window" not in inspect.signature(fn).parameters
 
+    def test_precision_beyond_the_top_rung_is_refused_up_front(self, params):
+        # m = 40 needs about 630 digits, past 8 x 60; k = -32 needs 448
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhausted, match="top rung of 480"):
+            g_a_lattice(-40, 1, params)
+        assert time.perf_counter() - start < 1
+
+    def test_row_longer_than_the_weight_memo_is_refused_up_front(self, params):
+        start = time.perf_counter()
+        with pytest.raises(WindowError, match="bound of 12000 points"):
+            g_a_lattice(13000, 1, params)
+        assert time.perf_counter() - start < 1
+
 
 class TestWeightTable:
     """Bounded per-entry memos of the lattice weights behind g_a,
-    triple_kernel, norm and the plans, and of i_nu's term ratios; a stored
-    entry has the bits of a fresh one."""
+    triple_kernel, norm and the plans, and of the term ratios j_nu's and
+    i_nu's series share; a stored entry has the bits of a fresh one."""
 
-    MEMOS = ("_weight", "_lorentz_weight", "_i_nu_ratio")
+    MEMOS = ("_weight", "_lorentz_weight", "_term_ratio")
 
     @pytest.mark.parametrize("nu", ["-0.5", "0", "1"])
     def test_g_a_cold_equals_warm(self, nu, cold_weights):
@@ -495,14 +504,31 @@ class TestWeightTable:
         assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
 
     def test_i_nu_and_d_nu_cold_equal_warm(self, cold_weights):
+        # i_nu at 100 digits and j_nu_lattice at s >= 0 both run at 120 dps,
+        # so each series also reads ratios the other stored
         p = QParams(q="0.6", nu="0.25")
+        orders = (p, p.replace(nu="1.25"), p.replace(precision_digits=100))
         xs = [mpf(3), mpf("0.6") ** 4]
-        def values():
-            return ([i_nu(x, p, nu_shift=s) for x in xs for s in (0, 1)]
-                    + [d_nu(p)])
-        cold = values()
-        warm = values()
-        assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
+        def lattice(s):
+            bessel._lattice_series.cache_clear()
+            return [j_nu_lattice(s, p)]
+        def series(x):
+            ev = j_nu(x, p)
+            return [ev.value, mpf(ev.terms_used), ev.max_term_magnitude]
+        calls = ([functools.partial(lambda x, o: [i_nu(x, o)], x, o)
+                  for x in xs for o in orders]
+                 + [functools.partial(lattice, s) for s in (0, 2, 5)]
+                 + [functools.partial(series, x) for x in ("2.5", "7")]
+                 + [lambda: [d_nu(p)]])
+        cold = []
+        for call in calls:
+            cold_weights()
+            cold.append(call())
+        # backwards, so every call finds the ratios of the calls after it
+        warm = [call() for call in reversed(calls)][::-1]
+        def raw(rows):
+            return [[v._mpf_ for v in row] for row in rows]
+        assert raw(cold) == raw(warm)
 
     def test_weights_are_the_plain_expression(self, params, cold_weights):
         with mp.workdps(90):
@@ -632,7 +658,7 @@ class TestLimitsAndDecay:
             for s in (1, 3, 6):
                 x = q ** (-s)
                 term = x ** (2 * (nu + 1)) * _kernel_at("0.5", -s) * i_nu(
-                    x, params, nu_shift=1)
+                    x, params.replace(nu="1.5"))
                 assert 0 < term < cap
 
     def test_shifted_kernel_companion_product_decays_quadratically(self, params):

@@ -97,6 +97,19 @@ class TestEval:
         with mp.workdps(80):
             assert abs(mpf(target.read_text()) - k_nu(1, params)) < mpf("1e-55")
 
+    def test_quadrature_beyond_the_top_rung_exits_3(self, capsys):
+        # K_nu at x = 2^40 = q^-40 would need about 630 digits, past 8 x 60
+        assert main(["eval", "knu", "--x", "1099511627776"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure") and "Traceback" not in err
+
+    def test_quadrature_row_beyond_its_bound_exits_2(self, capsys):
+        with mp.workdps(40):
+            x = mp.nstr(mpf(2) ** -13000, 30)
+        assert main(["eval", "ga", "--x", x, "--a", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "Traceback" not in err
+
     def test_uncertifiable_point_exits_3(self, capsys):
         # far enough up the large-x ray the series cancellation exceeds
         # every precision rung the ladder is willing to try

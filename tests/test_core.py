@@ -10,7 +10,7 @@ from mpmath import mp, mpf, mpmathify
 from qbft import (
     DECAY_RAPID, DivergentTail, DomainError, InvalidParams, NonConvergent,
     PreconditionError, WindowError,
-    GridFunction, QGrid, QParams, constants,
+    GridFunction, QGrid, QParams, constants, decimal_str,
     gridfunction_from_json, gridfunction_to_json,
     jackson_integral_finite, jackson_integral_infinite,
     lambda_shift, q_bessel_operator, q_derivative, q_exponential,
@@ -422,6 +422,17 @@ class TestSerialization:
         payload = json.loads(gridfunction_to_json(f, params))
         assert payload["q"] == "0.5" and payload["nu"] == "0.5"
         assert all(isinstance(s, str) for s in payload["values"])
+
+    def test_long_mantissa_prints_without_whole_conversion(self):
+        # a 20000-bit mantissa has over 6000 decimal digits, past Python's
+        # 4300-digit limit on converting an int to a string
+        with mp.workdps(6100):
+            x = 1 / (3 * mpf(2) ** 14000)
+        assert x._mpf_[3] > 20000
+        with mp.workdps(80):
+            want = mp.nstr(+x, 60)
+        assert decimal_str(x, 60) == want
+        assert want.startswith("1.2674751388865100452")
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(InvalidParams):

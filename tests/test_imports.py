@@ -1,7 +1,8 @@
 """Package layout: no qbft module imports another module's private names,
 only bessel evaluates the decay envelope of j, only transform reads the
 whole-lattice record a transform output keeps, only transform does
-arithmetic on raw mpf tuples, and no module keeps hand-rolled module state.
+arithmetic on raw mpf tuples, no module keeps hand-rolled module state, and
+every memo is bounded.
 
 A private helper (leading underscore) belongs to the module that defines
 it; a second module that needs it should get a public entry point instead.
@@ -11,7 +12,8 @@ rule is written once.  Other modules reach a whole-lattice spectrum through
 transform.spectrum.  The plan matvec is the one place that calls
 mpmath.libmp on raw tuples; everything else works on mpf values.  Memos
 are functools.lru_cache functions, bounded and keyed on their inputs, so no
-module needs a global statement or a module-level container to fill.
+module needs a global statement or a module-level container to fill.  Each
+passes its bound as an explicit maxsize; functools.cache has none.
 """
 
 import ast
@@ -125,3 +127,37 @@ def test_no_hand_rolled_module_state():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
                  for hit in module_state(path)]
     assert offenders == []
+
+
+def memo_decorators(path):
+    """(lineno, problem or None) for each functools memo in the module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    called = {id(node.func): node for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in ("cache", "lru_cache"):
+                    yield node.lineno, f"imports functools.{alias.name} by name"
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            continue
+        if node.attr == "cache":
+            yield node.lineno, "uses functools.cache, which has no bound"
+        elif node.attr == "lru_cache":
+            call = called.get(id(node))
+            maxsize = [kw.value for kw in call.keywords
+                       if kw.arg == "maxsize"] if call else []
+            if not maxsize:
+                yield node.lineno, "lru_cache without an explicit maxsize"
+            elif isinstance(maxsize[0], ast.Constant) and maxsize[0].value is None:
+                yield node.lineno, "lru_cache with maxsize=None"
+            else:
+                yield node.lineno, None
+
+
+def test_every_memo_is_bounded():
+    found = [(path.name, line, problem) for path in sorted(PACKAGE.glob("*.py"))
+             for line, problem in memo_decorators(path)]
+    assert [f for f in found if f[2] is not None] == []
+    assert len(found) >= 5

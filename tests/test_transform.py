@@ -24,6 +24,7 @@ from qbft.core import (
     DomainError,
     GridFunction,
     InvalidParams,
+    PrecisionExhausted,
     PreconditionError,
     QGrid,
     QParams,
@@ -37,7 +38,6 @@ from qbft.bessel import j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 from qbft.transform import (
     MAX_PLAN_POINTS,
-    LpNorm,
     TransformPlan,
     _LatticeRecord,
     _embed,
@@ -401,6 +401,20 @@ class TestTripleKernel:
                 return triple_kernel(q ** k, q ** k, q ** k, params) * q ** (3 * k)
             assert abs(scaled(4100) - scaled(40)) < mpf("1e-50")
 
+    def test_row_longer_than_the_weight_memo_is_refused_up_front(self, params):
+        start = time.perf_counter()
+        with mp.workdps(40):
+            x = params.q ** 13000
+        with pytest.raises(WindowError, match="bound of 12000 points"):
+            triple_kernel(x, x, x, params)
+        assert time.perf_counter() - start < 1
+
+    def test_precision_beyond_the_top_rung_is_refused_up_front(self, params):
+        start = time.perf_counter()
+        with pytest.raises(PrecisionExhausted, match="top rung"):
+            triple_kernel(2 ** 30, 1, 1, params)
+        assert time.perf_counter() - start < 1
+
 
 class TestTranslate:
     def test_eigenfunction_picks_up_product_factor(self, params, plan):
@@ -538,21 +552,16 @@ class TestNorms:
                 rhs = abs(c) * norm(f, p, params)
                 assert abs(lhs - rhs) <= mpf("1e-60") * rhs
 
-    def test_exponent_below_one_rejected(self):
+    def test_exponent_below_one_rejected(self, params):
         with pytest.raises(InvalidParams):
-            LpNorm("0.5")
+            norm(GridFunction.zero(QGrid(0, 3)), "0.5", params)
 
     @pytest.mark.parametrize("p", ["nan", "+inf", float("inf"), mp.inf],
                              ids=["nan", "plus-inf", "float-inf", "mp-inf"])
-    def test_non_finite_exponent_rejected(self, p):
+    def test_non_finite_exponent_rejected(self, p, params):
         # "inf" selects the sup norm; any other infinity is not an exponent
         with pytest.raises(InvalidParams):
-            LpNorm(p)
-
-    def test_plain_measure_differs_from_weighted(self, params, members):
-        f = members["gauss_1"]
-        with mp.workdps(80):
-            assert norm(f, LpNorm(1, weighted=False), params) != norm(f, 1, params)
+            norm(GridFunction.zero(QGrid(0, 3)), p, params)
 
     def test_norm_preserved_by_transform(self, params, plan, members):
         f = members["gauss_1"]

@@ -193,6 +193,15 @@ class TestDqVariation:
         with pytest.raises(PreconditionError):
             dq_variation_check(window([1, 1, 1, 1]), params)
 
+    def test_vanishing_at_the_small_x_end_only(self, params):
+        # the sample at n_max, the smallest x, sits below the zero threshold
+        f = window([1, -1, 2, "1e-40"])
+        assert dq_variation_check(f, params)[0] == 2
+
+    def test_vanishing_at_the_large_x_end_only(self, params):
+        f = window(["-1e-40", 1, -1, 2])
+        assert dq_variation_check(f, params)[0] == 2
+
 
 class TestOmegaSeries:
     def test_two_zero_kernel_recovers_expanded_product(self, params, plan,
