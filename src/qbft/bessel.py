@@ -3,8 +3,10 @@
 The normalized oscillatory function j_nu drives the transform; the modified
 all-positive companion i_nu enters Wronskian-type identities; K_nu is the
 positive kernel obtained by transforming the Lorentz profile (1+t^2)^-1, and
-g_a its scaled family.  The Wronskian-like constant d_nu ties K and i
-together and must come out grid-independent.
+g_a its scaled family; like the triple kernel of generalized translation
+they are lattice sums over products of j columns, summed by _quadrature.
+The Wronskian-like constant d_nu ties K and i together and must come out
+grid-independent.
 
 j_nu evaluations near x = q^s with s very negative suffer catastrophic
 cancellation (the value sits at scale q^(s^2) while series terms reach scale
@@ -343,25 +345,6 @@ def quadrature_range(ks, est, l_lo, params):
 WEIGHT_TABLE_CAP = 12000
 """Most entries each weight memo (plain, Lorentz, the series' term ratios) keeps."""
 
-def check_quadrature_cost(s_lo, s_hi, dps, params):
-    """Refuse a per-point quadrature before its j row s_lo..s_hi is computed.
-
-    A working precision above j_nu's top rung (8 x digits) raises
-    PrecisionExhausted.  A row longer than WEIGHT_TABLE_CAP raises
-    WindowError: its weights would not fit in their memo, so every call
-    would evict its own entries and everyone else's.
-    """
-    top = 8 * params.precision_digits
-    if dps > top:
-        raise PrecisionExhausted(
-            f"quadrature over j(q^{s_lo})..j(q^{s_hi}) needs {dps} digits, "
-            f"beyond the top rung of {top}")
-    size = s_hi - s_lo + 1
-    if size > WEIGHT_TABLE_CAP:
-        raise WindowError(
-            f"quadrature row of {size} points exceeds the bound of "
-            f"{WEIGHT_TABLE_CAP} points")
-
 # Each memo below computes its entry at the caller's working precision,
 # which callers pass as prec, so an entry has the bits of a fresh evaluation.
 
@@ -396,6 +379,36 @@ def _lorentz_weights(params, a, lo, hi):
     q_str, nu_str, a_raw, prec = params.q_str, params.nu_str, a._mpf_, mp.prec
     return [_lorentz_weight(q_str, nu_str, a_raw, l, prec) for l in range(lo, hi + 1)]
 
+def _quadrature(ks, est, start, dps, weights, power, params):
+    """c^power (1-q) sum_l w(l) prod_(k in ks) j(q^(k+l)) at dps, over
+    quadrature_range(ks, est, start); weights(l_lo, l_hi) gives the w(l).
+
+    Before the j row is computed, a dps above j_nu's top rung (8 x digits)
+    raises PrecisionExhausted, and a row longer than WEIGHT_TABLE_CAP raises
+    WindowError: its weights would not fit in their memo.
+    """
+    l_lo, l_hi = quadrature_range(ks, est, start, params)
+    lo = min(ks) + l_lo
+    hi = max(ks) + l_hi
+    top = 8 * params.precision_digits
+    if dps > top:
+        raise PrecisionExhausted(
+            f"quadrature over j(q^{lo})..j(q^{hi}) needs {dps} digits, "
+            f"beyond the top rung of {top}")
+    if hi - lo + 1 > WEIGHT_TABLE_CAP:
+        raise WindowError(
+            f"quadrature row of {hi - lo + 1} points exceeds the bound of "
+            f"{WEIGHT_TABLE_CAP} points")
+    row = j_nu_lattice_row(lo, hi, params, dps)
+    with mp.workdps(dps):
+        c = constants(params, dps).c_q_nu
+        terms = weights(l_lo, l_hi)
+        for k in ks:
+            terms = [t * j for t, j in zip(terms, row[k + l_lo - lo:])]
+        # not c ** power: for power 1 that rounds c to dps before the product
+        scale = c if power == 1 else c * c
+        return +(scale * (1 - params.q) * mpmath.fsum(terms))
+
 def g_a_lattice(k, a, params):
     """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
 
@@ -417,14 +430,23 @@ def g_a_lattice(k, a, params):
     digits = params.precision_digits
     dps = int(digits + est + max_weight + 30)
     start = -k - math.ceil(math.sqrt((digits + est) / lq)) - 6 if k > 0 else -4
-    l_lo, l_hi = quadrature_range((k,), est, start, params)
-    check_quadrature_cost(k + l_lo, k + l_hi, dps, params)
-    with mp.workdps(dps):
-        q = params.q
-        c = constants(params, dps).c_q_nu
-        row = j_nu_lattice_row(k + l_lo, k + l_hi, params, dps)
-        weights = _lorentz_weights(params, parse_number(a, "a"), l_lo, l_hi)
-        return +(c * (1 - q) * mpmath.fsum(w * j for w, j in zip(weights, row)))
+    def weights(l_lo, l_hi):
+        return _lorentz_weights(params, parse_number(a, "a"), l_lo, l_hi)
+    return _quadrature((k,), est, start, dps, weights, 1, params)
+
+def triple_kernel(x, y, z, params):
+    """Symmetric positive-measure kernel coupling three lattice points.
+
+    D(x, y, z) = c^2 (1-q) sum_l q^(l(2nu+2)) j(x q^l) j(y q^l) j(z q^l).
+    Its weighted z-marginal integrates to exactly 1, which is what makes the
+    translation operator mass-preserving.  Arguments are lattice points.
+    """
+    ks = tuple(lattice_exponent(v, params, n) for v, n in zip((x, y, z), "xyz"))
+    est = envelope_scale(max(0, -min(ks)), params)
+    dps = int(params.precision_digits + 3 * est + 30)
+    # above l = -min(ks) every column is still oscillatory: the head cannot end there
+    return _quadrature(ks, est, min(-4, -min(ks)), dps,
+                       functools.partial(lattice_weights, params), 2, params)
 
 def g_a_floored(k, params):
     """True where the envelope certifies g_a below 10^-(digits+40); g_a(q^n)

@@ -21,8 +21,9 @@ from mpmath import mp, mpf, mpmathify
 
 from .core import (
     DECAY_RAPID, DECAY_UNKNOWN, DomainError, IntegrabilityError, InvalidParams,
-    NoWitness, WindowError, GridFunction, QGrid, constants, decimal_str,
-    lattice_exponent, qpochhammer_infinite, q_bessel_operator, parse_number,
+    NoWitness, PrecisionExhausted, WindowError, GridFunction, QGrid, constants,
+    decimal_str, lattice_exponent, qpochhammer_infinite, q_bessel_operator,
+    parse_number,
 )
 from .bessel import g_a_lattice, i_nu, lattice_weights
 from .transform import apply_multiplier, norm, transform_profile
@@ -276,7 +277,8 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
 
     Scans candidate scales a = q^m and checks that G/g_a is non-increasing
     over the `points` largest grid points of G's window; returns the largest
-    passing a with its ratio profile.  Raises NoWitness when no candidate
+    passing a with its ratio profile.  A candidate whose g_a is 0 or refused
+    at a scanned point is skipped.  Raises NoWitness when no candidate
     passes, which callers should treat as a diagnostic outcome.
     """
     if candidates is None:
@@ -286,7 +288,10 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
     kcache = {}
     def k_at(e):
         if e not in kcache:
-            kcache[e] = g_a_lattice(e, 1, params)
+            try:
+                kcache[e] = g_a_lattice(e, 1, params)
+            except (PrecisionExhausted, WindowError):
+                kcache[e] = 0  # a refused g_a is skipped like a zero one
         return kcache[e]
     best = None
     best_profile = None

@@ -26,10 +26,9 @@ from .core import (
     InvalidParams, PreconditionError, WindowError,
     GridFunction, QGrid, constants, lattice_exponent, parse_number,
 )
-from .bessel import (
-    check_quadrature_cost, envelope_scale, j_nu_lattice_row,
-    j_nu_lattice_row_floored, lattice_weights, quadrature_range,
-)
+from .bessel import j_nu_lattice_row_floored, lattice_weights
+# defined with the other per-point quadratures, kept as qbft.transform.triple_kernel
+from .bessel import triple_kernel
 
 
 MAX_PLAN_POINTS = 2000
@@ -257,34 +256,6 @@ def apply_multiplier(plan, f, multiplier):
     with mp.workdps(plan.dps):
         scaled = [v * multiplier(plan.lat_lo + i) for i, v in enumerate(spec.values)]
     return fourier(GridFunction(spec.grid, scaled, DECAY_RAPID), plan)
-
-
-def triple_kernel(x, y, z, params):
-    """Symmetric positive-measure kernel coupling three lattice points.
-
-    D(x, y, z) = c^2 (1-q) sum_l q^(l(2nu+2)) j(x q^l) j(y q^l) j(z q^l).
-    Its weighted z-marginal integrates to exactly 1, which is what makes the
-    translation operator mass-preserving.  Arguments are lattice points.
-    """
-    kx = lattice_exponent(x, params, "x")
-    ky = lattice_exponent(y, params, "y")
-    kz = lattice_exponent(z, params, "z")
-    kmin = min(kx, ky, kz)
-    est = envelope_scale(max(0, -kmin), params)
-    dps = int(params.precision_digits + 3 * est + 30)
-    # above l = -kmin every column is still oscillatory: the head cannot end there
-    l_lo, l_hi = quadrature_range((kx, ky, kz), est, min(-4, -kmin), params)
-    lo = kmin + l_lo
-    hi = max(kx, ky, kz) + l_hi
-    check_quadrature_cost(lo, hi, dps, params)
-    row = j_nu_lattice_row(lo, hi, params, dps)
-    with mp.workdps(dps):
-        q = params.q
-        c = constants(params, dps).c_q_nu
-        weights = lattice_weights(params, l_lo, l_hi)
-        terms = [w * row[kx + l - lo] * row[ky + l - lo] * row[kz + l - lo]
-                 for l, w in enumerate(weights, l_lo)]
-        return +(c * c * (1 - q) * mpmath.fsum(terms))
 
 
 def translate(f, x, plan):

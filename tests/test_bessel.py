@@ -10,10 +10,12 @@ context, never at import time.
 
 import functools
 import inspect
+import itertools
 import time
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpmathify
 
 from qbft import bessel
@@ -47,6 +49,7 @@ from qbft.bessel import (
     j_nu_lattice_row_floored,
     k_nu,
     quadrature_range,
+    triple_kernel,
 )
 from qbft.transform import build_plan, fourier
 
@@ -483,6 +486,58 @@ class TestQuadratureRange:
         with pytest.raises(WindowError, match="bound of 12000 points"):
             g_a_lattice(13000, 1, params)
         assert time.perf_counter() - start < 1
+
+
+# the parameter space the README promises, sampled at two decimals
+Q_STRS = st.decimals("0.1", "0.9", places=2).map(str)
+NU_STRS = st.decimals("-0.99", "2", places=2).map(str)
+EXPONENTS = st.integers(-12, 40)
+
+
+class TestPromisedParameterSpace:
+    """The per-point quadratures over q in [0.1, 0.9], nu in (-1, 2] and
+    lattice exponents k in [-12, 40]: each gives a value or a typed refusal,
+    and a refusal comes before the work it refuses."""
+
+    @staticmethod
+    def points(p, ks):
+        with mp.workdps(p.precision_digits + 20):
+            return [p.q ** k for k in ks]
+
+    @given(q=Q_STRS, nu=NU_STRS, k=EXPONENTS)
+    @settings(max_examples=12, deadline=None)
+    def test_k_nu_is_positive_or_refused_fast(self, q, nu, k):
+        p = QParams(q=q, nu=nu)
+        x, = self.points(p, (k,))
+        start = time.perf_counter()
+        try:
+            value = k_nu(x, p)
+        except (WindowError, PrecisionExhausted):
+            assert time.perf_counter() - start < 2
+        else:
+            assert value > 0
+
+    @given(q=Q_STRS, nu=NU_STRS, ks=st.tuples(EXPONENTS, EXPONENTS, EXPONENTS))
+    @settings(max_examples=12, deadline=None)
+    def test_triple_kernel_is_symmetric(self, q, nu, ks):
+        p = QParams(q=q, nu=nu)
+        def outcome(xs):
+            try:
+                return triple_kernel(*xs, p)
+            except (WindowError, PrecisionExhausted) as refusal:
+                return type(refusal)
+        outs = [outcome(xs) for xs in itertools.permutations(self.points(p, ks))]
+        refusals = [o for o in outs if isinstance(o, type)]
+        if refusals:
+            assert refusals == outs[:1] * 6
+            return
+        # D is homogeneous of degree -(2nu+2), and its terms sit at the scale
+        # of the weight at l = -min(ks); where D is far below that scale it is
+        # a cancellation of such terms, and agrees across orders on it only
+        with mp.workdps(p.precision_digits + 20):
+            scale = max(abs(outs[0]), p.q ** (-min(ks) * (2 * p.nu + 2)))
+            tol = mpf(10) ** -p.precision_digits * scale
+            assert all(abs(v - outs[0]) <= tol for v in outs)
 
 
 class TestWeightTable:

@@ -7,13 +7,16 @@ every memo is bounded.
 A private helper (leading underscore) belongs to the module that defines
 it; a second module that needs it should get a public entry point instead.
 Truncation decisions built on the envelope go through bessel's quadrature
-rules (quadrature_range, g_a_floored, j_nu_lattice_row_floored), so the
-rule is written once.  Other modules reach a whole-lattice spectrum through
-transform.spectrum.  The plan matvec is the one place that calls
-mpmath.libmp on raw tuples; everything else works on mpf values.  Memos
-are functools.lru_cache functions, bounded and keyed on their inputs, so no
-module needs a global statement or a module-level container to fill.  Each
-passes its bound as an explicit maxsize; functools.cache has none.
+rules, so each rule is written once: the per-point quadratures (g_a_lattice,
+triple_kernel) size and sum their range in bessel, and other modules call
+them, g_a_floored or j_nu_lattice_row_floored.  No module but bessel names
+decay_bound_log10, envelope_scale or quadrature_range.  Other modules reach
+a whole-lattice spectrum through transform.spectrum.  The plan matvec is the
+one place that calls mpmath.libmp on raw tuples; everything else works on
+mpf values.  Memos are functools.lru_cache functions, bounded and keyed on
+their inputs, so no module needs a global statement or a module-level
+container to fill.  Each passes its bound as an explicit maxsize;
+functools.cache has none.
 """
 
 import ast
@@ -42,6 +45,9 @@ def test_no_module_imports_private_names():
     assert offenders == []
 
 
+ENVELOPE_NAMES = ("decay_bound_log10", "envelope_scale", "quadrature_range")
+
+
 def envelope_references(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
@@ -53,7 +59,7 @@ def envelope_references(path):
             name = node.name
         else:
             continue
-        if name == "decay_bound_log10":
+        if name in ENVELOPE_NAMES:
             yield f"{path.name}:{getattr(node, 'lineno', '?')} uses {name}"
 
 

@@ -362,6 +362,13 @@ class TestOrderDiagnostic:
         a_est, _ = order_diagnostic(ga_grid("2", params), params)
         assert a_est == 2
 
+    def test_refused_candidate_is_skipped(self, params):
+        # a = q^-8 needs g_a at k = -34, beyond the top rung; the scan skips
+        # it as it skips a candidate whose g_a is 0
+        G = ga_grid("2", params, QGrid(-26, -6))
+        a_est, _ = order_diagnostic(G, params)
+        assert a_est == 2
+
     def test_gauss_kernel_admits_a_witness(self, params):
         h = gauss_kernel_grid("1", params, REFERENCE_GRID)
         a_est, profile = order_diagnostic(h, params)
