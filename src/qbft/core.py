@@ -16,9 +16,10 @@ rounded to the scope that produced them.
 import functools
 import json
 import math
+from array import array
 
 import mpmath
-from mpmath import mp, mpc, mpf, mpmathify
+from mpmath import mp, mpf, mpmathify
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +221,89 @@ class QGrid:
         return f"QGrid({self.n_min}, {self.n_max})"
 
 
-def _finite_real(v):
-    return not isinstance(v, (mpc, complex)) and mp.isfinite(v)
+def _man_exp(v):
+    """(signed mantissa, exponent) of a finite real sample, exactly, or None.
+
+    Integers keep every digit and floats their 53 bits; other real types are
+    converted at the active precision, as arithmetic with them would be.
+    """
+    if isinstance(v, int):
+        return int(v), 0
+    if isinstance(v, float):
+        v = mpf(v, prec=53)
+    elif not isinstance(v, mpf):
+        try:
+            v = mpmathify(v)
+        except (TypeError, ValueError):
+            return None
+        if not isinstance(v, mpf):
+            return None
+    man, exp = v.man_exp
+    if not man and exp:
+        return None
+    return (-man if v < 0 else man), exp
+
+
+class PackedSamples:
+    """Finite real samples on a QGrid, packed without losing a bit.
+
+    Sample i is the signed mantissa held as the i-th little-endian integer
+    of `width` bytes in one blob, times 2 ** exps[i].  At a plan's 75 digits
+    that is about 40 bytes a sample, against about 230 for an mpf.  The
+    store is immutable; .values unpacks it to a new list of mpf, each
+    rebuilt at 8 * width bits, so exactly.
+    """
+
+    __slots__ = ("grid", "_width", "_mants", "_exps")
+
+    def __init__(self, grid, values):
+        pairs = [_man_exp(v) for v in values]
+        if len(pairs) != len(grid):
+            raise InvalidParams(
+                f"value count {len(pairs)} does not match window size {len(grid)}")
+        if None in pairs:
+            raise InvalidParams("grid function samples must be finite real numbers")
+        width = max(abs(man).bit_length() for man, _ in pairs) // 8 + 1
+        try:
+            exps = array("q", (exp for _, exp in pairs))
+        except OverflowError:
+            raise InvalidParams("grid function sample exponent out of range")
+        self.grid = grid
+        self._width = width
+        self._mants = b"".join(man.to_bytes(width, "little", signed=True)
+                               for man, _ in pairs)
+        self._exps = exps
+
+    def __len__(self):
+        return len(self._exps)
+
+    def _man(self, i):
+        width = self._width
+        return int.from_bytes(self._mants[i * width:(i + 1) * width], "little",
+                              signed=True)
+
+    @property
+    def values(self):
+        """The samples as a new list of mpf."""
+        man = self._man
+        with mp.workprec(8 * self._width):
+            return [mpf((man(i), exp)) for i, exp in enumerate(self._exps)]
+
+    def value_at(self, n):
+        """Sample at exponent n, decoded alone."""
+        i = self.grid.index(n)
+        return mpf((self._man(i), self._exps[i]), prec=8 * self._width)
+
+    def window(self, grid):
+        """The samples on a sub-window, still packed."""
+        lo = self.grid.index(grid.n_min)
+        hi = self.grid.index(grid.n_max) + 1
+        out = PackedSamples.__new__(PackedSamples)
+        out.grid = grid
+        out._width = self._width
+        out._mants = self._mants[lo * self._width:hi * self._width]
+        out._exps = self._exps[lo:hi]
+        return out
 
 
 class GridFunction:
@@ -232,36 +314,51 @@ class GridFunction:
     integrals and transforms accept the function.
 
     Samples must be finite and real: complex values raise InvalidParams.
+    They are kept packed (see PackedSamples) in .samples, so reading .values
+    decodes a new list of mpf: read it once per call, not per sample.
+    Assigning .values validates and repacks.
 
     lattice is None unless the function came out of fourier, apply_multiplier
-    or convolve: that record of (plan params, samples on the plan's whole
-    internal lattice) is transform's own, read back when the same plan
+    or convolve: that record of (plan params, PackedSamples on the plan's
+    whole internal lattice) is transform's own, read back when the same plan
     transforms it again; transform.spectrum is the public way to reach it.
-    Its samples are packed (one bytes blob of fixed-width signed mantissas
-    and an array of exponents) and keep every bit; their .grid is the
-    lattice's QGrid and .values unpacks them to a new list of mpf.
     """
 
     def __init__(self, grid, values, decay_class=DECAY_UNKNOWN):
         if decay_class not in DECAY_CLASSES:
             raise InvalidParams(f"unknown decay class {decay_class!r}")
-        values = list(values)
-        if len(values) != len(grid):
-            raise InvalidParams(
-                f"value count {len(values)} does not match window size {len(grid)}")
-        if not all(map(_finite_real, values)):
-            raise InvalidParams("grid function samples must be finite real numbers")
         self.grid = grid
-        self.values = values
+        self.samples = PackedSamples(grid, values)
         self.decay_class = decay_class
         self.lattice = None
 
+    @classmethod
+    def packed(cls, samples, decay_class):
+        """Wrap an existing PackedSamples store without repacking it."""
+        if decay_class not in DECAY_CLASSES:
+            raise InvalidParams(f"unknown decay class {decay_class!r}")
+        f = cls.__new__(cls)
+        f.grid = samples.grid
+        f.samples = samples
+        f.decay_class = decay_class
+        f.lattice = None
+        return f
+
+    @property
+    def values(self):
+        """The samples as a new list of mpf."""
+        return self.samples.values
+
+    @values.setter
+    def values(self, values):
+        self.samples = PackedSamples(self.grid, values)
+
     def value_at(self, n):
         """Sample at exponent n, i.e. at the point x = q^n."""
-        return self.values[self.grid.index(n)]
+        return self.samples.value_at(n)
 
     def __len__(self):
-        return len(self.values)
+        return len(self.grid)
 
     @classmethod
     def from_callable(cls, grid, fn, decay_class=DECAY_UNKNOWN):
@@ -426,7 +523,8 @@ def jackson_integral_finite(f, a, params, with_tail=False):
         if count < 8:
             raise WindowError(
                 f"only {count} summands available above exponent {m}; need >= 8")
-        terms = [q ** (n - m) * f.value_at(n) for n in range(lo, f.grid.n_max + 1)]
+        terms = [q ** (n - m) * v for n, v in zip(range(lo, f.grid.n_max + 1),
+                                                  f.values[lo - f.grid.n_min:])]
         value = (1 - q) * av * mpmath.fsum(terms)
         tail = abs((1 - q) * av * terms[-1]) * q / (1 - q)
         value = +value
@@ -448,7 +546,7 @@ def jackson_integral_infinite(f, params, with_tail=False):
             f"got {f.decay_class!r}")
     with params.working(10):
         q = params.q
-        summands = [q ** n * f.value_at(n) for n in f.grid.exponents()]
+        summands = [q ** n * v for n, v in zip(f.grid.exponents(), f.values)]
         head = [abs(s) for s in summands[:6]]
         if len(head) >= 3 and all(head[i] > head[i + 1] * (1 + mpf("1e-10"))
                                   for i in range(len(head) - 1)) and head[0] > 0:
@@ -476,9 +574,10 @@ def q_derivative(f, params):
         raise WindowError("q-derivative needs at least two grid points")
     with params.working(10):
         q = params.q
+        vals = f.values
         out = []
-        for n in range(f.grid.n_min, f.grid.n_max):
-            out.append(+((f.value_at(n) - f.value_at(n + 1)) / ((1 - q) * q ** n)))
+        for i, n in enumerate(range(f.grid.n_min, f.grid.n_max)):
+            out.append(+((vals[i] - vals[i + 1]) / ((1 - q) * q ** n)))
     return GridFunction(QGrid(f.grid.n_min, f.grid.n_max - 1), out, DECAY_UNKNOWN)
 
 def lambda_shift(f, k):
@@ -507,10 +606,10 @@ def q_bessel_operator(f, params):
         q = params.q
         nu = params.nu
         co = 1 + q ** (2 * nu)
+        vals = f.values
         out = []
-        for n in range(f.grid.n_min + 1, f.grid.n_max):
-            val = (f.value_at(n - 1) - co * f.value_at(n)
-                   + q ** (2 * nu) * f.value_at(n + 1))
+        for i, n in enumerate(range(f.grid.n_min + 1, f.grid.n_max), 1):
+            val = (vals[i - 1] - co * vals[i] + q ** (2 * nu) * vals[i + 1])
             out.append(+(q ** (-2 * n) * val))
     return GridFunction(QGrid(f.grid.n_min + 1, f.grid.n_max - 1), out, DECAY_UNKNOWN)
 

@@ -144,12 +144,13 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
         q = params.q
         c = constants(params, plan.dps).c_q_nu
         grid = kernel.grid
+        kernel_values = kernel.values
         mass = c * (1 - q) * mpmath.fsum(
             w * v for w, v in zip(lattice_weights(params, grid.n_min, grid.n_max),
-                                  kernel.values))
+                                  kernel_values))
         mass = +mass
         mass_defect = +abs(mass - 1)
-        min_value = +min(kernel.values)
+        min_value = +min(kernel_values)
     chain_rows = []
     chain_ok = None
     if chain and len(spec.zeros_str) >= 2:
@@ -164,8 +165,9 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
             with mp.workdps(plan.dps):
                 worst = None
                 worst_at = None
-                for n in kernel.grid.exponents():
-                    gap = +(kernel.value_at(n) - sub_kernel.value_at(n))
+                for n, v, w in zip(grid.exponents(), kernel_values,
+                                   sub_kernel.values):
+                    gap = +(v - w)
                     if worst is None or gap < worst:
                         worst = gap
                         worst_at = n
@@ -260,13 +262,15 @@ def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
     ov_hi = min(f.grid.n_max, plan.out_grid.n_max)
     if ov_lo > ov_hi:
         raise WindowError("input and output windows do not overlap")
+    f_ov = f.values[ov_lo - f.grid.n_min:ov_hi - f.grid.n_min + 1]
+    lo = ov_lo - plan.out_grid.n_min
     for n in ns:
         row = _gauss_multiplier_row(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
         conv = apply_multiplier(plan, f, lambda l, row=row: row[l - plan.lat_lo])
         with mp.workdps(plan.dps):
             diff = GridFunction(
                 QGrid(ov_lo, ov_hi),
-                [f.value_at(k) - conv.value_at(k) for k in range(ov_lo, ov_hi + 1)],
+                [a - b for a, b in zip(f_ov, conv.values[lo:])],
                 DECAY_RAPID)
         results.append((n, norm(diff, 1, params)))
     return results

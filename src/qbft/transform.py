@@ -15,11 +15,10 @@ zero-embedded into it and outputs projected back.
 """
 
 import math
-from array import array
 
 import mpmath
-from mpmath import mp, mpc, mpf, mpmathify
-from mpmath.libmp import MPZ, fzero, mpf_mul, mpf_sum, round_nearest
+from mpmath import mp, mpc, mpmathify
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
@@ -49,7 +48,10 @@ def plan_window(params, io_lo, io_hi):
 
 class TransformPlan:
     """Transform matrix over an extended internal lattice, kept as its factors:
-    entry (k, n) is weights[n - lat_lo] * jrow[k + n - 2 lat_lo] at dps."""
+    entry (k, n) is weights[n - lat_lo] * jrow[k + n - 2 lat_lo] at dps.
+
+    The matvec reads the j row as signed integer mantissas and exponents,
+    unpacked once here: jrow[m] is _jman[m] * 2 ** _jexp[m]."""
 
     def __init__(self, params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps):
         self.params = params
@@ -59,7 +61,9 @@ class TransformPlan:
         self.lat_hi = lat_hi
         self.jrow = jrow
         self.dps = dps
-        self._jraw = tuple(v._mpf_ for v in jrow)
+        raws = [v._mpf_ for v in jrow]
+        self._jman = tuple(-man if sign else man for sign, man, _, _ in raws)
+        self._jexp = tuple(exp for _, _, exp, _ in raws)
         with mp.workdps(dps):
             c1q = constants(params, dps).c_q_nu * (1 - params.q)
             self.weights = tuple(c1q * w
@@ -114,48 +118,6 @@ def _require_on_lattice(plan, f):
             f"function window [{f.grid.n_min}, {f.grid.n_max}] exceeds the "
             f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
 
-class _LatticeRecord:
-    """Whole-lattice samples of a transform output, packed without losing a bit.
-
-    Sample i is the mpf (sign, man, exp, bc) whose signed mantissa is the
-    i-th little-endian integer of `width` bytes in one blob and whose
-    exponent is exps[i]; bc is the mantissa's bit length.  At a plan's 75
-    digits that is about 40 bytes a point, against about 240 for an mpf.
-    Only finite real samples can be packed.
-    """
-
-    __slots__ = ("grid", "_width", "_mants", "_exps")
-
-    def __init__(self, grid, values):
-        raws = [v._mpf_ if type(v) is mpf else None for v in values]
-        if any(r is None or (not r[1] and r != fzero) for r in raws):
-            raise InvalidParams("a lattice record holds finite real samples only")
-        width = max(bc for _, _, _, bc in raws) // 8 + 1
-        self.grid = grid
-        self._width = width
-        self._mants = b"".join(
-            (-man if sign else man).to_bytes(width, "little", signed=True)
-            for sign, man, _, _ in raws)
-        self._exps = array("q", (exp for _, _, exp, _ in raws))
-
-    @property
-    def values(self):
-        """The samples as a new list of mpf."""
-        width = self._width
-        mants = self._mants
-        make = mp.make_mpf
-        out = []
-        for i, exp in enumerate(self._exps):
-            man = int.from_bytes(mants[i * width:(i + 1) * width], "little",
-                                 signed=True)
-            if man < 0:
-                out.append(make((1, MPZ(-man), exp, (-man).bit_length())))
-            elif man:
-                out.append(make((0, MPZ(man), exp, man.bit_length())))
-            else:
-                out.append(make(fzero))
-        return out
-
 def _embed(plan, f):
     """Lift window samples onto the plan's internal lattice.
 
@@ -181,10 +143,16 @@ def _embed(plan, f):
 def _matvec(plan, vec, rows=None):
     """Plan matrix times lattice samples vec, on the given rows (default all).
 
-    Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec: exact
-    products, summed in index order and rounded once.  It runs on the raw
-    mpf tuples and skips the zeros of u, which mpf_sum ignores anyway.
-    Complex samples raise InvalidParams before any product is formed.
+    Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec, bit for
+    bit: exact products, summed in index order and rounded once.  The loop is
+    mpf_sum's own, fused with the products so no mpf is built per term: each
+    product jman * uman at exponent jexp + uexp goes into one integer
+    accumulator (a long accumulator in Kulisch's sense), under mpf_sum's two
+    rules for dropping a term or a partial sum that lies more than 2 * prec
+    bits below the other.  Each row is rounded once, to the plan's precision.
+    Zeros of u and of the j row are skipped, as mpf_sum skips them.  Complex
+    samples, and u entries that are not finite, raise InvalidParams before
+    any product is formed.
     """
     if any(isinstance(v, (mpc, complex)) for v in vec):
         raise InvalidParams("the transform takes real samples only")
@@ -192,12 +160,45 @@ def _matvec(plan, vec, rows=None):
     with mp.workdps(plan.dps):
         u = [w * v for w, v in zip(plan.weights, vec)]
         prec = mp.prec
-    terms = [(i, x._mpf_) for i, x in enumerate(u) if x]
-    jraw = plan._jraw
+    terms = []
+    for i, x in enumerate(u):
+        sign, man, exp, _ = x._mpf_
+        if man:
+            terms.append((i, -man if sign else man, exp))
+        elif exp:
+            raise InvalidParams("the transform takes finite samples only")
+    jman = plan._jman
+    jexp = plan._jexp
+    limit = 2 * prec
     make = mp.make_mpf
-    return [make(mpf_sum([mpf_mul(jraw[r + i], x) for i, x in terms],
-                         prec, round_nearest))
-            for r in rows]
+    out = []
+    for r in rows:
+        man = 0
+        exp = 0
+        for i, um, ue in terms:
+            m = r + i
+            xman = jman[m] * um
+            if not xman:
+                continue
+            xexp = jexp[m] + ue
+            if xexp >= exp:
+                delta = xexp - exp
+                if delta > limit and (not man or delta - man.bit_length() > limit):
+                    man = xman
+                    exp = xexp
+                else:
+                    man += xman << delta
+            else:
+                delta = exp - xexp
+                if delta > limit and delta - xman.bit_length() > limit:
+                    if not man:
+                        man = xman
+                        exp = xexp
+                else:
+                    man = (man << delta) + xman
+                    exp = xexp
+        out.append(make(from_man_exp(man, exp, prec, round_nearest)))
+    return out
 
 def _project(plan, vec):
     lo = plan.out_grid.n_min - plan.lat_lo
@@ -222,13 +223,13 @@ def fourier(f, plan):
     The output is a finite combination of j columns, each of which decays
     like q^(k^2) on the large-x side, so the result is tagged rapid.  It
     also keeps its own off-window lattice samples in its `lattice` field,
-    packed bit-exactly, so composing fourier() with itself through the same
-    plan inverts sharp-edged inputs at full accuracy instead of being limited
-    by the window view.
+    which is the spectrum's own packed store, so composing fourier() with
+    itself through the same plan inverts sharp-edged inputs at full accuracy
+    instead of being limited by the window view.
     """
     spec = spectrum(f, plan)
-    out = _project(plan, spec.values)
-    out.lattice = (plan.params, _LatticeRecord(spec.grid, spec.values))
+    out = GridFunction.packed(spec.samples.window(plan.out_grid), DECAY_RAPID)
+    out.lattice = (plan.params, spec.samples)
     return out
 
 def transform_profile(plan, profile):
@@ -278,7 +279,8 @@ def convolve(f, g, plan):
     """q-convolution F(f * g) = F f . F g: apply_multiplier by g's spectrum."""
     # both decay gates run before either window is checked
     _require_transformable(f)
-    return apply_multiplier(plan, f, spectrum(g, plan).value_at)
+    g_hat = spectrum(g, plan).values
+    return apply_multiplier(plan, f, lambda l: g_hat[l - plan.lat_lo])
 
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.
@@ -292,11 +294,13 @@ def convolve_direct(f, g, plan):
     _require_transformable(g)
     _require_on_lattice(plan, g)
     fh = _matvec(plan, _embed(plan, f))
-    sup = [n - plan.lat_lo for n in g.grid.exponents() if g.value_at(n) != 0]
-    if not sup:
+    nonzero = [(n - plan.lat_lo, v)
+               for n, v in zip(g.grid.exponents(), g.values) if v != 0]
+    if not nonzero:
         return GridFunction.zero(plan.out_grid)
+    sup = [i for i, _ in nonzero]
     with mp.workdps(plan.dps):
-        gw = [plan.weights[i] * g.value_at(plan.lat_lo + i) for i in sup]
+        gw = [plan.weights[i] * v for i, v in nonzero]
         out = []
         for k in plan.out_grid.exponents():
             col = plan.jrow[k - plan.lat_lo:]

@@ -47,16 +47,16 @@ def sign_changes(f, zero_tol=None):
     """
     tol = parse_number(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL,
                        "zero_tol")
+    vals = f.values
     with mp.workdps(30):
-        mx = max((abs(v) for v in f.values), default=mp.zero)
+        mx = max((abs(v) for v in vals), default=mp.zero)
         if mx == 0:
             return SignPattern([], [], 0)
         cut = tol * mx
         exps = []
         signs = []
         # increasing x means decreasing exponent
-        for n in range(f.grid.n_max, f.grid.n_min - 1, -1):
-            v = f.value_at(n)
+        for n, v in zip(reversed(f.grid.exponents()), reversed(vals)):
             if abs(v) > cut:
                 exps.append(n)
                 signs.append(1 if v > 0 else -1)
@@ -81,13 +81,13 @@ def vd_check(kernel, functions, plan, zero_tol=None, names=None):
     if names is not None and len(names) != len(functions):
         raise InvalidParams(
             f"{len(names)} names given for {len(functions)} functions")
-    kernel_hat = spectrum(kernel, plan).value_at
+    kernel_hat = spectrum(kernel, plan).values
     rows = []
     passed = True
     for i, f in enumerate(functions):
         name = names[i] if names else f"f{i}"
         v_in = sign_changes(f, zero_tol).changes
-        conv = apply_multiplier(plan, f, kernel_hat)
+        conv = apply_multiplier(plan, f, lambda l: kernel_hat[l - plan.lat_lo])
         v_out = sign_changes(conv, zero_tol).changes
         ok = v_out <= v_in
         passed = passed and ok

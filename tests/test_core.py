@@ -109,6 +109,26 @@ class TestGridFunction:
         z = GridFunction.zero(QGrid(-1, 1))
         assert all(v == 0 for v in z.values)
 
+    def test_samples_are_kept_exactly(self):
+        wide = 10 ** 120 + 7
+        with mp.workdps(200):
+            fine = mp.pi * mpf(2) ** -3000
+        f = GridFunction(QGrid(0, 3), [wide, 0.1, fine, -mpf(3)])
+        assert f.value_at(0) == wide and f.value_at(1) == mpf(0.1)
+        assert [v._mpf_ for v in f.values[2:]] == [fine._mpf_, (-mpf(3))._mpf_]
+
+    def test_values_read_a_copy_and_assign_a_repack(self):
+        f = GridFunction(QGrid(0, 2), [mpf(1), mpf(2), mpf(3)])
+        f.values[0] = mpf(9)
+        assert f.value_at(0) == 1
+        f.values = [mpf(4), mpf(5), mpf(6)]
+        assert f.values == [4, 5, 6] and f.value_at(2) == 6
+        with pytest.raises(InvalidParams, match="finite"):
+            f.values = [mpf(4), mp.inf, mpf(6)]
+        with pytest.raises(InvalidParams):
+            f.values = [mpf(4)]
+        assert f.values == [4, 5, 6]
+
     @pytest.mark.parametrize("bad", [mp.nan, mp.inf, -mp.inf, float("nan"),
                                      float("inf")],
                              ids=["nan", "inf", "-inf", "float-nan", "float-inf"])

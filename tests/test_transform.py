@@ -24,6 +24,7 @@ from qbft.core import (
     DomainError,
     GridFunction,
     InvalidParams,
+    PackedSamples,
     PrecisionExhausted,
     PreconditionError,
     QGrid,
@@ -39,7 +40,6 @@ from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 from qbft.transform import (
     MAX_PLAN_POINTS,
     TransformPlan,
-    _LatticeRecord,
     _embed,
     _matvec,
     apply_multiplier,
@@ -251,7 +251,7 @@ class TestLatticeRecord:
                                   min_value=-2 ** bits, max_value=2 ** bits)),
                               st.integers(min_value=-1500, max_value=1500)),
                           min_size=size, max_size=size))]
-        rec = _LatticeRecord(QGrid(3, 2 + size), values)
+        rec = PackedSamples(QGrid(3, 2 + size), values)
         assert rec.grid == QGrid(3, 2 + size)
         assert [v._mpf_ for v in rec.values] == [v._mpf_ for v in values]
 
@@ -259,7 +259,7 @@ class TestLatticeRecord:
                              ids=["complex", "inf", "nan"])
     def test_refuses_what_it_cannot_keep(self, bad):
         with pytest.raises(InvalidParams):
-            _LatticeRecord(QGrid(0, 2), [mp.one, bad, mp.zero])
+            PackedSamples(QGrid(0, 2), [mp.one, bad, mp.zero])
 
     def test_fourier_record_is_packed(self, plan, members):
         out = fourier(members["step_two_flips"], plan)
@@ -272,6 +272,31 @@ class TestLatticeRecord:
         assert not any(isinstance(x, mpf) for x in parts)
         nbytes = sys.getsizeof(rec) + sum(sys.getsizeof(x) for x in parts)
         assert nbytes <= 50 * plan.size()
+
+    def test_fourier_output_holds_no_mpf(self, plan, members):
+        out = fourier(members["alternating_burst"], plan)
+        # everything the output owns: its window samples and its lattice
+        # record; classes, the plan's params and interned names are shared
+        owned = []
+        seen = {id(plan.params)}
+        stack = [out]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, str)):
+                continue
+            seen.add(id(obj))
+            owned.append(obj)
+            stack.extend(gc.get_referents(obj))
+        assert not any(isinstance(x, mpf) for x in owned)
+        samples = len(out) + len(out.lattice[1])
+        assert sum(map(sys.getsizeof, owned)) <= 50 * samples
+        # reading .values decodes and assigning it repacks, bit for bit
+        spec = spectrum(members["alternating_burst"], plan).values
+        lo = plan.out_grid.n_min - plan.lat_lo
+        window = [v._mpf_ for v in out.values]
+        assert window == [v._mpf_ for v in spec[lo:lo + len(out)]]
+        out.values = out.values
+        assert [v._mpf_ for v in out.values] == window
 
 
 # exact zeros, plain ints and mpf values whose exponents spread far wider
@@ -331,6 +356,35 @@ class TestMatvec:
     def test_complex_profile_is_refused(self, plan):
         with pytest.raises(InvalidParams):
             transform_profile(plan, lambda l: mpmath.mpc(1, 1))
+
+    @pytest.mark.parametrize("bad", [mp.inf, mp.nan], ids=["inf", "nan"])
+    def test_non_finite_profile_is_refused(self, plan, bad):
+        with pytest.raises(InvalidParams, match="finite"):
+            transform_profile(plan, lambda l: bad if l == plan.lat_lo + 3 else mp.one)
+
+    def test_drop_rules_match_fdot_bit_for_bit(self, params):
+        # mpf_sum drops a partial sum that lies more than 2 * prec bits below
+        # the next term, and a term that lies more than 2 * prec bits below
+        # the running sum.  Here the dropped value is a 1 that the last term
+        # would have uncovered by cancelling the big one, so a row is 1 if
+        # the 1 was kept and 0 if it was dropped.
+        plan = TransformPlan(params, QGrid(0, 2), QGrid(0, 2), 0, 2,
+                             (mp.one,) * 5, 20)
+        plan.weights = (mp.one,) * 3
+        with mp.workdps(plan.dps):
+            limit = 2 * mp.prec
+        outcomes = set()
+        for gap in range(limit - 2, limit + 4):
+            big = mpmath.ldexp(mp.one, gap)
+            for name, vec in (("sum below term", [1, big, -big]),
+                              ("term below sum", [big, 1, -big])):
+                want = self.fdot_rows(plan, vec, [0])
+                got = _matvec(plan, vec, [0])
+                assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (name, gap)
+                outcomes.add((name, int(got[0])))
+        # each rule both kept and dropped the 1 within the sweep
+        assert outcomes == {(name, kept) for name in ("sum below term", "term below sum")
+                            for kept in (0, 1)}
 
     def test_reference_plan_equals_fdot(self, params, plan, members):
         vec = _embed(plan, members["alternating_burst"])
