@@ -383,6 +383,9 @@ def _quadrature(ks, est, start, dps, weights, power, params):
     """c^power (1-q) sum_l w(l) prod_(k in ks) j(q^(k+l)) at dps, over
     quadrature_range(ks, est, start); weights(l_lo, l_hi) gives the w(l).
 
+    Every column but the last is multiplied in, rounded to dps; the last
+    enters one exact dot product, so the sum is rounded once.
+
     Before the j row is computed, a dps above j_nu's top rung (8 x digits)
     raises PrecisionExhausted, and a row longer than WEIGHT_TABLE_CAP raises
     WindowError: its weights would not fit in their memo.
@@ -403,11 +406,12 @@ def _quadrature(ks, est, start, dps, weights, power, params):
     with mp.workdps(dps):
         c = constants(params, dps).c_q_nu
         terms = weights(l_lo, l_hi)
-        for k in ks:
+        for k in ks[:-1]:
             terms = [t * j for t, j in zip(terms, row[k + l_lo - lo:])]
+        total = mpmath.fdot(terms, row[ks[-1] + l_lo - lo:])
         # not c ** power: for power 1 that rounds c to dps before the product
         scale = c if power == 1 else c * c
-        return +(scale * (1 - params.q) * mpmath.fsum(terms))
+        return +(scale * (1 - params.q) * total)
 
 def g_a_lattice(k, a, params):
     """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
@@ -440,6 +444,10 @@ def triple_kernel(x, y, z, params):
     D(x, y, z) = c^2 (1-q) sum_l q^(l(2nu+2)) j(x q^l) j(y q^l) j(z q^l).
     Its weighted z-marginal integrates to exactly 1, which is what makes the
     translation operator mass-preserving.  Arguments are lattice points.
+
+    D is certified on the absolute scale q^(-min(ks)(2nu+2)) of its terms,
+    not relative to D: where D is a deep cancellation of such terms it has
+    no relative accuracy, and may even come out with the wrong sign.
     """
     ks = tuple(lattice_exponent(v, params, n) for v, n in zip((x, y, z), "xyz"))
     est = envelope_scale(max(0, -min(ks)), params)

@@ -26,7 +26,7 @@ from .core import (
     parse_number,
 )
 from .bessel import g_a_lattice, i_nu, lattice_weights
-from .transform import apply_multiplier, norm, transform_profile
+from .transform import multiply_spectrum, norm, spectrum, transform_profile
 
 
 class KernelSpec:
@@ -253,7 +253,8 @@ def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
     """Distances ||f - f * h_(q^n)||_1 for shrinking Gauss widths q^n.
 
     The convolutions go through the spectral multiplier e(-q^(2n) t^2; q^2)
-    of the Gauss kernel, one telescoped row per n (_gauss_multiplier_row).
+    of the Gauss kernel, one telescoped row per n (_gauss_multiplier_row),
+    applied to f's spectrum, which is computed once for all widths.
     For an approximate identity the distances must shrink as n grows.
     """
     params = plan.params
@@ -264,9 +265,10 @@ def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
         raise WindowError("input and output windows do not overlap")
     f_ov = f.values[ov_lo - f.grid.n_min:ov_hi - f.grid.n_min + 1]
     lo = ov_lo - plan.out_grid.n_min
+    spec = spectrum(f, plan)
     for n in ns:
         row = _gauss_multiplier_row(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
-        conv = apply_multiplier(plan, f, lambda l, row=row: row[l - plan.lat_lo])
+        conv = multiply_spectrum(plan, spec, lambda l, row=row: row[l - plan.lat_lo])
         with mp.workdps(plan.dps):
             diff = GridFunction(
                 QGrid(ov_lo, ov_hi),

@@ -253,7 +253,11 @@ def apply_multiplier(plan, f, multiplier):
     letting them run at ambient precision corrupts results far above the
     precision floor.
     """
-    spec = spectrum(f, plan)
+    return multiply_spectrum(plan, spectrum(f, plan), multiplier)
+
+def multiply_spectrum(plan, spec, multiplier):
+    """apply_multiplier given f's spectrum (as spectrum() returns it), so
+    several multipliers can share one forward transform."""
     with mp.workdps(plan.dps):
         scaled = [v * multiplier(plan.lat_lo + i) for i, v in enumerate(spec.values)]
     return fourier(GridFunction(spec.grid, scaled, DECAY_RAPID), plan)
@@ -285,9 +289,11 @@ def convolve(f, g, plan):
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.
 
-    f * g(x) = c integral of T_x f(y) g(y) y^(2nu+1) d_q y.  The translation
-    values come from per-point spectral synthesis restricted to g's support,
-    so no step of this path shares code with convolve()'s product-of-spectra
+    f * g(x) = c integral of T_x f(y) g(y) y^(2nu+1) d_q y.  Translation is
+    symmetric, T_x f(y) = T_y f(x), so the values come from one spectral
+    synthesis per support point y of g, restricted to the output window: the
+    rounded spectral products scale with g's support, not with the window.
+    No step of this path shares code with convolve()'s product-of-spectra
     shortcut beyond applying the plan matrix.
     """
     _require_transformable(f)
@@ -298,14 +304,13 @@ def convolve_direct(f, g, plan):
                for n, v in zip(g.grid.exponents(), g.values) if v != 0]
     if not nonzero:
         return GridFunction.zero(plan.out_grid)
-    sup = [i for i, _ in nonzero]
+    rows = range(plan.out_grid.n_min - plan.lat_lo, plan.out_grid.n_max - plan.lat_lo + 1)
     with mp.workdps(plan.dps):
         gw = [plan.weights[i] * v for i, v in nonzero]
-        out = []
-        for k in plan.out_grid.exponents():
-            col = plan.jrow[k - plan.lat_lo:]
-            t_x = _matvec(plan, [a * b for a, b in zip(fh, col)], sup)
-            out.append(mpmath.fdot(gw, t_x))
+        # T_y f on the window for y = q^(lat_lo + i): the j column at y is jrow[i:]
+        t_y = [_matvec(plan, [a * b for a, b in zip(fh, plan.jrow[i:])], rows)
+               for i, _ in nonzero]
+        out = [mpmath.fdot(gw, t_x) for t_x in zip(*t_y)]
     return GridFunction(plan.out_grid, out, DECAY_RAPID)
 
 

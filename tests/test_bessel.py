@@ -488,6 +488,53 @@ class TestQuadratureRange:
         assert time.perf_counter() - start < 1
 
 
+def rounded_products_sum(ks, est, start, dps, weights, power, params):
+    """The per-point sum with every column's product rounded and then fsum:
+    (value, scale times the sum of the terms' magnitudes)."""
+    l_lo, l_hi = quadrature_range(ks, est, start, params)
+    lo = min(ks) + l_lo
+    row = j_nu_lattice_row(lo, max(ks) + l_hi, params, dps)
+    with mp.workdps(dps):
+        c = constants(params, dps).c_q_nu
+        terms = weights(l_lo, l_hi)
+        for k in ks:
+            terms = [t * j for t, j in zip(terms, row[k + l_lo - lo:])]
+        scale = (c if power == 1 else c * c) * (1 - params.q)
+        return (+(scale * mpmath.fsum(terms)),
+                +(scale * mpmath.fsum(abs(t) for t in terms)))
+
+
+class TestQuadratureSum:
+    """The per-point sums take their last column inside one exact dot; they
+    stay within a sliver of the rounded-products-plus-fsum formula."""
+
+    @pytest.mark.parametrize("nu", ["-0.5", "1"])
+    @pytest.mark.parametrize("q", ["0.5", "0.7"])
+    def test_agrees_with_rounded_products(self, q, nu, monkeypatch):
+        p = QParams(q=q, nu=nu)
+        calls = []
+        quadrature = bessel._quadrature
+
+        def recorded(*args):
+            value = quadrature(*args)
+            calls.append((value, args))
+            return value
+
+        monkeypatch.setattr(bessel, "_quadrature", recorded)
+        with mp.workdps(p.precision_digits + 20):
+            a = p.q ** 2
+            xs = [p.q ** k for k in (0, 2, -1)]
+        for k in (-2, 3):
+            g_a_lattice(k, 1, p)
+            g_a_lattice(k, a, p)
+        triple_kernel(*xs, p)
+        assert len(calls) == 5
+        for value, args in calls:
+            old, magnitude = rounded_products_sum(*args)
+            with mp.workdps(args[3]):
+                assert abs(value - old) <= mpf(10) ** -(p.precision_digits + 20) * magnitude
+
+
 # the parameter space the README promises, sampled at two decimals
 Q_STRS = st.decimals("0.1", "0.9", places=2).map(str)
 NU_STRS = st.decimals("-0.99", "2", places=2).map(str)

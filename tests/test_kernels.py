@@ -36,7 +36,10 @@ from qbft.core import (
 from qbft.bessel import g_a, g_a_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 import qbft.kernels
-from qbft.transform import build_plan, convolve, fourier, plan_window, transform_profile
+import qbft.transform
+from qbft.transform import (
+    apply_multiplier, build_plan, convolve, fourier, norm, plan_window, transform_profile,
+)
 from qbft.kernels import (
     E_eval,
     KernelSpec,
@@ -333,6 +336,30 @@ class TestApproxIdentity:
         ns = (2, 4, 6)
         approx_identity_run(members["lorentz_1"], plan, ns)
         assert len(calls) == len(ns)
+
+    def test_one_forward_transform_for_all_widths(self, params, plan, members,
+                                                  monkeypatch):
+        f = members["lorentz_1"]
+        ns = (2, 4)
+        want = []
+        for n in ns:
+            row = _gauss_multiplier_row(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
+            conv = apply_multiplier(plan, f, lambda l, row=row: row[l - plan.lat_lo])
+            with mp.workdps(plan.dps):
+                diff = GridFunction(f.grid, [a - b for a, b in zip(f.values, conv.values)],
+                                    DECAY_RAPID)
+            want.append(norm(diff, 1, params)._mpf_)
+        calls = []
+        matvec = qbft.transform._matvec
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return matvec(*args, **kwargs)
+
+        monkeypatch.setattr(qbft.transform, "_matvec", counted)
+        run = approx_identity_run(f, plan, ns)
+        assert [d._mpf_ for _, d in run] == want
+        assert len(calls) == 1 + len(ns)
 
 
 class TestNonFiniteTolerances:

@@ -8,6 +8,7 @@ with explicit constants).
 """
 
 import gc
+import itertools
 import sys
 import time
 import tracemalloc
@@ -34,8 +35,8 @@ from qbft.core import (
     gridfunction_from_json,
     gridfunction_to_json,
 )
-from qbft import bessel
-from qbft.bessel import j_nu_lattice
+from qbft import bessel, core
+from qbft.bessel import g_a_lattice, j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 from qbft.transform import (
     MAX_PLAN_POINTS,
@@ -64,6 +65,13 @@ def plan(params):
 @pytest.fixture(scope="module")
 def members():
     return {e.name: e.f for e in load_corpus()}
+
+
+@pytest.fixture(scope="module")
+def small_plan(params):
+    """Outputs on [-4, 10] over the lattice [-35, 75], which holds the
+    corpus windows."""
+    return build_plan(params, QGrid(-4, 10))
 
 
 def supdiff(f, g):
@@ -511,6 +519,18 @@ class TestTranslate:
         with pytest.raises(DomainError):
             translate(members["gauss_1"], "0.3", plan)
 
+    def test_symmetric_in_shift_and_argument(self, params, small_plan, members):
+        # T_x f(y) = T_y f(x), the identity convolve_direct rests on
+        f = members["gauss_1"]
+        exps = (-3, 0, 4, 9)
+        with mp.workdps(80):
+            moved = {a: translate(f, params.q ** a, small_plan) for a in exps}
+        with mp.workdps(small_plan.dps):
+            scale = max(abs(v) for v in f.values)
+            tol = mpf(10) ** -(small_plan.dps - 5) * scale
+            for a, b in itertools.combinations(exps, 2):
+                assert abs(moved[a].value_at(b) - moved[b].value_at(a)) <= tol
+
 
 class TestConvolve:
     def test_commutative_bit_for_bit(self, plan, members):
@@ -588,6 +608,73 @@ class TestConvolve:
         for route in (convolve, convolve_direct):
             with pytest.raises(PreconditionError):
                 route(bounded, g, plan)
+
+
+def per_output_convolve_direct(f, g, plan):
+    """The definitional convolution with one translation T_x f per output
+    point x, each evaluated on g's support."""
+    fh = _matvec(plan, _embed(plan, f))
+    nonzero = [(n - plan.lat_lo, v)
+               for n, v in zip(g.grid.exponents(), g.values) if v != 0]
+    sup = [i for i, _ in nonzero]
+    with mp.workdps(plan.dps):
+        gw = [plan.weights[i] * v for i, v in nonzero]
+        out = []
+        for k in plan.out_grid.exponents():
+            col = plan.jrow[k - plan.lat_lo:]
+            t_x = _matvec(plan, [a * b for a, b in zip(fh, col)], sup)
+            out.append(mpmath.fdot(gw, t_x))
+    return out
+
+
+def clear_memos():
+    for module in (core, bessel):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
+class TestConvolveDirect:
+    """The definitional route translates f by each support point of g."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self, members):
+        """(f, g) with g sparse: the quadrature workload's hump, and one
+        point inside the output window, where a step in f feels the shift."""
+        one_point = GridFunction.from_callable(QGrid(-4, 10), lambda n: mpf(n == 3),
+                                               DECAY_RAPID)
+        steps = members["step_three_flips"]
+        return [(members["const_plus"], members["hump_small_x"]),
+                (steps, members["hump_small_x"]), (steps, one_point)]
+
+    def test_sparse_g_matches_spectral_route(self, small_plan, pairs):
+        for f, g in pairs:
+            direct = convolve_direct(f, g, small_plan)
+            with mp.workdps(80):
+                # g's weighted mass is small: hold the routes to its scale too
+                scale = max(abs(v) for v in direct.values)
+                assert 0 < scale
+                tol = mpf("1e-40") * min(1, scale)
+                assert supdiff(convolve(f, g, small_plan), direct) < tol
+
+    def test_matches_one_translation_per_output(self, small_plan, pairs):
+        for f, g in pairs:
+            out = convolve_direct(f, g, small_plan).values
+            want = per_output_convolve_direct(f, g, small_plan)
+            with mp.workdps(small_plan.dps):
+                tol = mpf(10) ** -(small_plan.dps - 3) * max(abs(v) for v in out)
+                assert max(abs(a - b) for a, b in zip(out, want)) <= tol
+
+    def test_cold_and_warm_calls_are_bit_identical(self, params, members):
+        f = members["const_plus"]
+        g = members["hump_small_x"]
+        def run():
+            plan = build_plan(params, QGrid(-4, 10))
+            out = convolve_direct(f, g, plan).values + [
+                g_a_lattice(k, 1, params) for k in (-2, 5)]
+            return [v._mpf_ for v in out]
+        clear_memos()
+        assert run() == run()
 
 
 class TestNorms:
