@@ -28,7 +28,7 @@ from mpmath import mp, mpf, mpmathify
 
 from .core import (
     DomainError, Overflow, PrecisionExhausted, ConstancyViolation, WindowError,
-    QParams, constants, lattice_exponent, parse_number,
+    QParams, constants, exact_dot, lattice_exponent, parse_number, split_mpf,
 )
 
 
@@ -384,7 +384,7 @@ def _quadrature(ks, est, start, dps, weights, power, params):
     quadrature_range(ks, est, start); weights(l_lo, l_hi) gives the w(l).
 
     Every column but the last is multiplied in, rounded to dps; the last
-    enters one exact dot product, so the sum is rounded once.
+    enters one core.exact_dot, so the sum is rounded once.
 
     Before the j row is computed, a dps above j_nu's top rung (8 x digits)
     raises PrecisionExhausted, and a row longer than WEIGHT_TABLE_CAP raises
@@ -408,7 +408,9 @@ def _quadrature(ks, est, start, dps, weights, power, params):
         terms = weights(l_lo, l_hi)
         for k in ks[:-1]:
             terms = [t * j for t, j in zip(terms, row[k + l_lo - lo:])]
-        total = mpmath.fdot(terms, row[ks[-1] + l_lo - lo:])
+        last = ks[-1] + l_lo - lo
+        total = mpf(exact_dot(*split_mpf(terms),
+                              *split_mpf(row[last:last + len(terms)]), mp.prec))
         # not c ** power: for power 1 that rounds c to dps before the product
         scale = c if power == 1 else c * c
         return +(scale * (1 - params.q) * total)

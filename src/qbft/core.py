@@ -249,7 +249,7 @@ class PackedSamples:
 
     Sample i is the signed mantissa held as the i-th little-endian integer
     of `width` bytes in one blob, times 2 ** exps[i].  At a plan's 75 digits
-    that is about 40 bytes a sample, against about 230 for an mpf.  The
+    that is about 36 bytes a sample, against about 230 for an mpf.  The
     store is immutable; .values unpacks it to a new list of mpf, each
     rebuilt at 8 * width bits, so exactly.
     """
@@ -264,9 +264,14 @@ class PackedSamples:
         if None in pairs:
             raise InvalidParams("grid function samples must be finite real numbers")
         width = max(abs(man).bit_length() for man, _ in pairs) // 8 + 1
-        try:
-            exps = array("q", (exp for _, exp in pairs))
-        except OverflowError:
+        # 32-bit exponents when they fit, as they do at any working precision
+        for code in ("i", "q"):
+            try:
+                exps = array(code, (exp for _, exp in pairs))
+                break
+            except OverflowError:
+                pass
+        else:
             raise InvalidParams("grid function sample exponent out of range")
         self.grid = grid
         self._width = width
@@ -306,6 +311,60 @@ class PackedSamples:
         return out
 
 
+def split_mpf(values):
+    """Signed integer mantissas and exponents of finite mpf values, as two
+    lists: values[i] is mans[i] * 2 ** exps[i].  Infinities and NaN raise
+    InvalidParams."""
+    mans = []
+    exps = []
+    for v in values:
+        sign, man, exp, _ = v._mpf_
+        if not man and exp:
+            raise InvalidParams("exact dot products take finite samples only")
+        mans.append(-man if sign else man)
+        exps.append(exp)
+    return mans, exps
+
+def exact_dot(a_man, a_exp, b_man, b_exp, prec):
+    """Dot product of a and b, given as parallel sequences of signed integer
+    mantissas and exponents, as an unrounded (man, exp).
+
+    Rounded to prec bits it is mpmath.fdot(a, b) at prec, bit for bit: the
+    loop is mpf_sum's own, fused with the products so no mpf is built per
+    term.  Each product goes into one integer accumulator (a long
+    accumulator in Kulisch's sense) in index order, under mpf_sum's two
+    rules for dropping a term or a partial sum that lies more than 2 * prec
+    bits below the other; zero products are skipped, as mpf_sum skips them.
+    The sequences are zipped, so the shortest one sets the length.
+    Mantissas must be odd or zero, as those of mpf values are.
+    """
+    limit = 2 * prec
+    man = 0
+    exp = 0
+    for am, ae, bm, be in zip(a_man, a_exp, b_man, b_exp):
+        xman = am * bm
+        if not xman:
+            continue
+        xexp = ae + be
+        if xexp >= exp:
+            delta = xexp - exp
+            if delta > limit and (not man or delta - man.bit_length() > limit):
+                man = xman
+                exp = xexp
+            else:
+                man += xman << delta
+        else:
+            delta = exp - xexp
+            if delta > limit and delta - xman.bit_length() > limit:
+                if not man:
+                    man = xman
+                    exp = xexp
+            else:
+                man = (man << delta) + xman
+                exp = xexp
+    return man, exp
+
+
 class GridFunction:
     """Samples of a function on a QGrid, with a declared decay class.
 
@@ -322,6 +381,10 @@ class GridFunction:
     or convolve: that record of (plan params, PackedSamples on the plan's
     whole internal lattice) is transform's own, read back when the same plan
     transforms it again; transform.spectrum is the public way to reach it.
+    A transform computes only its output window, so the record starts
+    pending: it holds the plan and the packed input, and the first read of
+    .lattice computes the off-window samples once and keeps them.
+    lattice_key names the record's params and lattice without computing it.
     """
 
     def __init__(self, grid, values, decay_class=DECAY_UNKNOWN):
@@ -343,6 +406,29 @@ class GridFunction:
         f.decay_class = decay_class
         f.lattice = None
         return f
+
+    @property
+    def lattice(self):
+        """The lattice record (params, PackedSamples), or None.  A pending
+        record is computed on this first read and kept."""
+        rec = self._lattice
+        if rec is not None and not isinstance(rec[1], PackedSamples):
+            rec = self._lattice = (rec[0], rec[1].resolve())
+        return rec
+
+    @lattice.setter
+    def lattice(self, rec):
+        """Set the record: None, (params, PackedSamples), or (params,
+        pending) where pending has the lattice .grid and a .resolve() that
+        returns the PackedSamples on it."""
+        self._lattice = rec
+
+    @property
+    def lattice_key(self):
+        """(params, lattice QGrid) of the lattice record, or None; a pending
+        record stays pending."""
+        rec = self._lattice
+        return None if rec is None else (rec[0], rec[1].grid)
 
     @property
     def values(self):

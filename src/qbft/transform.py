@@ -12,6 +12,13 @@ neglected oscillatory envelope of j is certified below the precision floor,
 and a tail on the small-t side long enough for the weight q^(n(2nu+2)) to
 reach it.  Plans therefore carry an extended internal lattice; inputs are
 zero-embedded into it and outputs projected back.
+
+Each row of the matrix is one exact dot product, rounded once, so a row
+computed alone has the bits it has in a full application.  fourier
+therefore computes only its output window's rows.  The rest of the
+lattice, which the next transform through the same plan reads back, is
+left pending in the output's lattice record: the record holds the plan
+and the packed input, and computes the head and tail rows on first read.
 """
 
 import math
@@ -23,7 +30,8 @@ from mpmath.libmp import from_man_exp, round_nearest
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
     InvalidParams, PreconditionError, WindowError,
-    GridFunction, QGrid, constants, lattice_exponent, parse_number,
+    GridFunction, PackedSamples, QGrid, constants, exact_dot, lattice_exponent,
+    parse_number, split_mpf,
 )
 from .bessel import j_nu_lattice_row_floored, lattice_weights
 # defined with the other per-point quadratures, kept as qbft.transform.triple_kernel
@@ -51,7 +59,9 @@ class TransformPlan:
     entry (k, n) is weights[n - lat_lo] * jrow[k + n - 2 lat_lo] at dps.
 
     The matvec reads the j row as signed integer mantissas and exponents,
-    unpacked once here: jrow[m] is _jman[m] * 2 ** _jexp[m]."""
+    unpacked once here: jrow[m] is _jman[m] * 2 ** _jexp[m].  A plan pickles
+    as those integers and the weights' raw tuples, not as mpf values: every
+    fourier output's pending lattice record carries its plan."""
 
     def __init__(self, params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps):
         self.params = params
@@ -61,9 +71,9 @@ class TransformPlan:
         self.lat_hi = lat_hi
         self.jrow = jrow
         self.dps = dps
-        raws = [v._mpf_ for v in jrow]
-        self._jman = tuple(-man if sign else man for sign, man, _, _ in raws)
-        self._jexp = tuple(exp for _, _, exp, _ in raws)
+        jman, jexp = split_mpf(jrow)
+        self._jman = tuple(jman)
+        self._jexp = tuple(jexp)
         with mp.workdps(dps):
             c1q = constants(params, dps).c_q_nu * (1 - params.q)
             self.weights = tuple(c1q * w
@@ -76,8 +86,30 @@ class TransformPlan:
         with mp.workdps(self.dps):
             return self.weights[n - self.lat_lo] * self.jrow[k + n - 2 * self.lat_lo]
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        del state["jrow"]
+        state["weights"] = tuple(w._mpf_ for w in self.weights)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        make = mp.make_mpf
+        self.jrow = tuple(make(from_man_exp(man, exp))
+                          for man, exp in zip(self._jman, self._jexp))
+        self.weights = tuple(make(w) for w in self.weights)
+
     def size(self):
         return self.lat_hi - self.lat_lo + 1
+
+    def lattice_grid(self):
+        """The internal lattice as a QGrid."""
+        return QGrid(self.lat_lo, self.lat_hi)
+
+    def window_rows(self):
+        """Matrix rows of the output window, as lattice indices."""
+        return range(self.out_grid.n_min - self.lat_lo,
+                     self.out_grid.n_max - self.lat_lo + 1)
 
     def __repr__(self):
         return (f"TransformPlan(q={self.params.q_str}, nu={self.params.nu_str}, "
@@ -118,41 +150,47 @@ def _require_on_lattice(plan, f):
             f"function window [{f.grid.n_min}, {f.grid.n_max}] exceeds the "
             f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
 
-def _embed(plan, f):
-    """Lift window samples onto the plan's internal lattice.
+def _source(plan, f):
+    """The packed samples the plan transforms for f.
 
-    If f carries full-lattice samples recorded by a previous transform with
-    the same lattice and parameters, those are used; otherwise the window
-    samples are zero-extended.  The difference matters for functions whose
-    off-window values meet large weights in the next application: a
-    transform's head samples are individually tiny but carry order-one mass
-    once multiplied by q^(n(2nu+2)), and dropping them blurs sharp features
-    of the original function on the small-x side.
+    If f carries a lattice record taken with the plan's parameters on the
+    plan's lattice, that record is the source, computed now if it is still
+    pending; otherwise f's window samples are, zero-extended by _lift.  The
+    difference matters for functions whose off-window values meet large
+    weights in the next application: a transform's head samples are
+    individually tiny but carry order-one mass once multiplied by
+    q^(n(2nu+2)), and dropping them blurs sharp features of the original
+    function on the small-x side.
     """
-    if f.lattice is not None:
-        params, samples = f.lattice
-        if params == plan.params and samples.grid == QGrid(plan.lat_lo, plan.lat_hi):
-            return samples.values
+    if f.lattice_key == (plan.params, plan.lattice_grid()):
+        return f.lattice[1]
     _require_on_lattice(plan, f)
+    return f.samples
+
+def _lift(plan, samples):
+    """Packed samples on a window of the plan's lattice, zero-extended to
+    the whole lattice as a list of mpf."""
     vec = [mp.zero] * plan.size()
-    base = f.grid.n_min - plan.lat_lo
-    for i, v in enumerate(f.values):
-        vec[base + i] = v
+    base = samples.grid.n_min - plan.lat_lo
+    vec[base:base + len(samples)] = samples.values
     return vec
+
+def _embed(plan, f):
+    """f's samples on the plan's internal lattice (see _source)."""
+    return _lift(plan, _source(plan, f))
+
+def _rounded(dot, prec):
+    """An exact_dot's (man, exp) as an mpf, rounded to prec bits as
+    mpmath.fdot rounds."""
+    return mp.make_mpf(from_man_exp(*dot, prec, round_nearest))
 
 def _matvec(plan, vec, rows=None):
     """Plan matrix times lattice samples vec, on the given rows (default all).
 
     Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec, bit for
-    bit: exact products, summed in index order and rounded once.  The loop is
-    mpf_sum's own, fused with the products so no mpf is built per term: each
-    product jman * uman at exponent jexp + uexp goes into one integer
-    accumulator (a long accumulator in Kulisch's sense), under mpf_sum's two
-    rules for dropping a term or a partial sum that lies more than 2 * prec
-    bits below the other.  Each row is rounded once, to the plan's precision.
-    Zeros of u and of the j row are skipped, as mpf_sum skips them.  Complex
-    samples, and u entries that are not finite, raise InvalidParams before
-    any product is formed.
+    bit: one core.exact_dot over the nonzero span of u, rounded once to the
+    plan's precision.  Complex samples, and u entries that are not finite,
+    raise InvalidParams before any product is formed.
     """
     if any(isinstance(v, (mpc, complex)) for v in vec):
         raise InvalidParams("the transform takes real samples only")
@@ -160,50 +198,16 @@ def _matvec(plan, vec, rows=None):
     with mp.workdps(plan.dps):
         u = [w * v for w, v in zip(plan.weights, vec)]
         prec = mp.prec
-    terms = []
-    for i, x in enumerate(u):
-        sign, man, exp, _ = x._mpf_
-        if man:
-            terms.append((i, -man if sign else man, exp))
-        elif exp:
-            raise InvalidParams("the transform takes finite samples only")
+    uman, uexp = split_mpf(u)
+    span = [i for i, man in enumerate(uman) if man]
+    lo, hi = (span[0], span[-1] + 1) if span else (0, 0)
+    uman = uman[lo:hi]
+    uexp = uexp[lo:hi]
     jman = plan._jman
     jexp = plan._jexp
-    limit = 2 * prec
-    make = mp.make_mpf
-    out = []
-    for r in rows:
-        man = 0
-        exp = 0
-        for i, um, ue in terms:
-            m = r + i
-            xman = jman[m] * um
-            if not xman:
-                continue
-            xexp = jexp[m] + ue
-            if xexp >= exp:
-                delta = xexp - exp
-                if delta > limit and (not man or delta - man.bit_length() > limit):
-                    man = xman
-                    exp = xexp
-                else:
-                    man += xman << delta
-            else:
-                delta = exp - xexp
-                if delta > limit and delta - xman.bit_length() > limit:
-                    if not man:
-                        man = xman
-                        exp = xexp
-                else:
-                    man = (man << delta) + xman
-                    exp = xexp
-        out.append(make(from_man_exp(man, exp, prec, round_nearest)))
-    return out
-
-def _project(plan, vec):
-    lo = plan.out_grid.n_min - plan.lat_lo
-    hi = plan.out_grid.n_max - plan.lat_lo
-    return GridFunction(plan.out_grid, vec[lo:hi + 1], DECAY_RAPID)
+    return [_rounded(exact_dot(jman[r + lo:r + hi], jexp[r + lo:r + hi], uman, uexp, prec),
+                     prec)
+            for r in rows]
 
 def _require_transformable(f):
     if f.decay_class not in (DECAY_RAPID, DECAY_INTEGRABLE):
@@ -211,25 +215,64 @@ def _require_transformable(f):
             f"transform needs rapid or integrable decay, got {f.decay_class!r}")
 
 
+class PendingRows:
+    """The off-window rows of a fourier output, computed on first read.
+
+    Holds the plan, the packed samples it transformed (an input's own
+    lattice record, or its window samples) and the output's window rows; no
+    sample is copied.  resolve() computes the head and tail rows of the
+    plan's lattice with one _matvec and splices them around the window
+    rows, which gives the PackedSamples spectrum() would have stored.
+    GridFunction.lattice calls it once and keeps the result.
+    """
+
+    __slots__ = ("plan", "source", "window")
+
+    def __init__(self, plan, source, window):
+        self.plan = plan
+        self.source = source
+        self.window = window
+
+    @property
+    def grid(self):
+        return self.plan.lattice_grid()
+
+    def resolve(self):
+        plan = self.plan
+        inner = plan.window_rows()
+        rows = [*range(inner.start), *range(inner.stop, plan.size())]
+        off = _matvec(plan, _lift(plan, self.source), rows)
+        head = inner.start
+        return PackedSamples(self.grid, off[:head] + self.window.values + off[head:])
+
+
 def spectrum(f, plan):
-    """Transform of f on the plan's whole internal lattice, tagged rapid."""
+    """Transform of f on the plan's whole internal lattice, tagged rapid.
+
+    All rows are computed now.  f's lattice record, when it matches the
+    plan (see fourier), is transformed in place of its window samples."""
     _require_transformable(f)
-    return GridFunction(QGrid(plan.lat_lo, plan.lat_hi),
-                        _matvec(plan, _embed(plan, f)), DECAY_RAPID)
+    return GridFunction(plan.lattice_grid(), _matvec(plan, _embed(plan, f)),
+                        DECAY_RAPID)
 
 def fourier(f, plan):
     """Apply the transform; result sampled on the plan's output window.
 
     The output is a finite combination of j columns, each of which decays
-    like q^(k^2) on the large-x side, so the result is tagged rapid.  It
-    also keeps its own off-window lattice samples in its `lattice` field,
-    which is the spectrum's own packed store, so composing fourier() with
-    itself through the same plan inverts sharp-edged inputs at full accuracy
-    instead of being limited by the window view.
+    like q^(k^2) on the large-x side, so the result is tagged rapid.  Only
+    the window's rows are computed.  The output's `lattice` record, which
+    lets fourier() composed with itself through the same plan invert
+    sharp-edged inputs at full accuracy instead of being limited by the
+    window view, starts pending: it holds the plan and the packed input,
+    and on first read computes the off-window rows into the PackedSamples
+    that spectrum() would give (see PendingRows).
     """
-    spec = spectrum(f, plan)
-    out = GridFunction.packed(spec.samples.window(plan.out_grid), DECAY_RAPID)
-    out.lattice = (plan.params, spec.samples)
+    _require_transformable(f)
+    source = _source(plan, f)
+    window = PackedSamples(plan.out_grid,
+                           _matvec(plan, _lift(plan, source), plan.window_rows()))
+    out = GridFunction.packed(window, DECAY_RAPID)
+    out.lattice = (plan.params, PendingRows(plan, source, window))
     return out
 
 def transform_profile(plan, profile):
@@ -238,12 +281,14 @@ def transform_profile(plan, profile):
     profile maps an internal lattice exponent l to the profile's value at
     t = q^l and is evaluated at the plan's working precision.  There is no
     decay gate: a profile that is not integrable still has a pointwise
-    transform on the window.  The result is tagged rapid and records no
-    lattice samples, so a later transform of it sees only its window.
+    transform on the window.  Only the window's rows are computed; the
+    result is tagged rapid and records no lattice samples, so a later
+    transform of it sees only its window.
     """
     with mp.workdps(plan.dps):
         vec = [profile(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
-    return _project(plan, _matvec(plan, vec))
+    return GridFunction(plan.out_grid, _matvec(plan, vec, plan.window_rows()),
+                        DECAY_RAPID)
 
 def apply_multiplier(plan, f, multiplier):
     """Transform f, scale the spectrum pointwise, transform back.
@@ -251,7 +296,7 @@ def apply_multiplier(plan, f, multiplier):
     multiplier maps an internal lattice exponent l to the spectral factor at
     t = q^l.  The pointwise products run at the plan's working precision;
     letting them run at ambient precision corrupts results far above the
-    precision floor.
+    precision floor.  The result is fourier()'s, with its record pending.
     """
     return multiply_spectrum(plan, spectrum(f, plan), multiplier)
 
@@ -304,13 +349,19 @@ def convolve_direct(f, g, plan):
                for n, v in zip(g.grid.exponents(), g.values) if v != 0]
     if not nonzero:
         return GridFunction.zero(plan.out_grid)
-    rows = range(plan.out_grid.n_min - plan.lat_lo, plan.out_grid.n_max - plan.lat_lo + 1)
+    rows = plan.window_rows()
     with mp.workdps(plan.dps):
         gw = [plan.weights[i] * v for i, v in nonzero]
         # T_y f on the window for y = q^(lat_lo + i): the j column at y is jrow[i:]
-        t_y = [_matvec(plan, [a * b for a, b in zip(fh, plan.jrow[i:])], rows)
+        t_y = [split_mpf(_matvec(plan, [a * b for a, b in zip(fh, plan.jrow[i:])], rows))
                for i, _ in nonzero]
-        out = [mpmath.fdot(gw, t_x) for t_x in zip(*t_y)]
+        prec = mp.prec
+    gman, gexp = split_mpf(gw)
+    # output x's terms are T_y f(x) over the support points y, in their order
+    t_man = zip(*(man for man, _ in t_y))
+    t_exp = zip(*(exp for _, exp in t_y))
+    out = [_rounded(exact_dot(gman, gexp, man, exp, prec), prec)
+           for man, exp in zip(t_man, t_exp)]
     return GridFunction(plan.out_grid, out, DECAY_RAPID)
 
 

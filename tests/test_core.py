@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpmathify
 
+from qbft.core import exact_dot, split_mpf
 from qbft import (
     DECAY_RAPID, DivergentTail, DomainError, InvalidParams, NonConvergent,
     PreconditionError, WindowError,
@@ -117,6 +118,15 @@ class TestGridFunction:
         assert f.value_at(0) == wide and f.value_at(1) == mpf(0.1)
         assert [v._mpf_ for v in f.values[2:]] == [fine._mpf_, (-mpf(3))._mpf_]
 
+    def test_exponents_beyond_32_bits_are_kept(self):
+        with mp.workdps(30):
+            huge = mpmath.ldexp(mpf(3), 2 ** 40)
+            tiny = mpmath.ldexp(mpf(-5), -2 ** 40)
+            f = GridFunction(QGrid(0, 2), [huge, 1, tiny])
+            assert [v._mpf_ for v in f.values] == [huge._mpf_, mpf(1)._mpf_, tiny._mpf_]
+            with pytest.raises(InvalidParams, match="exponent"):
+                GridFunction(QGrid(0, 0), [mpmath.ldexp(mpf(1), 2 ** 70)])
+
     def test_values_read_a_copy_and_assign_a_repack(self):
         f = GridFunction(QGrid(0, 2), [mpf(1), mpf(2), mpf(3)])
         f.values[0] = mpf(9)
@@ -146,6 +156,81 @@ class TestGridFunction:
         with pytest.raises(InvalidParams, match="real"):
             GridFunction(QGrid(-6, 20), [bad if n == 3 else 0 for n in range(-6, 21)],
                          DECAY_RAPID)
+
+
+# ---------------------------------------------------------------------------
+# the exact dot product
+
+# exact zeros, small integers and wide-mantissa values whose exponents spread
+# far wider than 2 * prec, so mpf_sum's rules for dropping a term or a
+# partial sum run; the few-valued branch makes exact cancellations
+DOT_ENTRY = st.one_of(
+    st.just((0, 0)),
+    st.tuples(st.integers(min_value=-10 ** 6, max_value=10 ** 6), st.just(0)),
+    st.tuples(st.integers(min_value=-2 ** 90, max_value=2 ** 90),
+              st.integers(min_value=-1500, max_value=1500)),
+    st.tuples(st.integers(min_value=-2, max_value=2),
+              st.sampled_from((-1500, -400, 0, 400, 1500))))
+
+
+def exact(entries):
+    """mpf values m * 2 ** e, formed without rounding."""
+    with mp.workprec(200):
+        return [mpmath.ldexp(mpf(m), e) for m, e in entries]
+
+
+def dot(a, b, prec):
+    """exact_dot rounded to prec, as mpmath.fdot rounds."""
+    with mp.workprec(prec):
+        return mpf(exact_dot(*split_mpf(a), *split_mpf(b), prec))
+
+
+class TestExactDot:
+    """core.exact_dot against mpmath.fdot, its oracle, bit for bit."""
+
+    @given(data=st.data(), prec=st.integers(min_value=10, max_value=400),
+           size=st.integers(min_value=0, max_value=9))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fdot_bit_for_bit(self, data, prec, size):
+        entries = st.lists(DOT_ENTRY, min_size=size, max_size=size)
+        a = exact(data.draw(entries))
+        b = exact(data.draw(entries))
+        with mp.workprec(prec):
+            want = mpmath.fdot(a, b)
+        assert dot(a, b, prec)._mpf_ == want._mpf_
+
+    def test_drop_rules_match_fdot_bit_for_bit(self):
+        # a 1 that the last term uncovers by cancelling a big one survives
+        # only if neither rule dropped it: as a partial sum more than
+        # 2 * prec bits below the next term, or as a term more than 2 * prec
+        # bits below the running sum
+        prec = 60
+        ones = [mp.one] * 3
+        outcomes = set()
+        for gap in range(2 * prec - 2, 2 * prec + 4):
+            big = mpmath.ldexp(mp.one, gap)
+            for name, a in (("sum below term", [mp.one, big, -big]),
+                            ("term below sum", [big, mp.one, -big])):
+                with mp.workprec(prec):
+                    want = mpmath.fdot(a, ones)
+                got = dot(a, ones, prec)
+                assert got._mpf_ == want._mpf_, (name, gap)
+                outcomes.add((name, int(got)))
+        assert outcomes == {(name, kept) for name in ("sum below term", "term below sum")
+                            for kept in (0, 1)}
+
+    def test_shortest_sequence_sets_the_length(self):
+        a = [mpf(1), mpf(2), mpf(3)]
+        assert dot(a, [mpf(5), mpf(7)], 53) == 19
+        assert exact_dot([], [], [], [], 53) == (0, 0)
+
+    @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])
+    def test_split_refuses_non_finite_values(self, bad):
+        with pytest.raises(InvalidParams, match="finite"):
+            split_mpf([mp.one, bad])
+
+    def test_split_keeps_signs_and_exponents(self):
+        assert split_mpf([mpf(-3), mpf("0.5"), mp.zero]) == ([-3, 1, 0], [0, -1, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ rules, so each rule is written once: the per-point quadratures (g_a_lattice,
 triple_kernel) size and sum their range in bessel, and other modules call
 them, g_a_floored or j_nu_lattice_row_floored.  No module but bessel names
 decay_bound_log10, envelope_scale or quadrature_range.  Other modules reach
-a whole-lattice spectrum through transform.spectrum.  The plan matvec is the
-one place that calls mpmath.libmp on raw tuples; everything else works on
+a whole-lattice spectrum through transform.spectrum.  transform is the one
+module that calls mpmath.libmp on raw tuples; the exact dot products of
+transform and bessel share core.exact_dot, which works on the integer
+mantissas and exponents core.split_mpf reads, and everything else works on
 mpf values.  Memos are functools.lru_cache functions, bounded and keyed on
 their inputs, so no module needs a global statement or a module-level
 container to fill.  Each passes its bound as an explicit maxsize;

@@ -9,13 +9,14 @@ with explicit constants).
 
 import gc
 import itertools
+import pickle
 import sys
 import time
 import tracemalloc
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qbft.core import (
@@ -35,9 +36,12 @@ from qbft.core import (
     gridfunction_from_json,
     gridfunction_to_json,
 )
+import qbft.transform
 from qbft import bessel, core
 from qbft.bessel import g_a_lattice, j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
+from qbft.kernels import approx_identity_run
+from qbft.variation import vd_check
 from qbft.transform import (
     MAX_PLAN_POINTS,
     TransformPlan,
@@ -225,6 +229,41 @@ class TestFourier:
         assert all(a == b for a, b in zip(first.values, second.values))
 
 
+Q_STRS = st.decimals("0.1", "0.9", places=2).map(str)
+NU_STRS = st.decimals("-0.99", "2", places=2).map(str)
+STEPS = st.lists(st.integers(-9, 9), min_size=9, max_size=9)
+
+
+class TestPromisedParameterSpace:
+    """fourier inverts itself over q in [0.1, 0.9] and nu in (-1, 2] on the
+    window [-2, 6], through its lattice record: to 10^-50 at 60 digits, or a
+    typed refusal before the work it refuses."""
+
+    @given(q=Q_STRS, nu=NU_STRS, steps=STEPS)
+    @example(q="0.7", nu="-0.9", steps=[9, -9, 1, 0, 0, 5, -2, 7, -1])
+    @example(q="0.9", nu="-0.5", steps=[1, 1, -1, 3, 0, 0, 0, -4, 2])
+    @example(q="0.9", nu="-0.9", steps=[1] * 9)
+    @settings(max_examples=25, deadline=None)
+    def test_fourier_inverts_itself_or_refuses(self, q, nu, steps):
+        p = QParams(q=q, nu=nu)
+        grid = QGrid(-2, 6)
+        f = GridFunction(grid, [mpf(s) / 7 for s in steps], DECAY_RAPID)
+        lat_lo, lat_hi = plan_window(p, grid.n_min, grid.n_max)
+        start = time.perf_counter()
+        if lat_hi - lat_lo + 1 > MAX_PLAN_POINTS:
+            with pytest.raises(WindowError):
+                build_plan(p, grid)
+            assert time.perf_counter() - start < 0.5
+            return
+        try:
+            plan = build_plan(p, grid)
+        except PrecisionExhausted:
+            return
+        back = fourier(fourier(f, plan), plan)
+        with mp.workdps(plan.dps):
+            assert supdiff(back, f) <= mpf(10) ** -50
+
+
 class TestSpectrum:
     def test_whole_lattice_transform_behind_the_window(self, plan, members):
         f = members["gauss_1"]
@@ -281,12 +320,13 @@ class TestLatticeRecord:
         nbytes = sys.getsizeof(rec) + sum(sys.getsizeof(x) for x in parts)
         assert nbytes <= 50 * plan.size()
 
-    def test_fourier_output_holds_no_mpf(self, plan, members):
-        out = fourier(members["alternating_burst"], plan)
-        # everything the output owns: its window samples and its lattice
-        # record; classes, the plan's params and interned names are shared
+    @staticmethod
+    def owned_by(out, shared):
+        """Everything out owns: its window samples and its lattice record,
+        pending or computed.  Classes, interned names and the shared
+        objects are left out."""
         owned = []
-        seen = {id(plan.params)}
+        seen = set(map(id, shared))
         stack = [out]
         while stack:
             obj = stack.pop()
@@ -295,9 +335,19 @@ class TestLatticeRecord:
             seen.add(id(obj))
             owned.append(obj)
             stack.extend(gc.get_referents(obj))
-        assert not any(isinstance(x, mpf) for x in owned)
-        samples = len(out) + len(out.lattice[1])
-        assert sum(map(sys.getsizeof, owned)) <= 50 * samples
+        return owned
+
+    def test_fourier_output_holds_no_mpf(self, plan, members):
+        out = fourier(members["alternating_burst"], plan)
+        # a pending record holds the plan, which every output of the plan
+        # shares, as it shares the plan's params
+        for _ in ("pending", "computed"):
+            owned = self.owned_by(out, [plan, plan.params])
+            assert not any(isinstance(x, mpf) for x in owned)
+            samples = sum(len(x) for x in owned if isinstance(x, PackedSamples))
+            assert sum(map(sys.getsizeof, owned)) <= 50 * samples
+            out.lattice
+        assert samples == len(out) + plan.size()
         # reading .values decodes and assigning it repacks, bit for bit
         spec = spectrum(members["alternating_burst"], plan).values
         lo = plan.out_grid.n_min - plan.lat_lo
@@ -305,6 +355,113 @@ class TestLatticeRecord:
         assert window == [v._mpf_ for v in spec[lo:lo + len(out)]]
         out.values = out.values
         assert [v._mpf_ for v in out.values] == window
+
+
+def raw(values):
+    return [v._mpf_ for v in values]
+
+
+@pytest.fixture
+def matvec_rows(monkeypatch):
+    """Wraps _matvec; returns the list of (plan size, rows) of each call,
+    rows as a tuple of lattice indices."""
+    calls = []
+    matvec = qbft.transform._matvec
+
+    def recorded(plan, vec, rows=None):
+        calls.append((plan.size(), tuple(range(plan.size()) if rows is None else rows)))
+        return matvec(plan, vec, rows)
+
+    monkeypatch.setattr(qbft.transform, "_matvec", recorded)
+    return calls
+
+
+def window_rows(plan):
+    return tuple(range(plan.out_grid.n_min - plan.lat_lo,
+                       plan.out_grid.n_max - plan.lat_lo + 1))
+
+
+def all_rows(plan):
+    return tuple(range(plan.size()))
+
+
+class TestPendingRecord:
+    """fourier computes its window rows; the rest of its lattice record is
+    computed on first read, with the bits spectrum() gives."""
+
+    @pytest.mark.parametrize("which", ["plan", "small_plan"])
+    def test_record_is_the_spectrum_bit_for_bit(self, request, which, members):
+        plan = request.getfixturevalue(which)
+        for name, f in members.items():
+            out = fourier(f, plan)
+            spec = spectrum(f, plan)
+            assert out.lattice_key == (plan.params, spec.grid), name
+            assert out.lattice[0] == plan.params and out.lattice[1].grid == spec.grid
+            assert raw(out.lattice[1].values) == raw(spec.values), name
+            # the transform of the whole-lattice spectrum, windowed
+            want = spectrum(spec, plan).samples.window(plan.out_grid)
+            assert raw(fourier(out, plan).values) == raw(want.values), name
+
+    def test_only_window_rows_until_read(self, params, plan, members, matvec_rows):
+        f = members["step_two_flips"]
+        win = (plan.size(), window_rows(plan))
+        full = (plan.size(), all_rows(plan))
+        out = fourier(f, plan)
+        transform_profile(plan, lambda l: mpf(1) / (1 + mpf(2) ** (-2 * l)))
+        approx_identity_run(f, plan, (2, 4))
+        vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
+        assert matvec_rows == [win, win, full, win, win, full, full, win, full, win]
+        del matvec_rows[:]
+        first = out.lattice
+        inner = window_rows(plan)
+        off = tuple(r for r in all_rows(plan) if r not in inner)
+        assert matvec_rows == [(plan.size(), off)]
+        assert out.lattice is first
+        assert len(matvec_rows) == 1
+
+    def test_other_params_leave_the_record_pending(self, params, plan, members,
+                                                   matvec_rows):
+        out = fourier(members["step_one_flip"], plan)
+        # the same lattice as plan's, under params that differ in tol only
+        other = build_plan(params.replace(tol="1e-41"), REFERENCE_GRID)
+        assert other.lattice_grid() == plan.lattice_grid()
+        del matvec_rows[:]
+        vec = _embed(other, out)
+        assert matvec_rows == []
+        assert vec == _embed(other, GridFunction(out.grid, out.values))
+        out.lattice
+        assert len(matvec_rows) == 1
+    def test_other_lattice_leaves_the_record_pending(self, plan, small_plan,
+                                                     members, matvec_rows):
+        out = fourier(members["step_one_flip"], plan)
+        assert small_plan.params == plan.params
+        del matvec_rows[:]
+        assert _embed(small_plan, out) == _embed(small_plan, GridFunction(out.grid, out.values))
+        assert matvec_rows == []
+        _embed(plan, out)
+        assert matvec_rows == [
+            (plan.size(), tuple(r for r in all_rows(plan) if r not in window_rows(plan)))]
+
+    def test_pickle_keeps_the_record_pending(self, plan, members, matvec_rows):
+        out = fourier(members["alternating_burst"], plan)
+        blob = pickle.dumps(out)
+        back = pickle.loads(blob)
+        assert matvec_rows == [(plan.size(), window_rows(plan))]
+        assert raw(back.values) == raw(out.values)
+        assert back.lattice_key == out.lattice_key
+        assert raw(back.lattice[1].values) == raw(out.lattice[1].values)
+        assert len(matvec_rows) == 3
+        # the plan travels as integers, not as mpf values, so carrying it
+        # costs less than the computed record it stands for
+        assert len(blob) <= 2 * len(pickle.dumps(out))
+
+    def test_unpickled_plan_is_the_plan(self, plan):
+        back = pickle.loads(pickle.dumps(plan))
+        assert raw(back.jrow) == raw(plan.jrow)
+        assert raw(back.weights) == raw(plan.weights)
+        assert (back._jman, back._jexp) == (plan._jman, plan._jexp)
+        assert (back.params, back.lattice_grid(), back.out_grid, back.dps) == (
+            plan.params, plan.lattice_grid(), plan.out_grid, plan.dps)
 
 
 # exact zeros, plain ints and mpf values whose exponents spread far wider
