@@ -24,11 +24,12 @@ import functools
 import math
 
 import mpmath
-from mpmath import mp, mpf, mpmathify
+from mpmath import mp, mpf
 
 from .core import (
     DomainError, Overflow, PrecisionExhausted, ConstancyViolation, WindowError,
-    QParams, constants, exact_dot, lattice_exponent, parse_number, split_mpf,
+    LATTICE_DPS, QParams, constants, exact_dot, lattice_exponent, materialize,
+    nearest_exponent, parse_number, split_mpf, unsplit_mpf,
 )
 
 
@@ -79,15 +80,6 @@ def decay_bound_log10(s, params):
         return base
     return base - (s * s - (2 * nu + 1) * s) * lq
 
-
-@functools.lru_cache(maxsize=256)
-def _q_nu(q_str, nu_str, prec):
-    """q, nu and the weight exponent 2 nu + 2 at prec bits, parsed once per
-    precision."""
-    with mp.workprec(prec):
-        q = mpmathify(q_str)
-        nu = mpmathify(nu_str)
-        return q, nu, 2 * nu + 2
 
 def _jnu_series(x2, q_str, nu_str, dps):
     """One ladder rung: the alternating series at fixed working precision."""
@@ -145,7 +137,7 @@ def _rung(work):
 def _lattice_series(q_str, nu_str, s, rung):
     """The series for j_nu(q^s) at rung dps: its value and the digits it lost."""
     with mp.workdps(rung):
-        x2 = _q_nu(q_str, nu_str, mp.prec)[0] ** (2 * s)
+        x2 = materialize(q_str, mp.prec) ** (2 * s)
     ev = _jnu_series(x2, q_str, nu_str, rung)
     return ev.value, ev.digits_lost()
 
@@ -251,7 +243,8 @@ def _certified_row(s_lo, s_hi, params, digits):
                 row.append(j_nu_lattice(s_lo + i, params, digits))
             else:
                 row.append(mpf((m1, e1)) * scale)
-    return tuple(row)
+    mans, exps = split_mpf(row)
+    return tuple(mans), tuple(exps)
 
 def j_nu_lattice_row(s_lo, s_hi, params, digits=None):
     """Certified j_nu(q^s; q^2) for the lattice exponents s_lo..s_hi, as a tuple.
@@ -261,14 +254,17 @@ def j_nu_lattice_row(s_lo, s_hi, params, digits=None):
     row.  A second sweep from twice the depth at ten more digits certifies
     it: an entry where the two differ by more than 10^-(digits+5) relative
     falls back to j_nu_lattice.  Values keep the sweep's precision.  Whole
-    rows are memoized in a bounded memo of their own; j_nu_lattice's cache
-    only ever holds the anchor and the fallbacks.
+    rows are memoized in a bounded memo of their own, once each, as the
+    integer mantissas and exponents core.exact_dot reads; this function
+    rebuilds the mpf values from them exactly.  j_nu_lattice's cache only
+    ever holds the anchor and the fallbacks.
     """
     if not (isinstance(s_lo, int) and isinstance(s_hi, int)):
         raise DomainError("lattice evaluation needs integer exponents")
     if s_lo > s_hi:
         raise DomainError(f"empty lattice row [{s_lo}, {s_hi}]")
-    return _certified_row(s_lo, s_hi, params, digits or params.precision_digits)
+    return tuple(unsplit_mpf(*_certified_row(s_lo, s_hi, params,
+                                             digits or params.precision_digits)))
 
 def j_nu_lattice_row_floored(s_lo, s_hi, params, digits=None):
     """j_nu_lattice_row, with exact zeros where the decay envelope certifies
@@ -286,6 +282,16 @@ def i_nu(x, params):
 
     Its term ratio is j_nu's without the sign, from the same memo.  Order
     nu + 1 is i_nu(x, params.replace(nu=...)).
+
+    The sum stops before the first term below 10^-(dps+3) times the running
+    total, at the working dps = digits + 20.  No later term could change it:
+    the ratio q^(2n+2) x^2 / ((1 - q^(2nu+2+2n)) (1 - q^(2n+2))) of term
+    n+1 to term n strictly decreases in n for 0 < q < 1 and nu > -1, so the
+    terms rise to one peak and then fall.  A term that small is past the
+    peak, since before it each term is the largest so far and at least
+    total / (n+1); every later term is smaller still, and each lies below
+    half an ulp of the total at dps, so adding it would leave the total's
+    bits unchanged.
     """
     with params.working(20):
         xv = parse_number(x, "x")
@@ -295,14 +301,12 @@ def i_nu(x, params):
         term = mp.one
         total = mp.zero
         n = 0
-        below = 0
         floor = mpf(10) ** (-mp.dps - 3)
-        while below < 10:
+        while term >= floor * total:
             total += term
             num, den = _term_ratio(params.q_str, params.nu_str, n, mp.prec)
             term *= num * x2 / den
             n += 1
-            below = below + 1 if term < floor * total else 0
         if mp.isinf(total):
             raise Overflow("i_nu overflowed the representable range")
         return +total
@@ -343,52 +347,75 @@ def quadrature_range(ks, est, l_lo, params):
 
 
 WEIGHT_TABLE_CAP = 12000
-"""Most entries each weight memo (plain, Lorentz, the series' term ratios) keeps."""
+"""Most entries each weight memo (lattice weights, the series' term ratios) keeps."""
+
+WEIGHT_BLOCK = 64
+"""Lattice weights are memoized in blocks of this many consecutive l."""
 
 # Each memo below computes its entry at the caller's working precision,
 # which callers pass as prec, so an entry has the bits of a fresh evaluation.
 
-@functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
-def _weight(q_str, nu_str, l, prec):
-    q, _, e = _q_nu(q_str, nu_str, prec)
-    return q ** (mpf(l) * e)
-
-@functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
-def _lorentz_weight(q_str, nu_str, a_raw, l, prec):
-    q, _, e = _q_nu(q_str, nu_str, prec)
-    a = mp.make_mpf(a_raw)
-    return q ** (mpf(l) * e) / (1 + q ** (2 * l) / (a * a))
+@functools.lru_cache(maxsize=WEIGHT_TABLE_CAP // WEIGHT_BLOCK)
+def _weight_block(q_str, nu_str, a_raw, b, prec):
+    """The weights for l = b * WEIGHT_BLOCK onward, one block of them, at
+    prec bits, as core.split_mpf's (mantissas, exponents) tuples: the plain
+    q^(l(2nu+2)), or given a's raw tuple g_a's q^(l(2nu+2)) / (1 + q^(2l)/a^2)."""
+    with mp.workprec(prec):
+        q = materialize(q_str, prec)
+        e = 2 * materialize(nu_str, prec) + 2
+        ls = range(b * WEIGHT_BLOCK, (b + 1) * WEIGHT_BLOCK)
+        if a_raw is None:
+            ws = [q ** (mpf(l) * e) for l in ls]
+        else:
+            a = mp.make_mpf(a_raw)
+            ws = [q ** (mpf(l) * e) / (1 + q ** (2 * l) / (a * a)) for l in ls]
+    mans, exps = split_mpf(ws)
+    return tuple(mans), tuple(exps)
 
 @functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
 def _term_ratio(q_str, nu_str, n, prec):
     """Term n+1 over term n of i_nu's series is num x^2 / den, and of
     j_nu's -num x^2 / den; returns (num, den)."""
-    q, nu, _ = _q_nu(q_str, nu_str, prec)
+    q = materialize(q_str, prec)
+    nu = materialize(nu_str, prec)
     q2 = q * q
     return q2 ** (n + 1), (1 - q ** (2 * nu + 2 + 2 * n)) * (1 - q2 ** (n + 1))
 
+def _split_weights(params, a, lo, hi):
+    """(mantissas, exponents) lists of the weights for l = lo..hi at the
+    current precision, joined from their blocks: plain if a is None, else
+    g_a's Lorentz weights for a, an mpf at that precision."""
+    a_raw = None if a is None else a._mpf_
+    first = lo // WEIGHT_BLOCK
+    mans = []
+    exps = []
+    for b in range(first, hi // WEIGHT_BLOCK + 1):
+        m, e = _weight_block(params.q_str, params.nu_str, a_raw, b, mp.prec)
+        mans += m
+        exps += e
+    skip = lo - first * WEIGHT_BLOCK
+    return mans[skip:skip + hi - lo + 1], exps[skip:skip + hi - lo + 1]
+
 def lattice_weights(params, lo, hi):
     """The lattice weights q ** (mpf(l) * (2 * nu + 2)) for l = lo..hi at
-    the current working precision, memoized per entry."""
-    q_str, nu_str, prec = params.q_str, params.nu_str, mp.prec
-    return [_weight(q_str, nu_str, l, prec) for l in range(lo, hi + 1)]
+    the current working precision, from their memoized blocks."""
+    return unsplit_mpf(*_split_weights(params, None, lo, hi))
 
-def _lorentz_weights(params, a, lo, hi):
-    """g_a's weights q^(l(2nu+2)) / (1 + q^(2l)/a^2) for l = lo..hi at the
-    current precision; a is an mpf at that precision."""
-    q_str, nu_str, a_raw, prec = params.q_str, params.nu_str, a._mpf_, mp.prec
-    return [_lorentz_weight(q_str, nu_str, a_raw, l, prec) for l in range(lo, hi + 1)]
-
-def _quadrature(ks, est, start, dps, weights, power, params):
+def _quadrature(ks, est, start, dps, a, power, params):
     """c^power (1-q) sum_l w(l) prod_(k in ks) j(q^(k+l)) at dps, over
-    quadrature_range(ks, est, start); weights(l_lo, l_hi) gives the w(l).
+    quadrature_range(ks, est, start): w(l) is the plain lattice weight if
+    a is None, else g_a's Lorentz weight for a, an mpf at dps.
 
-    Every column but the last is multiplied in, rounded to dps; the last
+    The inputs arrive split: the weights from their block memo and the j
+    row from its certified-row memo, both as the integer mantissas and
+    exponents core.exact_dot reads, so a warm call parses nothing, and with
+    one column (g_a) builds no mpf per term.  Every column but the last is
+    multiplied in as mpf values, each product rounded to dps; the last
     enters one core.exact_dot, so the sum is rounded once.
 
     Before the j row is computed, a dps above j_nu's top rung (8 x digits)
     raises PrecisionExhausted, and a row longer than WEIGHT_TABLE_CAP raises
-    WindowError: its weights would not fit in their memo.
+    WindowError: the weight memos are sized for rows up to that length.
     """
     l_lo, l_hi = quadrature_range(ks, est, start, params)
     lo = min(ks) + l_lo
@@ -402,15 +429,20 @@ def _quadrature(ks, est, start, dps, weights, power, params):
         raise WindowError(
             f"quadrature row of {hi - lo + 1} points exceeds the bound of "
             f"{WEIGHT_TABLE_CAP} points")
-    row = j_nu_lattice_row(lo, hi, params, dps)
+    jman, jexp = _certified_row(lo, hi, params, dps)
     with mp.workdps(dps):
         c = constants(params, dps).c_q_nu
-        terms = weights(l_lo, l_hi)
-        for k in ks[:-1]:
-            terms = [t * j for t, j in zip(terms, row[k + l_lo - lo:])]
+        wman, wexp = _split_weights(params, a, l_lo, l_hi)
+        if len(ks) > 1:
+            n = l_hi - l_lo + 1
+            terms = unsplit_mpf(wman, wexp)
+            for k in ks[:-1]:
+                i = k + l_lo - lo
+                terms = [t * j for t, j in zip(terms, unsplit_mpf(jman[i:i + n],
+                                                                 jexp[i:i + n]))]
+            wman, wexp = split_mpf(terms)
         last = ks[-1] + l_lo - lo
-        total = mpf(exact_dot(*split_mpf(terms),
-                              *split_mpf(row[last:last + len(terms)]), mp.prec))
+        total = mpf(exact_dot(wman, wexp, jman[last:], jexp[last:], mp.prec))
         # not c ** power: for power 1 that rounds c to dps before the product
         scale = c if power == 1 else c * c
         return +(scale * (1 - params.q) * total)
@@ -419,26 +451,29 @@ def g_a_lattice(k, a, params):
     """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
 
     Summed over quadrature_range; for k > 0 the head starts beyond j's
-    oscillatory region.
+    oscillatory region.  a's nearest lattice exponent, which sizes the
+    precision, comes from core.nearest_exponent, the rule lattice_exponent
+    applies to points; a is parsed once at its LATTICE_DPS digits and once
+    at the working precision, where it keys the weight blocks.
     """
     if not isinstance(k, int):
         raise DomainError("lattice evaluation needs an integer exponent")
     lq = params.log10_inv_q
     nu = params.nu_float
-    with mp.workdps(40):
+    with mp.workdps(LATTICE_DPS):
         av = parse_number(a, "a")
         if av <= 0:
             raise DomainError("scale a must be positive")
-        shift = int(mp.nint(mp.log(av) / mp.log(params.q)))
+    shift, _ = nearest_exponent(av, params)
     m_eff = max(0, -(k + shift))
     est = envelope_scale(m_eff, params)
     max_weight = (m_eff * (2 * nu + 2)) * lq if m_eff > 0 else 0.0
     digits = params.precision_digits
     dps = int(digits + est + max_weight + 30)
     start = -k - math.ceil(math.sqrt((digits + est) / lq)) - 6 if k > 0 else -4
-    def weights(l_lo, l_hi):
-        return _lorentz_weights(params, parse_number(a, "a"), l_lo, l_hi)
-    return _quadrature((k,), est, start, dps, weights, 1, params)
+    with mp.workdps(dps):
+        a_dps = parse_number(a, "a")
+    return _quadrature((k,), est, start, dps, a_dps, 1, params)
 
 def triple_kernel(x, y, z, params):
     """Symmetric positive-measure kernel coupling three lattice points.
@@ -455,8 +490,7 @@ def triple_kernel(x, y, z, params):
     est = envelope_scale(max(0, -min(ks)), params)
     dps = int(params.precision_digits + 3 * est + 30)
     # above l = -min(ks) every column is still oscillatory: the head cannot end there
-    return _quadrature(ks, est, min(-4, -min(ks)), dps,
-                       functools.partial(lattice_weights, params), 2, params)
+    return _quadrature(ks, est, min(-4, -min(ks)), dps, None, 2, params)
 
 def g_a_floored(k, params):
     """True where the envelope certifies g_a below 10^-(digits+40); g_a(q^n)

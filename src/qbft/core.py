@@ -111,12 +111,26 @@ def parse_number(x, what):
     return v
 
 
+PARAMETER_CACHE_CAP = 1024
+"""Most (decimal string, precision) pairs materialize keeps."""
+
+@functools.lru_cache(maxsize=PARAMETER_CACHE_CAP)
+def materialize(text, prec):
+    """The decimal string text as an mpf at prec bits: mpmathify(text) at
+    that precision, parsed once.  For QParams' validated q, nu and tol
+    strings; other input goes through parse_number."""
+    with mp.workprec(prec):
+        return mpmathify(text)
+
+
 class QParams:
     """Base q, order nu, target precision in digits, and tolerance.
 
-    q and nu are stored as decimal strings and re-materialized at the active
-    working precision on each access, so a parameter like q = 0.9 keeps full
-    accuracy no matter how many digits a caller later works with.
+    q, nu and tol are stored as decimal strings and materialized at the
+    active working precision on each access, so a parameter like q = 0.9
+    keeps full accuracy no matter how many digits a caller later works with.
+    Each access reads the bounded memo materialize, so a string is parsed
+    once per precision and gives the bits a fresh mpmathify gives there.
     """
 
     def __init__(self, q="0.5", nu="0.5", precision_digits=60, tol="1e-40"):
@@ -139,15 +153,15 @@ class QParams:
 
     @property
     def q(self):
-        return mpmathify(self.q_str)
+        return materialize(self.q_str, mp.prec)
 
     @property
     def nu(self):
-        return mpmathify(self.nu_str)
+        return materialize(self.nu_str, mp.prec)
 
     @property
     def tol(self):
-        return mpmathify(self.tol_str)
+        return materialize(self.tol_str, mp.prec)
 
     @property
     def nu_float(self):
@@ -325,6 +339,13 @@ def split_mpf(values):
         exps.append(exp)
     return mans, exps
 
+def unsplit_mpf(mans, exps):
+    """The mpf values split_mpf split into mans and exps, as a list, each
+    with exactly its own bits whatever the working precision."""
+    make = mp.make_mpf
+    return [make((1, -m, e, m.bit_length()) if m < 0 else (0, m, e, m.bit_length()))
+            for m, e in zip(mans, exps)]
+
 def exact_dot(a_man, a_exp, b_man, b_exp, prec):
     """Dot product of a and b, given as parallel sequences of signed integer
     mantissas and exponents, as an unrounded (man, exp).
@@ -484,8 +505,8 @@ def constants(params, dps=None):
 @functools.lru_cache(maxsize=256)
 def _constants(q_str, nu_str, dps):
     with mp.workdps(dps + 20):
-        q = mpmathify(q_str)
-        nu = mpmathify(nu_str)
+        q = materialize(q_str, mp.prec)
+        nu = materialize(nu_str, mp.prec)
         q2 = q * q
         a = qpochhammer_infinite(q ** (2 * nu + 2), q2)
         b = qpochhammer_infinite(q2, q2)
@@ -573,15 +594,37 @@ def q_exponential(z, q):
         return +total
 
 
+LATTICE_DPS = 40
+"""Digits at which a point is resolved to its lattice exponent."""
+
+LATTICE_SLACK = mpf("1e-9", dps=LATTICE_DPS)
+"""How far log_q of a lattice point may lie from its integer exponent."""
+
+@functools.lru_cache(maxsize=256)
+def _log_q(q_str):
+    with mp.workdps(LATTICE_DPS):
+        return mp.log(materialize(q_str, mp.prec))
+
+def nearest_exponent(v, params):
+    """(k, k_real - k) for a positive mpf v, where k_real = log(v) / log(q)
+    at LATTICE_DPS digits and k is the integer nearest it.  log q comes from
+    a memo per q string."""
+    with mp.workdps(LATTICE_DPS):
+        k_real = mp.log(v) / _log_q(params.q_str)
+        k = int(mp.nint(k_real))
+        return k, k_real - k
+
 def lattice_exponent(x, params, what="x"):
-    """Resolve a positive real to its lattice exponent; DomainError off-lattice."""
-    with mp.workdps(40):
+    """Resolve a positive real to its lattice exponent; DomainError off-lattice.
+
+    x is parsed at LATTICE_DPS digits and must lie within LATTICE_SLACK of
+    its nearest exponent (see nearest_exponent)."""
+    with mp.workdps(LATTICE_DPS):
         xv = parse_number(x, what)
         if xv <= 0:
             raise DomainError(f"{what} must be a positive lattice point")
-        k_real = mp.log(xv) / mp.log(params.q)
-        k = int(mp.nint(k_real))
-        if abs(k_real - k) > mpf("1e-9"):
+        k, off = nearest_exponent(xv, params)
+        if abs(off) > LATTICE_SLACK:
             raise DomainError(f"{what} = {x} is not a lattice point q^n")
         return k
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qbft import QParams, QGrid, bessel
+from qbft import QParams, QGrid, bessel, core
 
 # Filled by the acceptance tests when the full suite runs; the terminal
 # summary hook below prints one line per criterion at the end of the run.
@@ -19,15 +19,21 @@ def small_grid():
     return QGrid(-6, 20)
 
 
+def clear_memos():
+    """Empty every functools memo in core and bessel, found by introspection,
+    so a cold-path test reaches every memo, new ones included."""
+    for module in (core, bessel):
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+
 @pytest.fixture
-def cold_weights():
-    """Empties bessel's weight memos; calling the returned function empties
-    them again."""
-    def clear():
-        for memo in (bessel._weight, bessel._lorentz_weight, bessel._term_ratio):
-            memo.cache_clear()
-    clear()
-    return clear
+def cold_memos():
+    """Empties every memo in core and bessel; calling the returned function
+    empties them again."""
+    clear_memos()
+    return clear_memos
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

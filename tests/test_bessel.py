@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpmathify
 
-from qbft import bessel
+from qbft import bessel, core
 from qbft.core import (
     DECAY_INTEGRABLE,
     ConstancyViolation,
@@ -29,10 +29,12 @@ from qbft.core import (
     QParams,
     WindowError,
     constants,
+    exact_dot,
     jackson_integral_infinite,
     lambda_shift,
     q_bessel_operator,
     q_derivative,
+    split_mpf,
 )
 from qbft.bessel import (
     bound_constant,
@@ -282,7 +284,11 @@ class TestLatticeRow:
     def test_rows_are_memoized(self, series_calls):
         p = QParams(q="0.5", nu="1")
         first = j_nu_lattice_row(-5, 15, p)
-        assert j_nu_lattice_row(-5, 15, p) is first
+        info = bessel._certified_row.cache_info()
+        again = j_nu_lattice_row(-5, 15, p)
+        assert bessel._certified_row.cache_info().hits == info.hits + 1
+        assert bessel._certified_row.cache_info().currsize == info.currsize
+        assert [v._mpf_ for v in again] == [v._mpf_ for v in first]
         assert series_calls == [0]
 
     def test_floored_row_zeroes_below_the_envelope_floor(self, params):
@@ -488,7 +494,17 @@ class TestQuadratureRange:
         assert time.perf_counter() - start < 1
 
 
-def rounded_products_sum(ks, est, start, dps, weights, power, params):
+def closed_form_weights(params, a, lo, hi):
+    """The weights for l = lo..hi at the working precision, each from its
+    closed formula: q^(l(2nu+2)), over 1 + q^(2l)/a^2 unless a is None."""
+    q = mpmathify(params.q_str)
+    e = 2 * mpmathify(params.nu_str) + 2
+    if a is None:
+        return [q ** (mpf(l) * e) for l in range(lo, hi + 1)]
+    return [q ** (mpf(l) * e) / (1 + q ** (2 * l) / (a * a)) for l in range(lo, hi + 1)]
+
+
+def rounded_products_sum(ks, est, start, dps, a, power, params):
     """The per-point sum with every column's product rounded and then fsum:
     (value, scale times the sum of the terms' magnitudes)."""
     l_lo, l_hi = quadrature_range(ks, est, start, params)
@@ -496,7 +512,7 @@ def rounded_products_sum(ks, est, start, dps, weights, power, params):
     row = j_nu_lattice_row(lo, max(ks) + l_hi, params, dps)
     with mp.workdps(dps):
         c = constants(params, dps).c_q_nu
-        terms = weights(l_lo, l_hi)
+        terms = closed_form_weights(params, a, l_lo, l_hi)
         for k in ks:
             terms = [t * j for t, j in zip(terms, row[k + l_lo - lo:])]
         scale = (c if power == 1 else c * c) * (1 - params.q)
@@ -588,24 +604,25 @@ class TestPromisedParameterSpace:
 
 
 class TestWeightTable:
-    """Bounded per-entry memos of the lattice weights behind g_a,
-    triple_kernel, norm and the plans, and of the term ratios j_nu's and
-    i_nu's series share; a stored entry has the bits of a fresh one."""
+    """Bounded memos of the lattice weights behind g_a, triple_kernel, norm
+    and the plans, in blocks, and of the term ratios j_nu's and i_nu's
+    series share; a stored entry has the bits of a fresh one."""
 
-    MEMOS = ("_weight", "_lorentz_weight", "_term_ratio")
+    # each memo with the number of weights one of its entries holds
+    MEMOS = {"_weight_block": bessel.WEIGHT_BLOCK, "_term_ratio": 1}
 
     @pytest.mark.parametrize("nu", ["-0.5", "0", "1"])
-    def test_g_a_cold_equals_warm(self, nu, cold_weights):
+    def test_g_a_cold_equals_warm(self, nu, cold_memos):
         p = QParams(nu=nu)
         args = [(k, a) for k in (-3, 0, 4) for a in ("0.25", "1", "4")]
         cold = []
         for k, a in args:
-            cold_weights()
+            cold_memos()
             cold.append(g_a_lattice(k, a, p))
         warm = [g_a_lattice(k, a, p) for k, a in args]
         assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
 
-    def test_i_nu_and_d_nu_cold_equal_warm(self, cold_weights):
+    def test_i_nu_and_d_nu_cold_equal_warm(self, cold_memos):
         # i_nu at 100 digits and j_nu_lattice at s >= 0 both run at 120 dps,
         # so each series also reads ratios the other stored
         p = QParams(q="0.6", nu="0.25")
@@ -624,7 +641,7 @@ class TestWeightTable:
                  + [lambda: [d_nu(p)]])
         cold = []
         for call in calls:
-            cold_weights()
+            cold_memos()
             cold.append(call())
         # backwards, so every call finds the ratios of the calls after it
         warm = [call() for call in reversed(calls)][::-1]
@@ -632,7 +649,7 @@ class TestWeightTable:
             return [[v._mpf_ for v in row] for row in rows]
         assert raw(cold) == raw(warm)
 
-    def test_weights_are_the_plain_expression(self, params, cold_weights):
+    def test_weights_are_the_plain_expression(self, params, cold_memos):
         with mp.workdps(90):
             q = params.q
             nu = params.nu
@@ -641,18 +658,20 @@ class TestWeightTable:
             got = bessel.lattice_weights(params, -7, 29)
         assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
 
-    def test_precision_is_part_of_the_key(self, cold_weights):
+    def test_precision_is_part_of_the_key(self, cold_memos):
         p = QParams(q="0.6")
         with mp.workdps(40):
             low = bessel.lattice_weights(p, 1, 3)
         with mp.workdps(90):
             high = bessel.lattice_weights(p, 1, 3)
         assert low[0]._mpf_ != high[0]._mpf_
-        assert bessel._weight.cache_info().currsize == 6
+        # one block at each precision
+        assert bessel._weight_block.cache_info().currsize == 2
 
-    def test_never_holds_more_than_the_cap(self, cold_weights):
-        for name in self.MEMOS:
-            assert getattr(bessel, name).cache_info().maxsize == bessel.WEIGHT_TABLE_CAP
+    def test_never_holds_more_than_the_cap(self, cold_memos):
+        for name, per_entry in self.MEMOS.items():
+            assert (getattr(bessel, name).cache_info().maxsize
+                    == bessel.WEIGHT_TABLE_CAP // per_entry)
         p = QParams(q="0.6", nu="0.25")
         cap = bessel.WEIGHT_TABLE_CAP
         for lo, hi, dps in [(0, 20, 50), (10, 35, 50), (-5, 5, 70), (0, 39, 50),
@@ -662,11 +681,141 @@ class TestWeightTable:
                 q = p.q
                 want = [q ** (mpf(l) * (2 * p.nu + 2)) for l in range(lo, hi + 1)]
             assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
-            assert bessel._weight.cache_info().currsize <= cap
+            assert bessel._weight_block.cache_info().currsize * bessel.WEIGHT_BLOCK <= cap
         for k in range(0, 8):
             g_a_lattice(k, "2", p)
-        for name in self.MEMOS:
-            assert getattr(bessel, name).cache_info().currsize <= cap
+        for name, per_entry in self.MEMOS.items():
+            assert getattr(bessel, name).cache_info().currsize * per_entry <= cap
+
+
+def ten_term_i_nu(x, params):
+    """i_nu summed as it was before its early exit: on past the first term
+    below 10^-(dps+3) of the total until ten such terms in a row, with the
+    term ratios computed inline."""
+    with params.working(20):
+        q = mpmathify(params.q_str)
+        nu = mpmathify(params.nu_str)
+        x2 = mpmathify(x) ** 2
+        term = mp.one
+        total = mp.zero
+        n = 0
+        below = 0
+        floor = mpf(10) ** (-mp.dps - 3)
+        while below < 10:
+            total += term
+            q2 = q * q
+            num, den = q2 ** (n + 1), (1 - q ** (2 * nu + 2 + 2 * n)) * (1 - q2 ** (n + 1))
+            term *= num * x2 / den
+            n += 1
+            below = below + 1 if term < floor * total else 0
+        return +total
+
+
+class TestPositiveCompanionExit:
+    @given(q=Q_STRS, nu=NU_STRS, k=st.integers(-5, 20))
+    @settings(max_examples=30, deadline=None)
+    def test_early_exit_keeps_every_bit(self, q, nu, k):
+        p = QParams(q=q, nu=nu)
+        with mp.workdps(p.precision_digits + 40):
+            x = mpmathify(q) ** k
+        assert i_nu(x, p)._mpf_ == ten_term_i_nu(x, p)._mpf_
+
+
+def per_entry_route(ks, est, start, dps, a, power, params):
+    """The per-point sum as it was before the inputs came split: weights and
+    row as mpf values, the weights each from its closed formula, every
+    column but the last multiplied in, and both sides split by split_mpf
+    into one core.exact_dot."""
+    l_lo, l_hi = quadrature_range(ks, est, start, params)
+    lo = min(ks) + l_lo
+    row = j_nu_lattice_row(lo, max(ks) + l_hi, params, dps)
+    with mp.workdps(dps):
+        c = constants(params, dps).c_q_nu
+        terms = closed_form_weights(params, a, l_lo, l_hi)
+        for k in ks[:-1]:
+            terms = [t * j for t, j in zip(terms, row[k + l_lo - lo:])]
+        last = ks[-1] + l_lo - lo
+        total = mpf(exact_dot(*split_mpf(terms),
+                              *split_mpf(row[last:last + len(terms)]), mp.prec))
+        scale = c if power == 1 else c * c
+        return +(scale * (1 - mpmathify(params.q_str)) * total)
+
+
+class TestSplitInputs:
+    """The per-point quadratures read their weights and j rows already
+    split; the bits are those of the per-entry mpf route."""
+
+    @staticmethod
+    def recording(monkeypatch):
+        calls = []
+        quadrature = bessel._quadrature
+
+        def recorded(*args):
+            value = quadrature(*args)
+            calls.append((value, args))
+            return value
+
+        monkeypatch.setattr(bessel, "_quadrature", recorded)
+        return calls
+
+    @pytest.mark.parametrize("case, q, nu", [
+        (c, q, nu) for c, (q, nu) in enumerate(
+            itertools.product(["0.5", "0.7"], ["-0.5", "0", "1"]))])
+    def test_g_a_and_k_nu_match_the_per_entry_route(self, case, q, nu,
+                                                    monkeypatch, cold_memos):
+        # across the six cases every (k, j) pair comes up once or more
+        p = QParams(q=q, nu=nu)
+        ks = (-8, -1, 0, 6, 30)
+        with mp.workdps(p.precision_digits + 40):
+            points = {k: p.q ** k for k in range(-10, 33)}
+        calls = self.recording(monkeypatch)
+        def run():
+            out = [g_a_lattice(k, points[(i + case) % 5 - 2], p)
+                   for i, k in enumerate(ks)]
+            out += [k_nu(points[k], p) for k in (-1, 6)]
+            return [v._mpf_ for v in out]
+        cold = run()
+        assert run() == cold
+        straddles = 0
+        for value, args in calls:
+            assert value._mpf_ == per_entry_route(*args)._mpf_
+            l_lo, l_hi = quadrature_range(*args[:3], p)
+            straddles += l_lo // bessel.WEIGHT_BLOCK != l_hi // bessel.WEIGHT_BLOCK
+        assert len(calls) == 14 and straddles == 14
+
+    def test_triple_kernel_matches_the_per_entry_route(self, monkeypatch):
+        p = QParams(q="0.7", nu="-0.5")
+        calls = self.recording(monkeypatch)
+        with mp.workdps(p.precision_digits + 40):
+            triple_kernel(p.q ** 3, p.q ** -1, p.q ** 2, p)
+        (value, args), = calls
+        assert value._mpf_ == per_entry_route(*args)._mpf_
+
+    def test_fresh_k_after_a_warm_a_computes_no_weight_block(self, cold_memos):
+        p = QParams(q="0.5", nu="0")
+        g_a_lattice(7, "0.25", p)
+        blocks = bessel._weight_block.cache_info()
+        rows = bessel._certified_row.cache_info()
+        g_a_lattice(6, "0.25", p)
+        assert bessel._certified_row.cache_info().misses == rows.misses + 1
+        assert bessel._weight_block.cache_info().misses == blocks.misses
+        assert bessel._weight_block.cache_info().hits > blocks.hits
+
+    def test_warm_g_a_parses_no_parameter_and_splits_nothing(self, monkeypatch):
+        p = QParams(q="0.5", nu="0.5")
+        with mp.workdps(140):
+            x = mp.nstr(mpf("0.5") ** 27, 130, strip_zeros=True)
+            a = mp.nstr(mpf("0.5") ** -2, 130, strip_zeros=True)
+        first = g_a(x, a, p)
+        splits = []
+        split = bessel.split_mpf
+        monkeypatch.setattr(bessel, "split_mpf", lambda v: splits.append(v) or split(v))
+        memos = (core.materialize, core._log_q, core._constants,
+                 bessel._weight_block, bessel._certified_row)
+        before = [memo.cache_info().misses for memo in memos]
+        assert g_a(x, a, p)._mpf_ == first._mpf_
+        assert [memo.cache_info().misses for memo in memos] == before
+        assert splits == []
 
 
 class TestWronskianConstant:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpmathify
 
+from qbft import core
 from qbft.core import exact_dot, split_mpf
 from qbft import (
     DECAY_RAPID, DivergentTail, DomainError, InvalidParams, NonConvergent,
@@ -73,6 +74,18 @@ class TestQParams:
         with mp.workdps(120):
             err = abs(p.q - mpf(9) / 10)
         assert err < mpf("1e-115")
+
+    def test_memoized_parameters_have_a_fresh_parse_s_bits(self):
+        p = QParams(q="0.9", nu="-0.37", tol="3e-41")
+        for dps in (15, 40, 77, 300, 77):
+            with mp.workdps(dps):
+                for got, text in ((p.q, p.q_str), (p.nu, p.nu_str), (p.tol, p.tol_str)):
+                    assert got._mpf_ == mpmathify(text)._mpf_, (dps, text)
+        assert core.materialize.cache_info().maxsize == core.PARAMETER_CACHE_CAP
+
+    def test_lattice_slack_is_the_forty_digit_literal(self):
+        with mp.workdps(40):
+            assert core.LATTICE_SLACK._mpf_ == mpf("1e-9")._mpf_
 
 
 class TestQGrid:

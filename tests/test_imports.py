@@ -15,10 +15,13 @@ a whole-lattice spectrum through transform.spectrum.  transform is the one
 module that calls mpmath.libmp on raw tuples; the exact dot products of
 transform and bessel share core.exact_dot, which works on the integer
 mantissas and exponents core.split_mpf reads, and everything else works on
-mpf values.  Memos are functools.lru_cache functions, bounded and keyed on
-their inputs, so no module needs a global statement or a module-level
-container to fill.  Each passes its bound as an explicit maxsize;
-functools.cache has none.
+mpf values.  Only core materializes QParams' decimal strings: no other
+module hands q_str, nu_str or tol_str to mpmathify, parse_number or mpf, so
+every module reads q, nu and tol through core's one bounded memo
+(QParams.q, .nu, .tol, or core.materialize).  Memos are functools.lru_cache
+functions, bounded and keyed on their inputs, so no module needs a global
+statement or a module-level container to fill.  Each passes its bound as an
+explicit maxsize; functools.cache has none.
 """
 
 import ast
@@ -107,6 +110,39 @@ def test_only_transform_imports_libmp():
                  for hit in libmp_imports(path)]
     assert offenders == []
     assert list(libmp_imports(PACKAGE / "transform.py"))
+
+
+PARAMETER_STRINGS = ("q_str", "nu_str", "tol_str")
+PARSERS = ("mpmathify", "parse_number", "mpf")
+
+
+def parameter_parses(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if func not in PARSERS:
+            continue
+        for arg in node.args + [kw.value for kw in node.keywords]:
+            name = getattr(arg, "id", getattr(arg, "attr", None))
+            if isinstance(arg, (ast.Name, ast.Attribute)) and name in PARAMETER_STRINGS:
+                yield f"{path.name}:{node.lineno} passes {name} to {func}"
+
+
+def test_only_core_materializes_parameters():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "core.py"
+                 for hit in parameter_parses(path)]
+    assert offenders == []
+
+
+def test_parameter_lint_sees_a_private_parse(tmp_path):
+    module = tmp_path / "parsed.py"
+    module.write_text("def _q_nu(q_str, nu_str, prec):\n"
+                      "    return mpmathify(q_str), mpmath.mpf(params.nu_str)\n")
+    assert [hit.split(" ", 1)[1] for hit in parameter_parses(module)] == [
+        "passes q_str to mpmathify", "passes nu_str to mpf"]
 
 
 EMPTY_CONTAINERS = ("set", "dict", "list", "OrderedDict")

@@ -37,7 +37,7 @@ from qbft.core import (
     gridfunction_to_json,
 )
 import qbft.transform
-from qbft import bessel, core
+from qbft import bessel
 from qbft.bessel import g_a_lattice, j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 from qbft.kernels import approx_identity_run
@@ -561,18 +561,18 @@ class TestMatvec:
 class TestWeightTable:
     """Weights from bessel's memos give the bits of a fresh evaluation."""
 
-    def test_triple_kernel_and_norm_cold_equal_warm(self, members, cold_weights):
+    def test_triple_kernel_and_norm_cold_equal_warm(self, members, cold_memos):
         p = QParams(q="0.6", nu="0.25")
         x = [mpf("0.6") ** k for k in (2, 0, -1)]
         f = members["gauss_half"]
         def values():
             return [triple_kernel(*x, p), norm(f, 1, p), norm(f, 2, p)]
         cold = values()
-        assert bessel._weight.cache_info().currsize > 0
+        assert bessel._weight_block.cache_info().currsize > 0
         warm = values()
         assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
 
-    def test_plan_weights_cold_equal_warm(self, cold_weights):
+    def test_plan_weights_cold_equal_warm(self, cold_memos):
         p = QParams(q="0.6", nu="0.25")
         cold = build_plan(p, QGrid(-6, 20))
         warm = build_plan(p, QGrid(-6, 20))
@@ -784,13 +784,6 @@ def per_output_convolve_direct(f, g, plan):
     return out
 
 
-def clear_memos():
-    for module in (core, bessel):
-        for fn in vars(module).values():
-            if hasattr(fn, "cache_clear"):
-                fn.cache_clear()
-
-
 class TestConvolveDirect:
     """The definitional route translates f by each support point of g."""
 
@@ -822,7 +815,7 @@ class TestConvolveDirect:
                 tol = mpf(10) ** -(small_plan.dps - 3) * max(abs(v) for v in out)
                 assert max(abs(a - b) for a, b in zip(out, want)) <= tol
 
-    def test_cold_and_warm_calls_are_bit_identical(self, params, members):
+    def test_cold_and_warm_calls_are_bit_identical(self, params, members, cold_memos):
         f = members["const_plus"]
         g = members["hump_small_x"]
         def run():
@@ -830,7 +823,6 @@ class TestConvolveDirect:
             out = convolve_direct(f, g, plan).values + [
                 g_a_lattice(k, 1, params) for k in (-2, 5)]
             return [v._mpf_ for v in out]
-        clear_memos()
         assert run() == run()
 
 
