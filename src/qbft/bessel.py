@@ -246,6 +246,12 @@ def _certified_row(s_lo, s_hi, params, digits):
     mans, exps = split_mpf(row)
     return tuple(mans), tuple(exps)
 
+def _check_row_bounds(s_lo, s_hi):
+    if not (isinstance(s_lo, int) and isinstance(s_hi, int)):
+        raise DomainError("lattice evaluation needs integer exponents")
+    if s_lo > s_hi:
+        raise DomainError(f"empty lattice row [{s_lo}, {s_hi}]")
+
 def j_nu_lattice_row(s_lo, s_hi, params, digits=None):
     """Certified j_nu(q^s; q^2) for the lattice exponents s_lo..s_hi, as a tuple.
 
@@ -259,23 +265,25 @@ def j_nu_lattice_row(s_lo, s_hi, params, digits=None):
     rebuilds the mpf values from them exactly.  j_nu_lattice's cache only
     ever holds the anchor and the fallbacks.
     """
-    if not (isinstance(s_lo, int) and isinstance(s_hi, int)):
-        raise DomainError("lattice evaluation needs integer exponents")
-    if s_lo > s_hi:
-        raise DomainError(f"empty lattice row [{s_lo}, {s_hi}]")
+    _check_row_bounds(s_lo, s_hi)
     return tuple(unsplit_mpf(*_certified_row(s_lo, s_hi, params,
                                              digits or params.precision_digits)))
 
 def j_nu_lattice_row_floored(s_lo, s_hi, params, digits=None):
-    """j_nu_lattice_row, with exact zeros where the decay envelope certifies
-    |j_nu(q^s)| below the precision floor 10^-(precision_digits + 50)."""
+    """j_nu_lattice_row's samples as the certified row's own integers, with
+    exact zeros where the decay envelope certifies |j_nu(q^s)| below the
+    precision floor 10^-(precision_digits + 50): a (mantissas, exponents)
+    pair of tuples, as core.split_mpf splits, with (0, 0) for each floored
+    zero.  No mpf is built; the transform reads the row as these integers."""
     first = s_lo
     while first <= s_hi and decay_bound_log10(first, params) < -(params.precision_digits + 50):
         first += 1
-    zeros = (mp.zero,) * (first - s_lo)
+    zeros = (0,) * (first - s_lo)
     if first > s_hi:
-        return zeros
-    return zeros + j_nu_lattice_row(first, s_hi, params, digits)
+        return zeros, zeros
+    _check_row_bounds(first, s_hi)
+    mans, exps = _certified_row(first, s_hi, params, digits or params.precision_digits)
+    return zeros + mans, zeros + exps
 
 def i_nu(x, params):
     """Modified companion series: all terms positive, no cancellation.

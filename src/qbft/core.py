@@ -252,10 +252,10 @@ def _man_exp(v):
             return None
         if not isinstance(v, mpf):
             return None
-    man, exp = v.man_exp
+    sign, man, exp, _ = v._mpf_
     if not man and exp:
         return None
-    return (-man if v < 0 else man), exp
+    return (-man if sign else man), exp
 
 
 class PackedSamples:
@@ -264,24 +264,34 @@ class PackedSamples:
     Sample i is the signed mantissa held as the i-th little-endian integer
     of `width` bytes in one blob, times 2 ** exps[i].  At a plan's 75 digits
     that is about 36 bytes a sample, against about 230 for an mpf.  The
-    store is immutable; .values unpacks it to a new list of mpf, each
-    rebuilt at 8 * width bits, so exactly.
+    store is immutable.  The transform reads and writes it as split
+    integers, the (mantissas, exponents) lists core.exact_dot reads:
+    from_split packs them and split() hands them out, and neither builds an
+    mpf.  Only .values and value_at build mpf, each rebuilt at 8 * width
+    bits, so exactly.
     """
 
     __slots__ = ("grid", "_width", "_mants", "_exps")
 
     def __init__(self, grid, values):
-        pairs = [_man_exp(v) for v in values]
-        if len(pairs) != len(grid):
+        self._pack(grid, *split_mpf(values))
+
+    @classmethod
+    def from_split(cls, grid, mans, exps):
+        """The store of the samples mans[i] * 2 ** exps[i] on grid."""
+        out = cls.__new__(cls)
+        out._pack(grid, mans, exps)
+        return out
+
+    def _pack(self, grid, mans, exps):
+        if len(mans) != len(grid):
             raise InvalidParams(
-                f"value count {len(pairs)} does not match window size {len(grid)}")
-        if None in pairs:
-            raise InvalidParams("grid function samples must be finite real numbers")
-        width = max(abs(man).bit_length() for man, _ in pairs) // 8 + 1
+                f"value count {len(mans)} does not match window size {len(grid)}")
+        width = max(max(mans), -min(mans)).bit_length() // 8 + 1
         # 32-bit exponents when they fit, as they do at any working precision
         for code in ("i", "q"):
             try:
-                exps = array(code, (exp for _, exp in pairs))
+                packed_exps = array(code, exps)
                 break
             except OverflowError:
                 pass
@@ -290,8 +300,8 @@ class PackedSamples:
         self.grid = grid
         self._width = width
         self._mants = b"".join(man.to_bytes(width, "little", signed=True)
-                               for man, _ in pairs)
-        self._exps = exps
+                               for man in mans)
+        self._exps = packed_exps
 
     def __len__(self):
         return len(self._exps)
@@ -300,6 +310,16 @@ class PackedSamples:
         width = self._width
         return int.from_bytes(self._mants[i * width:(i + 1) * width], "little",
                               signed=True)
+
+    def split(self):
+        """The samples as two new lists, signed integer mantissas and
+        exponents: sample i is mans[i] * 2 ** exps[i]."""
+        width = self._width
+        blob = self._mants
+        from_bytes = int.from_bytes
+        mans = [from_bytes(blob[i:i + width], "little", signed=True)
+                for i in range(0, len(blob), width)]
+        return mans, self._exps.tolist()
 
     @property
     def values(self):
@@ -326,17 +346,20 @@ class PackedSamples:
 
 
 def split_mpf(values):
-    """Signed integer mantissas and exponents of finite mpf values, as two
-    lists: values[i] is mans[i] * 2 ** exps[i].  Infinities and NaN raise
-    InvalidParams."""
+    """Signed integer mantissas and exponents of finite real samples, as two
+    lists: values[i] is mans[i] * 2 ** exps[i].  An mpf is read from its raw
+    tuple, other reals as _man_exp reads them (integers keep every digit,
+    floats their 53 bits).  Only an mpf's mantissa is sure to be odd or
+    zero, as core.exact_dot needs.  Infinities, NaN and complex values
+    raise InvalidParams."""
     mans = []
     exps = []
     for v in values:
-        sign, man, exp, _ = v._mpf_
-        if not man and exp:
-            raise InvalidParams("exact dot products take finite samples only")
-        mans.append(-man if sign else man)
-        exps.append(exp)
+        pair = _man_exp(v)
+        if pair is None:
+            raise InvalidParams("samples must be finite real numbers")
+        mans.append(pair[0])
+        exps.append(pair[1])
     return mans, exps
 
 def unsplit_mpf(mans, exps):

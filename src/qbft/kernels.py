@@ -23,7 +23,7 @@ from .core import (
     DECAY_RAPID, DECAY_UNKNOWN, DomainError, IntegrabilityError, InvalidParams,
     NoWitness, PrecisionExhausted, WindowError, GridFunction, QGrid, constants,
     decimal_str, lattice_exponent, qpochhammer_infinite, q_bessel_operator,
-    parse_number,
+    parse_number, split_mpf,
 )
 from .bessel import g_a_lattice, i_nu, lattice_weights
 from .transform import multiply_spectrum, norm, spectrum, transform_profile
@@ -254,7 +254,8 @@ def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
 
     The convolutions go through the spectral multiplier e(-q^(2n) t^2; q^2)
     of the Gauss kernel, one telescoped row per n (_gauss_multiplier_row),
-    applied to f's spectrum, which is computed once for all widths.
+    applied to f's spectrum, which is computed once for all widths.  The
+    row enters multiply_spectrum split, as its integers.
     For an approximate identity the distances must shrink as n grows.
     """
     params = plan.params
@@ -268,7 +269,7 @@ def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
     spec = spectrum(f, plan)
     for n in ns:
         row = _gauss_multiplier_row(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
-        conv = multiply_spectrum(plan, spec, lambda l, row=row: row[l - plan.lat_lo])
+        conv = multiply_spectrum(plan, spec, split_mpf(row))
         with mp.workdps(plan.dps):
             diff = GridFunction(
                 QGrid(ov_lo, ov_hi),

@@ -19,19 +19,29 @@ therefore computes only its output window's rows.  The rest of the
 lattice, which the next transform through the same plan reads back, is
 left pending in the output's lattice record: the record holds the plan
 and the packed input, and computes the head and tail rows on first read.
+
+Samples stay integers through every application.  A plan keeps its j row
+and weights split, as the signed integer mantissas and exponents
+core.exact_dot reads; inputs come out of their PackedSamples store split
+(PackedSamples.split), every pointwise product is formed on those
+integers and rounded as an mpf multiplication at the plan's precision
+rounds it (_products), each row is one exact dot rounded as mpmath.fdot
+rounds it, and the rows go back into a store split
+(PackedSamples.from_split).  mpf values are built only where the public
+API returns them: .values, value_at, entry, jrow and weights, norm.
 """
 
 import math
 
 import mpmath
-from mpmath import mp, mpc, mpmathify
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath import mp, mpmathify
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
     InvalidParams, PreconditionError, WindowError,
     GridFunction, PackedSamples, QGrid, constants, exact_dot, lattice_exponent,
-    parse_number, split_mpf,
+    parse_number, split_mpf, unsplit_mpf,
 )
 from .bessel import j_nu_lattice_row_floored, lattice_weights
 # defined with the other per-point quadratures, kept as qbft.transform.triple_kernel
@@ -58,10 +68,18 @@ class TransformPlan:
     """Transform matrix over an extended internal lattice, kept as its factors:
     entry (k, n) is weights[n - lat_lo] * jrow[k + n - 2 lat_lo] at dps.
 
-    The matvec reads the j row as signed integer mantissas and exponents,
-    unpacked once here: jrow[m] is _jman[m] * 2 ** _jexp[m].  A plan pickles
-    as those integers and the weights' raw tuples, not as mpf values: every
-    fourier output's pending lattice record carries its plan."""
+    Both factors are kept split, as the signed integer mantissas and
+    exponents the matvec reads: jrow[m] is _jman[m] * 2 ** _jexp[m], and
+    the weights likewise.  jrow is given split, as core.split_mpf splits
+    mpf values (odd or zero mantissas, which core.exact_dot needs); weights
+    are given as mpf values and split when assigned, so a reassigned
+    .weights is what the matvec reads.  Reading .jrow or .weights decodes a
+    new tuple of mpf, so read it once per call; entry decodes only its two
+    factors.  A plan pickles as those integers: every fourier output's
+    pending lattice record carries its plan.  _jstart is the index of the
+    j row's first nonzero sample; below it lie the exact zeros build_plan
+    floors, which the matvec's rows skip.
+    """
 
     def __init__(self, params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps):
         self.params = params
@@ -69,35 +87,41 @@ class TransformPlan:
         self.out_grid = out_grid
         self.lat_lo = lat_lo
         self.lat_hi = lat_hi
-        self.jrow = jrow
         self.dps = dps
-        jman, jexp = split_mpf(jrow)
-        self._jman = tuple(jman)
-        self._jexp = tuple(jexp)
+        self._prec = dps_to_prec(dps)
+        self._jman = tuple(jrow[0])
+        self._jexp = tuple(jrow[1])
+        self._jstart = next((i for i, man in enumerate(self._jman) if man),
+                            len(self._jman))
         with mp.workdps(dps):
             c1q = constants(params, dps).c_q_nu * (1 - params.q)
-            self.weights = tuple(c1q * w
-                                 for w in lattice_weights(params, lat_lo, lat_hi))
+            self.weights = [c1q * w for w in lattice_weights(params, lat_lo, lat_hi)]
+
+    @property
+    def jrow(self):
+        """The j row as a new tuple of mpf."""
+        return tuple(unsplit_mpf(self._jman, self._jexp))
+
+    @property
+    def weights(self):
+        """The weights as a new tuple of mpf."""
+        return tuple(unsplit_mpf(self._wman, self._wexp))
+
+    @weights.setter
+    def weights(self, weights):
+        wman, wexp = split_mpf(weights)
+        self._wman = tuple(wman)
+        self._wexp = tuple(wexp)
 
     def entry(self, k, n):
         """Matrix element for output exponent k, input exponent n (I/O view)."""
         if k not in self.out_grid or n not in self.in_grid:
             raise WindowError(f"entry ({k}, {n}) outside the plan's I/O window")
+        i = n - self.lat_lo
+        m = k + n - 2 * self.lat_lo
+        w, j = unsplit_mpf((self._wman[i], self._jman[m]), (self._wexp[i], self._jexp[m]))
         with mp.workdps(self.dps):
-            return self.weights[n - self.lat_lo] * self.jrow[k + n - 2 * self.lat_lo]
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        del state["jrow"]
-        state["weights"] = tuple(w._mpf_ for w in self.weights)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        make = mp.make_mpf
-        self.jrow = tuple(make(from_man_exp(man, exp))
-                          for man, exp in zip(self._jman, self._jexp))
-        self.weights = tuple(make(w) for w in self.weights)
+            return w * j
 
     def size(self):
         return self.lat_hi - self.lat_lo + 1
@@ -121,11 +145,13 @@ class TransformPlan:
 def build_plan(params, in_grid=None, out_grid=None):
     """Sample the j row and the weights of the transform matrix.
 
-    The row comes from the certified recurrence (j_nu_lattice_row) and is
-    rounded to the plan's working precision.  j values whose decay envelope
-    already certifies them below the precision floor are stored as exact
-    zeros instead of being evaluated (see j_nu_lattice_row_floored).  An
-    internal lattice of more than MAX_PLAN_POINTS points raises WindowError.
+    The row comes from the certified recurrence (j_nu_lattice_row) as its
+    integers, and each sample wider than the plan's working precision is
+    rounded to it, as unary plus at that precision rounds an mpf.  j values
+    whose decay envelope already certifies them below the precision floor
+    are stored as exact zeros instead of being evaluated (see
+    j_nu_lattice_row_floored).  An internal lattice of more than
+    MAX_PLAN_POINTS points raises WindowError.
     """
     in_grid = in_grid or QGrid()
     out_grid = out_grid or in_grid
@@ -138,10 +164,14 @@ def build_plan(params, in_grid=None, out_grid=None):
             f"plan lattice of {size} points exceeds the bound of {MAX_PLAN_POINTS} "
             f"points (one application would take {size * size:,} multiply-adds)")
     dps = params.precision_digits + 15
-    row = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
-    with mp.workdps(dps):
-        jrow = tuple(+v for v in row)
-    return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps)
+    prec = dps_to_prec(dps)
+    jman, jexp = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
+    jman = list(jman)
+    jexp = list(jexp)
+    for i, man in enumerate(jman):
+        if abs(man).bit_length() > prec:
+            jman[i], jexp[i] = _rounded((man, jexp[i]), prec)
+    return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, (jman, jexp), dps)
 
 
 def _require_on_lattice(plan, f):
@@ -168,46 +198,90 @@ def _source(plan, f):
     return f.samples
 
 def _lift(plan, samples):
-    """Packed samples on a window of the plan's lattice, zero-extended to
-    the whole lattice as a list of mpf."""
-    vec = [mp.zero] * plan.size()
+    """Packed samples on a window of the plan's lattice, split and
+    zero-extended to the whole lattice: (mantissas, exponents) lists."""
+    size = plan.size()
     base = samples.grid.n_min - plan.lat_lo
-    vec[base:base + len(samples)] = samples.values
-    return vec
+    vman, vexp = samples.split()
+    mans = [0] * size
+    exps = [0] * size
+    mans[base:base + len(vman)] = vman
+    exps[base:base + len(vexp)] = vexp
+    return mans, exps
 
 def _embed(plan, f):
-    """f's samples on the plan's internal lattice (see _source)."""
+    """f's samples on the plan's internal lattice, split (see _source)."""
     return _lift(plan, _source(plan, f))
 
 def _rounded(dot, prec):
-    """An exact_dot's (man, exp) as an mpf, rounded to prec bits as
-    mpmath.fdot rounds."""
-    return mp.make_mpf(from_man_exp(*dot, prec, round_nearest))
+    """A (man, exp) pair rounded to prec bits as mpmath.fdot rounds an
+    exact_dot, and as an mpf multiplication rounds an exact product: the
+    rounded (man, exp), with the mantissa signed."""
+    sign, man, exp, _ = from_man_exp(*dot, prec, round_nearest)
+    return (-man if sign else man), exp
+
+def _products(aman, aexp, bman, bexp, prec):
+    """Pointwise products of two split sample sequences, each rounded to
+    prec bits as the mpf product a * b rounds it at prec: split lists.  The
+    sequences are zipped, so the shortest one sets the length."""
+    mans = []
+    exps = []
+    for am, ae, bm, be in zip(aman, aexp, bman, bexp):
+        man = am * bm
+        if man:
+            sign, man, exp, _ = from_man_exp(man, ae + be, prec, round_nearest)
+            mans.append(-man if sign else man)
+            exps.append(exp)
+        else:
+            mans.append(0)
+            exps.append(0)
+    return mans, exps
 
 def _matvec(plan, vec, rows=None):
     """Plan matrix times lattice samples vec, on the given rows (default all).
 
-    Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec, bit for
-    bit: one core.exact_dot over the nonzero span of u, rounded once to the
-    plan's precision.  Complex samples, and u entries that are not finite,
-    raise InvalidParams before any product is formed.
+    vec is the input on the plan's whole lattice: split, as a (mantissas,
+    exponents) tuple of two sequences, or a list of real values, which
+    core.split_mpf splits first.  Complex samples and samples that are not
+    finite raise InvalidParams before any product is formed.  The rows come
+    back split, as two lists.
+
+    Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec, bit
+    for bit: each u_i is the integer product of the split factors rounded
+    as an mpf product at the plan's precision rounds it (_products), and
+    the row is one core.exact_dot over the nonzero span of vec, rounded
+    once as fdot rounds (_rounded).  A row's slice starts no lower than the j
+    row's first nonzero sample, plan._jstart: the terms below it are the
+    exact zero products of the floored head of the j row, which the exact
+    dot, like mpf_sum, skips, so the trim keeps the same bits.  A row whose
+    whole slice lies in that head is an exact zero.
     """
-    if any(isinstance(v, (mpc, complex)) for v in vec):
-        raise InvalidParams("the transform takes real samples only")
+    if not isinstance(vec, tuple):
+        vec = split_mpf(vec)
+    vman, vexp = vec
     rows = range(plan.size()) if rows is None else rows
-    with mp.workdps(plan.dps):
-        u = [w * v for w, v in zip(plan.weights, vec)]
-        prec = mp.prec
-    uman, uexp = split_mpf(u)
-    span = [i for i, man in enumerate(uman) if man]
+    prec = plan._prec
+    span = [i for i, man in enumerate(vman) if man]
     lo, hi = (span[0], span[-1] + 1) if span else (0, 0)
-    uman = uman[lo:hi]
-    uexp = uexp[lo:hi]
+    uman, uexp = _products(plan._wman[lo:hi], plan._wexp[lo:hi],
+                           vman[lo:hi], vexp[lo:hi], prec)
     jman = plan._jman
     jexp = plan._jexp
-    return [_rounded(exact_dot(jman[r + lo:r + hi], jexp[r + lo:r + hi], uman, uexp, prec),
-                     prec)
-            for r in rows]
+    jstart = plan._jstart
+    mans = []
+    exps = []
+    for r in rows:
+        first = max(lo, jstart - r)
+        if first < hi:
+            skip = first - lo
+            man, exp = _rounded(exact_dot(jman[r + first:r + hi], jexp[r + first:r + hi],
+                                          uman[skip:] if skip else uman,
+                                          uexp[skip:] if skip else uexp, prec), prec)
+        else:
+            man = exp = 0
+        mans.append(man)
+        exps.append(exp)
+    return mans, exps
 
 def _require_transformable(f):
     if f.decay_class not in (DECAY_RAPID, DECAY_INTEGRABLE):
@@ -221,8 +295,8 @@ class PendingRows:
     Holds the plan, the packed samples it transformed (an input's own
     lattice record, or its window samples) and the output's window rows; no
     sample is copied.  resolve() computes the head and tail rows of the
-    plan's lattice with one _matvec and splices them around the window
-    rows, which gives the PackedSamples spectrum() would have stored.
+    plan's lattice with one _matvec and splices them, split, around the
+    window rows, which gives the PackedSamples spectrum() would have stored.
     GridFunction.lattice calls it once and keeps the result.
     """
 
@@ -241,10 +315,16 @@ class PendingRows:
         plan = self.plan
         inner = plan.window_rows()
         rows = [*range(inner.start), *range(inner.stop, plan.size())]
-        off = _matvec(plan, _lift(plan, self.source), rows)
+        oman, oexp = _matvec(plan, _lift(plan, self.source), rows)
+        wman, wexp = self.window.split()
         head = inner.start
-        return PackedSamples(self.grid, off[:head] + self.window.values + off[head:])
+        return PackedSamples.from_split(self.grid, oman[:head] + wman + oman[head:],
+                                        oexp[:head] + wexp + oexp[head:])
 
+
+def _packed(grid, split):
+    """A rapid GridFunction over the split samples on grid."""
+    return GridFunction.packed(PackedSamples.from_split(grid, *split), DECAY_RAPID)
 
 def spectrum(f, plan):
     """Transform of f on the plan's whole internal lattice, tagged rapid.
@@ -252,8 +332,7 @@ def spectrum(f, plan):
     All rows are computed now.  f's lattice record, when it matches the
     plan (see fourier), is transformed in place of its window samples."""
     _require_transformable(f)
-    return GridFunction(plan.lattice_grid(), _matvec(plan, _embed(plan, f)),
-                        DECAY_RAPID)
+    return _packed(plan.lattice_grid(), _matvec(plan, _embed(plan, f)))
 
 def fourier(f, plan):
     """Apply the transform; result sampled on the plan's output window.
@@ -269,10 +348,9 @@ def fourier(f, plan):
     """
     _require_transformable(f)
     source = _source(plan, f)
-    window = PackedSamples(plan.out_grid,
-                           _matvec(plan, _lift(plan, source), plan.window_rows()))
-    out = GridFunction.packed(window, DECAY_RAPID)
-    out.lattice = (plan.params, PendingRows(plan, source, window))
+    out = _packed(plan.out_grid,
+                  _matvec(plan, _lift(plan, source), plan.window_rows()))
+    out.lattice = (plan.params, PendingRows(plan, source, out.samples))
     return out
 
 def transform_profile(plan, profile):
@@ -287,25 +365,42 @@ def transform_profile(plan, profile):
     """
     with mp.workdps(plan.dps):
         vec = [profile(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
-    return GridFunction(plan.out_grid, _matvec(plan, vec, plan.window_rows()),
-                        DECAY_RAPID)
+    return _packed(plan.out_grid, _matvec(plan, vec, plan.window_rows()))
 
 def apply_multiplier(plan, f, multiplier):
     """Transform f, scale the spectrum pointwise, transform back.
 
-    multiplier maps an internal lattice exponent l to the spectral factor at
-    t = q^l.  The pointwise products run at the plan's working precision;
-    letting them run at ambient precision corrupts results far above the
-    precision floor.  The result is fourier()'s, with its record pending.
+    multiplier gives the spectral factor at t = q^l for each internal
+    lattice exponent l: a callable l -> factor, evaluated at the plan's
+    working precision, or a lattice row already split, a (mantissas,
+    exponents) pair of sequences indexed by l - lat_lo (see
+    multiply_spectrum); anything else raises InvalidParams.  The pointwise
+    products run at the plan's working precision; letting them run at
+    ambient precision corrupts results far above the precision floor.  The
+    result is fourier()'s, with its record pending.
     """
     return multiply_spectrum(plan, spectrum(f, plan), multiplier)
 
 def multiply_spectrum(plan, spec, multiplier):
     """apply_multiplier given f's spectrum (as spectrum() returns it), so
-    several multipliers can share one forward transform."""
-    with mp.workdps(plan.dps):
-        scaled = [v * multiplier(plan.lat_lo + i) for i, v in enumerate(spec.values)]
-    return fourier(GridFunction(spec.grid, scaled, DECAY_RAPID), plan)
+    several multipliers can share one forward transform.
+
+    A multiplier that is already a lattice row enters as its integers, with
+    no mpf built: g's spectrum in convolve, the kernel's spectrum in
+    variation.vd_check, the j column in translate and the Gauss row in
+    kernels.approx_identity_run.  A callable's factors are split once.
+    Either way each product is the integer product rounded as the mpf
+    product at the plan's precision rounds it, so both forms give the bits
+    of the mpf route."""
+    if callable(multiplier):
+        with mp.workdps(plan.dps):
+            factors = [multiplier(l) for l in range(plan.lat_lo, plan.lat_lo + len(spec))]
+        multiplier = split_mpf(factors)
+    elif not (isinstance(multiplier, tuple) and len(multiplier) == 2):
+        raise InvalidParams("a multiplier is a callable or a split lattice row, "
+                            "a (mantissas, exponents) pair")
+    scaled = _products(*spec.samples.split(), *multiplier, plan._prec)
+    return fourier(_packed(spec.grid, scaled), plan)
 
 
 def translate(f, x, plan):
@@ -313,23 +408,24 @@ def translate(f, x, plan):
 
     T_x f = F[ j_nu(x .) F f ]: transform, multiply by the j column at x,
     transform back.  x must be a lattice point; for x on the plan's lattice
-    the column is a slice of plan.jrow.
+    the column is a slice of the plan's split j row, and off it the column
+    comes split from the certified row.
     """
     m = lattice_exponent(x, plan.params, "x")
     if plan.lat_lo <= m <= plan.lat_hi:
-        col = plan.jrow[m - plan.lat_lo:m - plan.lat_lo + plan.size()]
+        a = m - plan.lat_lo
+        col = (plan._jman[a:a + plan.size()], plan._jexp[a:a + plan.size()])
     else:
         col = j_nu_lattice_row_floored(m + plan.lat_lo, m + plan.lat_hi,
                                        plan.params, plan.dps)
-    return apply_multiplier(plan, f, lambda l: col[l - plan.lat_lo])
+    return apply_multiplier(plan, f, col)
 
 
 def convolve(f, g, plan):
     """q-convolution F(f * g) = F f . F g: apply_multiplier by g's spectrum."""
     # both decay gates run before either window is checked
     _require_transformable(f)
-    g_hat = spectrum(g, plan).values
-    return apply_multiplier(plan, f, lambda l: g_hat[l - plan.lat_lo])
+    return apply_multiplier(plan, f, spectrum(g, plan).samples.split())
 
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.
@@ -338,31 +434,36 @@ def convolve_direct(f, g, plan):
     symmetric, T_x f(y) = T_y f(x), so the values come from one spectral
     synthesis per support point y of g, restricted to the output window: the
     rounded spectral products scale with g's support, not with the window.
-    No step of this path shares code with convolve()'s product-of-spectra
-    shortcut beyond applying the plan matrix.
+    Both spectral products per support point, the j column times f's
+    spectrum and the weights times g, are integer products rounded as mpf
+    products at the plan's precision.  No step of this path shares code
+    with convolve()'s product-of-spectra shortcut beyond applying the plan
+    matrix.
     """
     _require_transformable(f)
     _require_transformable(g)
     _require_on_lattice(plan, g)
-    fh = _matvec(plan, _embed(plan, f))
-    nonzero = [(n - plan.lat_lo, v)
-               for n, v in zip(g.grid.exponents(), g.values) if v != 0]
-    if not nonzero:
+    fman, fexp = _matvec(plan, _embed(plan, f))
+    base = g.grid.n_min - plan.lat_lo
+    gman, gexp = g.samples.split()
+    support = [base + k for k, man in enumerate(gman) if man]
+    if not support:
         return GridFunction.zero(plan.out_grid)
+    prec = plan._prec
+    gw = _products([plan._wman[i] for i in support], [plan._wexp[i] for i in support],
+                   [man for man in gman if man], [gexp[i - base] for i in support], prec)
     rows = plan.window_rows()
-    with mp.workdps(plan.dps):
-        gw = [plan.weights[i] * v for i, v in nonzero]
-        # T_y f on the window for y = q^(lat_lo + i): the j column at y is jrow[i:]
-        t_y = [split_mpf(_matvec(plan, [a * b for a, b in zip(fh, plan.jrow[i:])], rows))
-               for i, _ in nonzero]
-        prec = mp.prec
-    gman, gexp = split_mpf(gw)
+    jman = plan._jman
+    jexp = plan._jexp
+    # T_y f on the window for y = q^(lat_lo + i): the j column at y is jrow[i:]
+    t_y = [_matvec(plan, _products(fman, fexp, jman[i:], jexp[i:], prec), rows)
+           for i in support]
     # output x's terms are T_y f(x) over the support points y, in their order
     t_man = zip(*(man for man, _ in t_y))
     t_exp = zip(*(exp for _, exp in t_y))
-    out = [_rounded(exact_dot(gman, gexp, man, exp, prec), prec)
+    out = [_rounded(exact_dot(*gw, man, exp, prec), prec)
            for man, exp in zip(t_man, t_exp)]
-    return GridFunction(plan.out_grid, out, DECAY_RAPID)
+    return _packed(plan.out_grid, ([man for man, _ in out], [exp for _, exp in out]))
 
 
 def norm(f, p, params):

@@ -47,8 +47,10 @@ def sign_changes(f, zero_tol=None):
     """
     tol = parse_number(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL,
                        "zero_tol")
-    vals = f.values
     with mp.workdps(30):
+        # each sample rounded to 30 digits from its integers, as abs() of
+        # the decoded sample rounds it: the full-precision value is not needed
+        vals = [mpf(pair) for pair in zip(*f.samples.split())]
         mx = max((abs(v) for v in vals), default=mp.zero)
         if mx == 0:
             return SignPattern([], [], 0)
@@ -76,18 +78,19 @@ def vd_check(kernel, functions, plan, zero_tol=None, names=None):
     """Convolve the kernel with each function and compare variations.
 
     kernel and functions are window samples; convolution multiplies by the
-    kernel's spectrum, taken once.  Passes only if no function gains sign changes.
+    kernel's spectrum, taken once and passed on as its integers.  Passes
+    only if no function gains sign changes.
     """
     if names is not None and len(names) != len(functions):
         raise InvalidParams(
             f"{len(names)} names given for {len(functions)} functions")
-    kernel_hat = spectrum(kernel, plan).values
+    kernel_hat = spectrum(kernel, plan).samples.split()
     rows = []
     passed = True
     for i, f in enumerate(functions):
         name = names[i] if names else f"f{i}"
         v_in = sign_changes(f, zero_tol).changes
-        conv = apply_multiplier(plan, f, lambda l: kernel_hat[l - plan.lat_lo])
+        conv = apply_multiplier(plan, f, kernel_hat)
         v_out = sign_changes(conv, zero_tol).changes
         ok = v_out <= v_in
         passed = passed and ok

@@ -35,6 +35,7 @@ from qbft.core import (
     q_bessel_operator,
     q_derivative,
     split_mpf,
+    unsplit_mpf,
 )
 from qbft.bessel import (
     bound_constant,
@@ -293,7 +294,7 @@ class TestLatticeRow:
 
     def test_floored_row_zeroes_below_the_envelope_floor(self, params):
         floor = -(params.precision_digits + 50)
-        row = j_nu_lattice_row_floored(-24, 4, params)
+        row = tuple(unsplit_mpf(*j_nu_lattice_row_floored(-24, 4, params)))
         first = -24 + sum(1 for v in row if v == 0)
         assert -24 < first < 0
         assert all(decay_bound_log10(s, params) < floor for s in range(-24, first))

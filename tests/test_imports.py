@@ -14,8 +14,12 @@ decay_bound_log10, envelope_scale or quadrature_range.  Other modules reach
 a whole-lattice spectrum through transform.spectrum.  transform is the one
 module that calls mpmath.libmp on raw tuples; the exact dot products of
 transform and bessel share core.exact_dot, which works on the integer
-mantissas and exponents core.split_mpf reads, and everything else works on
-mpf values.  Only core materializes QParams' decimal strings: no other
+mantissas and exponents core.split_mpf reads.  kernels and variation hand
+transform lattice rows in that split form but do no arithmetic on it, and
+everything else works on mpf values.  transform reads a grid function's
+.values only in norm, which returns an mpf: every plan application reads
+and writes samples as split integers (PackedSamples.split and
+from_split), so no application decodes a sample to mpf.  Only core materializes QParams' decimal strings: no other
 module hands q_str, nu_str or tol_str to mpmathify, parse_number or mpf, so
 every module reads q, nu and tol through core's one bounded memo
 (QParams.q, .nu, .tol, or core.materialize).  Memos are functools.lru_cache
@@ -110,6 +114,38 @@ def test_only_transform_imports_libmp():
                  for hit in libmp_imports(path)]
     assert offenders == []
     assert list(libmp_imports(PACKAGE / "transform.py"))
+
+
+def values_reads(path, allowed=("norm",)):
+    """Reads of a .values attribute outside the functions named in allowed,
+    each attributed to its innermost enclosing function."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Attribute) and child.attr == "values"
+                    and isinstance(child.ctx, ast.Load) and func not in allowed):
+                yield f"{path.name}:{child.lineno} reads .values in {func}"
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else func
+            yield from visit(child, inner)
+
+    yield from visit(tree, "module scope")
+
+
+def test_transform_decodes_samples_only_in_norm():
+    assert list(values_reads(PACKAGE / "transform.py")) == []
+
+
+def test_values_lint_sees_a_decode(tmp_path):
+    module = tmp_path / "decoding.py"
+    module.write_text("def norm(f):\n"
+                      "    return max(abs(v) for v in f.values)\n"
+                      "def _lift(plan, samples):\n"
+                      "    vec = samples.values\n"
+                      "    samples.values = vec\n")
+    assert [hit.split(" ", 1)[1] for hit in values_reads(module)] == [
+        "reads .values in _lift"]
 
 
 PARAMETER_STRINGS = ("q_str", "nu_str", "tol_str")

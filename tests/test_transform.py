@@ -35,12 +35,14 @@ from qbft.core import (
     constants,
     gridfunction_from_json,
     gridfunction_to_json,
+    split_mpf,
+    unsplit_mpf,
 )
 import qbft.transform
 from qbft import bessel
 from qbft.bessel import g_a_lattice, j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
-from qbft.kernels import approx_identity_run
+from qbft.kernels import _gauss_multiplier_row, approx_identity_run
 from qbft.variation import vd_check
 from qbft.transform import (
     MAX_PLAN_POINTS,
@@ -52,6 +54,7 @@ from qbft.transform import (
     convolve,
     convolve_direct,
     fourier,
+    multiply_spectrum,
     norm,
     plan_window,
     spectrum,
@@ -485,9 +488,10 @@ class TestMatvec:
     @staticmethod
     def fdot_rows(plan, vec, rows):
         size = plan.size()
+        jrow = plan.jrow
         with mp.workdps(plan.dps):
             u = [w * v for w, v in zip(plan.weights, vec)]
-            return [mpmath.fdot(plan.jrow[i:i + size], u) for i in rows]
+            return [mpmath.fdot(jrow[i:i + size], u) for i in rows]
 
     @given(data=st.data(), size=st.integers(min_value=1, max_value=7))
     @settings(max_examples=300, deadline=None)
@@ -497,13 +501,13 @@ class TestMatvec:
                 return tuple(mpf(v) for v in data.draw(
                     st.lists(SAMPLE, min_size=n, max_size=n)))
         plan = TransformPlan(params, QGrid(0, size - 1), QGrid(0, size - 1),
-                             0, size - 1, draw_mpf(2 * size - 1), 20)
+                             0, size - 1, split_mpf(draw_mpf(2 * size - 1)), 20)
         # random factors in place of the lattice weights
         plan.weights = draw_mpf(size)
         vec = data.draw(st.lists(SAMPLE, min_size=size, max_size=size))
         rows = data.draw(st.one_of(
             st.none(), st.lists(st.integers(min_value=0, max_value=size - 1))))
-        got = _matvec(plan, vec, rows)
+        got = unsplit_mpf(*_matvec(plan, vec, rows))
         want = self.fdot_rows(plan, vec, range(size) if rows is None else rows)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
@@ -511,12 +515,12 @@ class TestMatvec:
         # 2^2000 - 2^2000 + 1 is 1 in index order; mpf_sum drops the 1 if
         # it comes before the cancelling pair
         plan = TransformPlan(params, QGrid(0, 2), QGrid(0, 2), 0, 2,
-                             (mp.one,) * 5, 20)
+                             split_mpf((mp.one,) * 5), 20)
         plan.weights = (mp.one,) * 3
         big = mpmath.ldexp(mp.one, 2000)
         vec = [big, -big, mp.one]
         assert self.fdot_rows(plan, vec, [0]) == [1]
-        assert _matvec(plan, vec, [0]) == [1]
+        assert unsplit_mpf(*_matvec(plan, vec, [0])) == [1]
 
     def test_complex_profile_is_refused(self, plan):
         with pytest.raises(InvalidParams):
@@ -534,7 +538,7 @@ class TestMatvec:
         # would have uncovered by cancelling the big one, so a row is 1 if
         # the 1 was kept and 0 if it was dropped.
         plan = TransformPlan(params, QGrid(0, 2), QGrid(0, 2), 0, 2,
-                             (mp.one,) * 5, 20)
+                             split_mpf((mp.one,) * 5), 20)
         plan.weights = (mp.one,) * 3
         with mp.workdps(plan.dps):
             limit = 2 * mp.prec
@@ -544,7 +548,7 @@ class TestMatvec:
             for name, vec in (("sum below term", [1, big, -big]),
                               ("term below sum", [big, 1, -big])):
                 want = self.fdot_rows(plan, vec, [0])
-                got = _matvec(plan, vec, [0])
+                got = unsplit_mpf(*_matvec(plan, vec, [0]))
                 assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (name, gap)
                 outcomes.add((name, int(got[0])))
         # each rule both kept and dropped the 1 within the sweep
@@ -553,9 +557,175 @@ class TestMatvec:
 
     def test_reference_plan_equals_fdot(self, params, plan, members):
         vec = _embed(plan, members["alternating_burst"])
-        got = _matvec(plan, vec)
-        want = self.fdot_rows(plan, vec, range(plan.size()))
+        got = unsplit_mpf(*_matvec(plan, vec))
+        want = self.fdot_rows(plan, unsplit_mpf(*vec), range(plan.size()))
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+
+# Copies of the mpf application route the integer pipeline replaced: mpf
+# products at the plan's precision and one mpmath.fdot per row
+# (TestMatvec.fdot_rows).  The pipeline must give their bits.
+
+def mpf_lift(plan, f):
+    """f's samples on the plan's lattice as mpf, from its lattice record
+    when that matches the plan, as _source chooses."""
+    if f.lattice_key == (plan.params, plan.lattice_grid()):
+        return f.lattice[1].values
+    vec = [mp.zero] * plan.size()
+    base = f.grid.n_min - plan.lat_lo
+    vec[base:base + len(f)] = f.values
+    return vec
+
+
+def mpf_fourier(f, plan):
+    """(window rows, whole-lattice record) of fourier(f, plan) by mpf."""
+    full = TestMatvec.fdot_rows(plan, mpf_lift(plan, f), range(plan.size()))
+    rows = plan.window_rows()
+    return full[rows.start:rows.stop], full
+
+
+def mpf_multiply_spectrum(plan, spec_values, factors):
+    with mp.workdps(plan.dps):
+        scaled = [v * m for v, m in zip(spec_values, factors)]
+    return mpf_fourier(GridFunction(plan.lattice_grid(), scaled, DECAY_RAPID), plan)
+
+
+def mpf_convolve_direct(f, g, plan):
+    fh = mpf_fourier(f, plan)[1]
+    nonzero = [(n - plan.lat_lo, v)
+               for n, v in zip(g.grid.exponents(), g.values) if v != 0]
+    if not nonzero:
+        return [mp.zero] * len(plan.out_grid)
+    weights = plan.weights
+    jrow = plan.jrow
+    with mp.workdps(plan.dps):
+        gw = [weights[i] * v for i, v in nonzero]
+        t_y = [TestMatvec.fdot_rows(plan, [a * b for a, b in zip(fh, jrow[i:])],
+                                    plan.window_rows())
+               for i, _ in nonzero]
+        return [mpmath.fdot(gw, col) for col in zip(*t_y)]
+
+
+class TestIntegerPipeline:
+    """Every application reads and writes samples as integers, with the
+    bits of the mpf route."""
+
+    @staticmethod
+    def check(plan, f, g, factors):
+        """fourier and its resolved record, a transform through the record,
+        spectrum, multiply_spectrum by a callable and by a split row, and
+        convolve_direct, each against its mpf copy."""
+        out = fourier(f, plan)
+        window, full = mpf_fourier(f, plan)
+        spec = spectrum(f, plan)
+        assert raw(out.values) == raw(window)
+        assert raw(spec.values) == raw(full)
+        assert raw(out.lattice[1].values) == raw(full)
+        assert raw(fourier(out, plan).values) == raw(mpf_fourier(out, plan)[0])
+        want = raw(mpf_multiply_spectrum(plan, full, factors)[0])
+        by_callable = multiply_spectrum(plan, spec, lambda l: factors[l - plan.lat_lo])
+        by_row = multiply_spectrum(plan, spec, split_mpf(factors))
+        assert raw(by_callable.values) == want
+        assert raw(by_row.values) == want
+        assert raw(by_row.lattice[1].values) == raw(by_callable.lattice[1].values)
+        assert raw(convolve_direct(f, g, plan).values) == raw(mpf_convolve_direct(f, g, plan))
+
+    @given(data=st.data(), size=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=60, deadline=None)
+    def test_small_plans_equal_the_mpf_route(self, params, data, size):
+        def draw(n):
+            with mp.workdps(30):
+                return [mpf(v) for v in data.draw(st.lists(SAMPLE, min_size=n, max_size=n))]
+        def window():
+            lo = data.draw(st.integers(min_value=0, max_value=size - 1))
+            return QGrid(lo, data.draw(st.integers(min_value=lo, max_value=size - 1)))
+        # a head of exact zeros, as build_plan floors, so the row trim runs
+        zeros = data.draw(st.integers(min_value=0, max_value=2 * size - 1))
+        jrow = [mp.zero] * zeros + draw(2 * size - 1 - zeros)
+        lattice = QGrid(0, size - 1)
+        plan = TransformPlan(params, lattice, window(), 0, size - 1, split_mpf(jrow), 20)
+        plan.weights = draw(size)
+        f_grid = window()
+        f = GridFunction(f_grid, data.draw(st.lists(SAMPLE, min_size=len(f_grid),
+                                                    max_size=len(f_grid))), DECAY_RAPID)
+        g_grid = window()
+        g = GridFunction(g_grid, data.draw(st.lists(SAMPLE, min_size=len(g_grid),
+                                                    max_size=len(g_grid))), DECAY_RAPID)
+        self.check(plan, f, g, draw(size))
+
+    def test_reference_plan_equals_the_mpf_route(self, params, plan, members):
+        # the Gauss row of approx_identity_run as the multiplier, and a g of
+        # two points, one each side of x = 1, to keep the mpf route short
+        factors = _gauss_multiplier_row(params, 2, plan.lat_lo, plan.lat_hi, plan.dps)
+        g = GridFunction.from_callable(REFERENCE_GRID, lambda n: mpf(n in (-3, 20)),
+                                       DECAY_RAPID)
+        for name in ("step_two_flips", "gauss_1", "alternating_burst"):
+            self.check(plan, members[name], g, factors)
+
+    @pytest.mark.parametrize("m", [3, 100], ids=["on-lattice", "off-lattice"])
+    def test_translate_equals_the_mpf_route(self, params, plan, members, m):
+        f = members["step_one_flip"]
+        if plan.lat_lo <= m <= plan.lat_hi:
+            col = plan.jrow[m - plan.lat_lo:m - plan.lat_lo + plan.size()]
+        else:
+            col = unsplit_mpf(*bessel.j_nu_lattice_row_floored(
+                m + plan.lat_lo, m + plan.lat_hi, params, plan.dps))
+        with mp.workdps(plan.dps):
+            x = params.q ** m
+        want = mpf_multiply_spectrum(plan, mpf_fourier(f, plan)[1], col)[0]
+        assert raw(translate(f, x, plan).values) == raw(want)
+
+    def test_a_row_of_mpf_values_is_refused(self, plan, members):
+        with pytest.raises(InvalidParams, match="callable or a split lattice row"):
+            apply_multiplier(plan, members["gauss_1"], list(plan.weights))
+
+    def test_head_rows_of_floored_zeros_are_exact_zeros(self, plan, members,
+                                                        monkeypatch):
+        vec = _embed(plan, members["step_one_flip"])
+        span = [i for i, man in enumerate(vec[0]) if man]
+        zero_rows = [r for r in range(plan.size()) if r + span[-1] < plan._jstart]
+        assert len(zero_rows) > 10
+        firsts = []
+        dot = qbft.transform.exact_dot
+
+        def recorded(jman, *rest):
+            firsts.append(jman[0])
+            return dot(jman, *rest)
+
+        monkeypatch.setattr(qbft.transform, "exact_dot", recorded)
+        got = _matvec(plan, vec)
+        assert [(got[0][r], got[1][r]) for r in zero_rows] == [(0, 0)] * len(zero_rows)
+        assert raw(unsplit_mpf(*got)) == raw(
+            TestMatvec.fdot_rows(plan, unsplit_mpf(*vec), range(plan.size())))
+        # no dot for the zero rows, and every other starts at a nonzero j sample
+        assert len(firsts) == plan.size() - len(zero_rows)
+        assert all(firsts)
+
+    def test_no_sample_is_decoded(self, plan, members, monkeypatch):
+        f = members["step_two_flips"]
+        g = members["hump_small_x"]
+
+        def run():
+            outs = {"fourier": fourier(f, plan)}
+            outs["record"] = outs["fourier"].lattice[1]
+            outs["roundtrip"] = fourier(outs["fourier"], plan)
+            outs["spectrum"] = spectrum(f, plan)
+            outs["convolve"] = convolve(f, g, plan)
+            outs["translate"] = translate(f, "0.25", plan)
+            outs["apply_multiplier"] = apply_multiplier(
+                plan, f, spectrum(g, plan).samples.split())
+            outs["convolve_direct"] = convolve_direct(f, g, plan)
+            got = {k: getattr(v, "samples", v).split() for k, v in outs.items()}
+            got["vd_check"] = vd_check(members["gauss_1"], [f, g], plan).rows
+            return got
+
+        want = run()
+
+        def refuse(samples):
+            raise AssertionError("a PackedSamples was decoded to mpf")
+
+        monkeypatch.setattr(PackedSamples, "values", property(refuse))
+        assert run() == want
 
 
 class TestWeightTable:
@@ -770,16 +940,18 @@ class TestConvolve:
 def per_output_convolve_direct(f, g, plan):
     """The definitional convolution with one translation T_x f per output
     point x, each evaluated on g's support."""
-    fh = _matvec(plan, _embed(plan, f))
+    fh = unsplit_mpf(*_matvec(plan, _embed(plan, f)))
     nonzero = [(n - plan.lat_lo, v)
                for n, v in zip(g.grid.exponents(), g.values) if v != 0]
     sup = [i for i, _ in nonzero]
+    weights = plan.weights
+    jrow = plan.jrow
     with mp.workdps(plan.dps):
-        gw = [plan.weights[i] * v for i, v in nonzero]
+        gw = [weights[i] * v for i, v in nonzero]
         out = []
         for k in plan.out_grid.exponents():
-            col = plan.jrow[k - plan.lat_lo:]
-            t_x = _matvec(plan, [a * b for a, b in zip(fh, col)], sup)
+            col = jrow[k - plan.lat_lo:]
+            t_x = unsplit_mpf(*_matvec(plan, [a * b for a, b in zip(fh, col)], sup))
             out.append(mpmath.fdot(gw, t_x))
     return out
 
