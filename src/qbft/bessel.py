@@ -29,7 +29,7 @@ from mpmath import mp, mpf
 from .core import (
     DomainError, Overflow, PrecisionExhausted, ConstancyViolation, WindowError,
     LATTICE_DPS, QParams, constants, exact_dot, lattice_exponent, materialize,
-    nearest_exponent, parse_number, split_mpf, unsplit_mpf,
+    nearest_exponent, parse_number, split_mpf, split_products, unsplit_mpf,
 )
 
 
@@ -416,10 +416,11 @@ def _quadrature(ks, est, start, dps, a, power, params):
 
     The inputs arrive split: the weights from their block memo and the j
     row from its certified-row memo, both as the integer mantissas and
-    exponents core.exact_dot reads, so a warm call parses nothing, and with
-    one column (g_a) builds no mpf per term.  Every column but the last is
-    multiplied in as mpf values, each product rounded to dps; the last
-    enters one core.exact_dot, so the sum is rounded once.
+    exponents core.exact_dot reads, so a warm call parses nothing and
+    builds no mpf per term.  Every column but the last is multiplied in on
+    those integers, each product rounded to dps as an mpf product rounds it
+    (core.split_products, core owns that rounding); the last enters one
+    core.exact_dot, so the sum is rounded once.
 
     Before the j row is computed, a dps above j_nu's top rung (8 x digits)
     raises PrecisionExhausted, and a row longer than WEIGHT_TABLE_CAP raises
@@ -441,14 +442,9 @@ def _quadrature(ks, est, start, dps, a, power, params):
     with mp.workdps(dps):
         c = constants(params, dps).c_q_nu
         wman, wexp = _split_weights(params, a, l_lo, l_hi)
-        if len(ks) > 1:
-            n = l_hi - l_lo + 1
-            terms = unsplit_mpf(wman, wexp)
-            for k in ks[:-1]:
-                i = k + l_lo - lo
-                terms = [t * j for t, j in zip(terms, unsplit_mpf(jman[i:i + n],
-                                                                 jexp[i:i + n]))]
-            wman, wexp = split_mpf(terms)
+        for k in ks[:-1]:
+            i = k + l_lo - lo
+            wman, wexp = split_products(wman, wexp, jman[i:], jexp[i:], mp.prec)
         last = ks[-1] + l_lo - lo
         total = mpf(exact_dot(wman, wexp, jman[last:], jexp[last:], mp.prec))
         # not c ** power: for power 1 that rounds c to dps before the product

@@ -6,6 +6,11 @@ the parameter/grid/sample types, q-Pochhammer symbols, the q-exponential,
 Jackson integrals, the q-derivative, lattice shifts, the second-order
 q-Bessel difference operator, and JSON serialization with decimal strings.
 
+It also owns the split form of real samples that transform and bessel
+compute on, signed integer mantissas and exponents, and all rounding of it:
+split_mpf, unsplit_mpf, exact_dot, round_split and split_products.  It is
+the one module that imports mpmath.libmp.
+
 Precision discipline: mpmath arithmetic performed outside a ``workdps`` scope
 silently runs at the ambient (usually 15-digit) precision, so every function
 here that produces a value wraps its computation in an explicit scope sized
@@ -20,6 +25,7 @@ from array import array
 
 import mpmath
 from mpmath import mp, mpf, mpmathify
+from mpmath.libmp import from_man_exp, round_nearest
 
 
 # ---------------------------------------------------------------------------
@@ -333,17 +339,6 @@ class PackedSamples:
         i = self.grid.index(n)
         return mpf((self._man(i), self._exps[i]), prec=8 * self._width)
 
-    def window(self, grid):
-        """The samples on a sub-window, still packed."""
-        lo = self.grid.index(grid.n_min)
-        hi = self.grid.index(grid.n_max) + 1
-        out = PackedSamples.__new__(PackedSamples)
-        out.grid = grid
-        out._width = self._width
-        out._mants = self._mants[lo * self._width:hi * self._width]
-        out._exps = self._exps[lo:hi]
-        return out
-
 
 def split_mpf(values):
     """Signed integer mantissas and exponents of finite real samples, as two
@@ -408,6 +403,32 @@ def exact_dot(a_man, a_exp, b_man, b_exp, prec):
                 exp = xexp
     return man, exp
 
+def round_split(man, exp, prec):
+    """man * 2 ** exp rounded to prec bits, to nearest, as a signed (man,
+    exp) with an odd or zero mantissa: the rounding mpmath.fdot gives an
+    exact_dot, and an mpf multiplication at prec gives the exact product of
+    its factors."""
+    sign, man, exp, _ = from_man_exp(man, exp, prec, round_nearest)
+    return (-man if sign else man), exp
+
+def split_products(a_man, a_exp, b_man, b_exp, prec):
+    """Pointwise products of two split sequences, each rounded to prec bits
+    as the mpf product a[i] * b[i] at prec rounds it (see round_split), as
+    two lists; an exact zero product is (0, 0).  The sequences are zipped,
+    so the shortest one sets the length."""
+    mans = []
+    exps = []
+    for am, ae, bm, be in zip(a_man, a_exp, b_man, b_exp):
+        man = am * bm
+        if man:
+            sign, man, exp, _ = from_man_exp(man, ae + be, prec, round_nearest)
+            mans.append(-man if sign else man)
+            exps.append(exp)
+        else:
+            mans.append(0)
+            exps.append(0)
+    return mans, exps
+
 
 class GridFunction:
     """Samples of a function on a QGrid, with a declared decay class.
@@ -419,7 +440,8 @@ class GridFunction:
     Samples must be finite and real: complex values raise InvalidParams.
     They are kept packed (see PackedSamples) in .samples, so reading .values
     decodes a new list of mpf: read it once per call, not per sample.
-    Assigning .values validates and repacks.
+    Assigning .values validates and repacks, and drops the lattice record,
+    which extends the old samples.
 
     lattice is None unless the function came out of fourier, apply_multiplier
     or convolve: that record of (plan params, PackedSamples on the plan's
@@ -482,6 +504,7 @@ class GridFunction:
     @values.setter
     def values(self, values):
         self.samples = PackedSamples(self.grid, values)
+        self.lattice = None
 
     def value_at(self, n):
         """Sample at exponent n, i.e. at the point x = q^n."""

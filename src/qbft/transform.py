@@ -25,23 +25,23 @@ and weights split, as the signed integer mantissas and exponents
 core.exact_dot reads; inputs come out of their PackedSamples store split
 (PackedSamples.split), every pointwise product is formed on those
 integers and rounded as an mpf multiplication at the plan's precision
-rounds it (_products), each row is one exact dot rounded as mpmath.fdot
-rounds it, and the rows go back into a store split
-(PackedSamples.from_split).  mpf values are built only where the public
-API returns them: .values, value_at, entry, jrow and weights, norm.
+rounds it (core.split_products), each row is one exact dot rounded as
+mpmath.fdot rounds it (core.round_split), and the rows go back into a
+store split (PackedSamples.from_split).  core owns that rounding.  mpf
+values are built only where the public API returns them: .values,
+value_at, entry, jrow and weights, norm.
 """
 
 import math
 
 import mpmath
 from mpmath import mp, mpmathify
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .core import (
     DECAY_INTEGRABLE, DECAY_RAPID,
     InvalidParams, PreconditionError, WindowError,
     GridFunction, PackedSamples, QGrid, constants, exact_dot, lattice_exponent,
-    parse_number, split_mpf, unsplit_mpf,
+    parse_number, round_split, split_mpf, split_products, unsplit_mpf,
 )
 from .bessel import j_nu_lattice_row_floored, lattice_weights
 # defined with the other per-point quadratures, kept as qbft.transform.triple_kernel
@@ -88,12 +88,12 @@ class TransformPlan:
         self.lat_lo = lat_lo
         self.lat_hi = lat_hi
         self.dps = dps
-        self._prec = dps_to_prec(dps)
         self._jman = tuple(jrow[0])
         self._jexp = tuple(jrow[1])
         self._jstart = next((i for i, man in enumerate(self._jman) if man),
                             len(self._jman))
         with mp.workdps(dps):
+            self._prec = mp.prec
             c1q = constants(params, dps).c_q_nu * (1 - params.q)
             self.weights = [c1q * w for w in lattice_weights(params, lat_lo, lat_hi)]
 
@@ -164,13 +164,14 @@ def build_plan(params, in_grid=None, out_grid=None):
             f"plan lattice of {size} points exceeds the bound of {MAX_PLAN_POINTS} "
             f"points (one application would take {size * size:,} multiply-adds)")
     dps = params.precision_digits + 15
-    prec = dps_to_prec(dps)
+    with mp.workdps(dps):
+        prec = mp.prec
     jman, jexp = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
     jman = list(jman)
     jexp = list(jexp)
     for i, man in enumerate(jman):
         if abs(man).bit_length() > prec:
-            jman[i], jexp[i] = _rounded((man, jexp[i]), prec)
+            jman[i], jexp[i] = round_split(man, jexp[i], prec)
     return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, (jman, jexp), dps)
 
 
@@ -213,58 +214,30 @@ def _embed(plan, f):
     """f's samples on the plan's internal lattice, split (see _source)."""
     return _lift(plan, _source(plan, f))
 
-def _rounded(dot, prec):
-    """A (man, exp) pair rounded to prec bits as mpmath.fdot rounds an
-    exact_dot, and as an mpf multiplication rounds an exact product: the
-    rounded (man, exp), with the mantissa signed."""
-    sign, man, exp, _ = from_man_exp(*dot, prec, round_nearest)
-    return (-man if sign else man), exp
-
-def _products(aman, aexp, bman, bexp, prec):
-    """Pointwise products of two split sample sequences, each rounded to
-    prec bits as the mpf product a * b rounds it at prec: split lists.  The
-    sequences are zipped, so the shortest one sets the length."""
-    mans = []
-    exps = []
-    for am, ae, bm, be in zip(aman, aexp, bman, bexp):
-        man = am * bm
-        if man:
-            sign, man, exp, _ = from_man_exp(man, ae + be, prec, round_nearest)
-            mans.append(-man if sign else man)
-            exps.append(exp)
-        else:
-            mans.append(0)
-            exps.append(0)
-    return mans, exps
-
 def _matvec(plan, vec, rows=None):
     """Plan matrix times lattice samples vec, on the given rows (default all).
 
-    vec is the input on the plan's whole lattice: split, as a (mantissas,
-    exponents) tuple of two sequences, or a list of real values, which
-    core.split_mpf splits first.  Complex samples and samples that are not
-    finite raise InvalidParams before any product is formed.  The rows come
-    back split, as two lists.
+    vec is the input on the plan's whole lattice, split, as a (mantissas,
+    exponents) pair of sequences.  The rows come back split, as two lists.
 
     Row r is mpmath.fdot(jrow[r:r + size], u) with u = weights * vec, bit
     for bit: each u_i is the integer product of the split factors rounded
-    as an mpf product at the plan's precision rounds it (_products), and
-    the row is one core.exact_dot over the nonzero span of vec, rounded
-    once as fdot rounds (_rounded).  A row's slice starts no lower than the j
-    row's first nonzero sample, plan._jstart: the terms below it are the
-    exact zero products of the floored head of the j row, which the exact
-    dot, like mpf_sum, skips, so the trim keeps the same bits.  A row whose
-    whole slice lies in that head is an exact zero.
+    as an mpf product at the plan's precision rounds it
+    (core.split_products), and the row is one core.exact_dot over the
+    nonzero span of vec, rounded once as fdot rounds (core.round_split).
+    A row's slice starts no lower than the j row's first nonzero sample,
+    plan._jstart: the terms below it are the exact zero products of the
+    floored head of the j row, which the exact dot, like mpf_sum, skips, so
+    the trim keeps the same bits.  A row whose whole slice lies in that head
+    is an exact zero.
     """
-    if not isinstance(vec, tuple):
-        vec = split_mpf(vec)
     vman, vexp = vec
     rows = range(plan.size()) if rows is None else rows
     prec = plan._prec
     span = [i for i, man in enumerate(vman) if man]
     lo, hi = (span[0], span[-1] + 1) if span else (0, 0)
-    uman, uexp = _products(plan._wman[lo:hi], plan._wexp[lo:hi],
-                           vman[lo:hi], vexp[lo:hi], prec)
+    uman, uexp = split_products(plan._wman[lo:hi], plan._wexp[lo:hi],
+                                vman[lo:hi], vexp[lo:hi], prec)
     jman = plan._jman
     jexp = plan._jexp
     jstart = plan._jstart
@@ -274,9 +247,9 @@ def _matvec(plan, vec, rows=None):
         first = max(lo, jstart - r)
         if first < hi:
             skip = first - lo
-            man, exp = _rounded(exact_dot(jman[r + first:r + hi], jexp[r + first:r + hi],
-                                          uman[skip:] if skip else uman,
-                                          uexp[skip:] if skip else uexp, prec), prec)
+            man, exp = round_split(*exact_dot(jman[r + first:r + hi], jexp[r + first:r + hi],
+                                              uman[skip:] if skip else uman,
+                                              uexp[skip:] if skip else uexp, prec), prec)
         else:
             man = exp = 0
         mans.append(man)
@@ -361,11 +334,12 @@ def transform_profile(plan, profile):
     decay gate: a profile that is not integrable still has a pointwise
     transform on the window.  Only the window's rows are computed; the
     result is tagged rapid and records no lattice samples, so a later
-    transform of it sees only its window.
+    transform of it sees only its window.  Complex values and values that
+    are not finite raise InvalidParams (core.split_mpf).
     """
     with mp.workdps(plan.dps):
         vec = [profile(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
-    return _packed(plan.out_grid, _matvec(plan, vec, plan.window_rows()))
+    return _packed(plan.out_grid, _matvec(plan, split_mpf(vec), plan.window_rows()))
 
 def apply_multiplier(plan, f, multiplier):
     """Transform f, scale the spectrum pointwise, transform back.
@@ -373,11 +347,11 @@ def apply_multiplier(plan, f, multiplier):
     multiplier gives the spectral factor at t = q^l for each internal
     lattice exponent l: a callable l -> factor, evaluated at the plan's
     working precision, or a lattice row already split, a (mantissas,
-    exponents) pair of sequences indexed by l - lat_lo (see
-    multiply_spectrum); anything else raises InvalidParams.  The pointwise
-    products run at the plan's working precision; letting them run at
-    ambient precision corrupts results far above the precision floor.  The
-    result is fourier()'s, with its record pending.
+    exponents) pair of sequences of plan.size() entries indexed by
+    l - lat_lo (see multiply_spectrum); anything else raises InvalidParams.
+    The pointwise products run at the plan's working precision; letting
+    them run at ambient precision corrupts results far above the precision
+    floor.  The result is fourier()'s, with its record pending.
     """
     return multiply_spectrum(plan, spectrum(f, plan), multiplier)
 
@@ -391,7 +365,8 @@ def multiply_spectrum(plan, spec, multiplier):
     kernels.approx_identity_run.  A callable's factors are split once.
     Either way each product is the integer product rounded as the mpf
     product at the plan's precision rounds it, so both forms give the bits
-    of the mpf route."""
+    of the mpf route.  A split row whose mantissas or exponents do not
+    number plan.size() raises InvalidParams."""
     if callable(multiplier):
         with mp.workdps(plan.dps):
             factors = [multiplier(l) for l in range(plan.lat_lo, plan.lat_lo + len(spec))]
@@ -399,7 +374,11 @@ def multiply_spectrum(plan, spec, multiplier):
     elif not (isinstance(multiplier, tuple) and len(multiplier) == 2):
         raise InvalidParams("a multiplier is a callable or a split lattice row, "
                             "a (mantissas, exponents) pair")
-    scaled = _products(*spec.samples.split(), *multiplier, plan._prec)
+    elif any(len(part) != plan.size() for part in multiplier):
+        raise InvalidParams(f"split multiplier row of {len(multiplier[0])} mantissas and "
+                            f"{len(multiplier[1])} exponents on a plan lattice of "
+                            f"{plan.size()} points")
+    scaled = split_products(*spec.samples.split(), *multiplier, plan._prec)
     return fourier(_packed(spec.grid, scaled), plan)
 
 
@@ -450,18 +429,19 @@ def convolve_direct(f, g, plan):
     if not support:
         return GridFunction.zero(plan.out_grid)
     prec = plan._prec
-    gw = _products([plan._wman[i] for i in support], [plan._wexp[i] for i in support],
-                   [man for man in gman if man], [gexp[i - base] for i in support], prec)
+    gw = split_products([plan._wman[i] for i in support], [plan._wexp[i] for i in support],
+                        [man for man in gman if man], [gexp[i - base] for i in support],
+                        prec)
     rows = plan.window_rows()
     jman = plan._jman
     jexp = plan._jexp
     # T_y f on the window for y = q^(lat_lo + i): the j column at y is jrow[i:]
-    t_y = [_matvec(plan, _products(fman, fexp, jman[i:], jexp[i:], prec), rows)
+    t_y = [_matvec(plan, split_products(fman, fexp, jman[i:], jexp[i:], prec), rows)
            for i in support]
     # output x's terms are T_y f(x) over the support points y, in their order
     t_man = zip(*(man for man, _ in t_y))
     t_exp = zip(*(exp for _, exp in t_y))
-    out = [_rounded(exact_dot(*gw, man, exp, prec), prec)
+    out = [round_split(*exact_dot(*gw, man, exp, prec), prec)
            for man, exp in zip(t_man, t_exp)]
     return _packed(plan.out_grid, ([man for man, _ in out], [exp for _, exp in out]))
 

@@ -808,13 +808,20 @@ class TestSplitInputs:
             x = mp.nstr(mpf("0.5") ** 27, 130, strip_zeros=True)
             a = mp.nstr(mpf("0.5") ** -2, 130, strip_zeros=True)
         first = g_a(x, a, p)
+        xyz = [p.q ** k for k in (-2, 5, 3)]
+        first_d = triple_kernel(*xyz, p)
         splits = []
         split = bessel.split_mpf
+        unsplit = bessel.unsplit_mpf
         monkeypatch.setattr(bessel, "split_mpf", lambda v: splits.append(v) or split(v))
+        monkeypatch.setattr(bessel, "unsplit_mpf",
+                            lambda *v: splits.append(v) or unsplit(*v))
         memos = (core.materialize, core._log_q, core._constants,
                  bessel._weight_block, bessel._certified_row)
         before = [memo.cache_info().misses for memo in memos]
         assert g_a(x, a, p)._mpf_ == first._mpf_
+        # three columns: two are multiplied in on their integers
+        assert triple_kernel(*xyz, p)._mpf_ == first_d._mpf_
         assert [memo.cache_info().misses for memo in memos] == before
         assert splits == []
 

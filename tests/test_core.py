@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpmathify
 
 from qbft import core
-from qbft.core import exact_dot, split_mpf
+from qbft.core import exact_dot, round_split, split_mpf, split_products
 from qbft import (
     DECAY_RAPID, DivergentTail, DomainError, InvalidParams, NonConvergent,
     PreconditionError, WindowError,
@@ -211,6 +211,9 @@ class TestExactDot:
         with mp.workprec(prec):
             want = mpmath.fdot(a, b)
         assert dot(a, b, prec)._mpf_ == want._mpf_
+        # the same dot rounded on its integers
+        man, exp = round_split(*exact_dot(*split_mpf(a), *split_mpf(b), prec), prec)
+        assert split_mpf([want]) == ([man], [exp])
 
     def test_drop_rules_match_fdot_bit_for_bit(self):
         # a 1 that the last term uncovers by cancelling a big one survives
@@ -236,6 +239,18 @@ class TestExactDot:
         a = [mpf(1), mpf(2), mpf(3)]
         assert dot(a, [mpf(5), mpf(7)], 53) == 19
         assert exact_dot([], [], [], [], 53) == (0, 0)
+        assert split_products(*split_mpf(a), [5, 7], [0, 0], 53) == ([5, 7], [0, 1])
+
+    @given(data=st.data(), prec=st.integers(min_value=10, max_value=400),
+           size=st.integers(min_value=0, max_value=9))
+    @settings(max_examples=200, deadline=None)
+    def test_products_equal_mpf_products_bit_for_bit(self, data, prec, size):
+        entries = st.lists(DOT_ENTRY, min_size=size, max_size=size)
+        a = exact(data.draw(entries))
+        b = exact(data.draw(entries))
+        with mp.workprec(prec):
+            want = split_mpf([x * y for x, y in zip(a, b)])
+        assert split_products(*split_mpf(a), *split_mpf(b), prec) == want
 
     @pytest.mark.parametrize("bad", [mp.inf, -mp.inf, mp.nan], ids=["inf", "-inf", "nan"])
     def test_split_refuses_non_finite_values(self, bad):

@@ -11,10 +11,12 @@ rules, so each rule is written once: the per-point quadratures (g_a_lattice,
 triple_kernel) size and sum their range in bessel, and other modules call
 them, g_a_floored or j_nu_lattice_row_floored.  No module but bessel names
 decay_bound_log10, envelope_scale or quadrature_range.  Other modules reach
-a whole-lattice spectrum through transform.spectrum.  transform is the one
-module that calls mpmath.libmp on raw tuples; the exact dot products of
-transform and bessel share core.exact_dot, which works on the integer
-mantissas and exponents core.split_mpf reads.  kernels and variation hand
+a whole-lattice spectrum through transform.spectrum.  core is the one
+module that imports mpmath.libmp, by an import statement or as an
+attribute of a bare `import mpmath`: it owns the arithmetic on the integer
+mantissas and exponents core.split_mpf reads.  transform and bessel share
+its exact dot (core.exact_dot) and its rounding of sums and products
+(core.round_split, core.split_products).  kernels and variation hand
 transform lattice rows in that split form but do no arithmetic on it, and
 everything else works on mpf values.  transform reads a grid function's
 .values only in norm, which returns an mpf: every plan application reads
@@ -94,6 +96,8 @@ def test_only_transform_reads_the_lattice_record():
 
 
 def libmp_imports(path):
+    """Imports of mpmath.libmp, and reads of it as mpmath.libmp through a
+    bare import of mpmath."""
     tree = ast.parse(path.read_text(), filename=str(path))
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -102,18 +106,37 @@ def libmp_imports(path):
                 names += [f"mpmath.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "libmp"
+              and isinstance(node.value, ast.Name) and node.value.id == "mpmath"):
+            yield f"{path.name}:{node.lineno} reads mpmath.libmp"
+            continue
         else:
             continue
         if any(n == "mpmath.libmp" or n.startswith("mpmath.libmp.") for n in names):
             yield f"{path.name}:{node.lineno} imports mpmath.libmp"
 
 
-def test_only_transform_imports_libmp():
+def test_only_core_imports_libmp():
     offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
-                 if path.name != "transform.py"
+                 if path.name != "core.py"
                  for hit in libmp_imports(path)]
     assert offenders == []
-    assert list(libmp_imports(PACKAGE / "transform.py"))
+    assert list(libmp_imports(PACKAGE / "core.py"))
+
+
+def test_libmp_lint_sees_every_route(tmp_path):
+    module = tmp_path / "rounding.py"
+    module.write_text("import mpmath\n"
+                      "import mpmath.libmp\n"
+                      "from mpmath import libmp\n"
+                      "from mpmath.libmp import from_man_exp\n"
+                      "def _rounded(man, exp, prec):\n"
+                      "    return mpmath.libmp.from_man_exp(man, exp, prec)\n"
+                      "def _sum(values):\n"
+                      "    return mpmath.fsum(values)\n")
+    assert [hit.split(":", 1)[1] for hit in libmp_imports(module)] == [
+        "2 imports mpmath.libmp", "3 imports mpmath.libmp", "4 imports mpmath.libmp",
+        "6 reads mpmath.libmp"]
 
 
 def values_reads(path, allowed=("norm",)):

@@ -359,6 +359,14 @@ class TestLatticeRecord:
         out.values = out.values
         assert [v._mpf_ for v in out.values] == window
 
+    def test_assigning_values_drops_the_record(self, plan, members):
+        out = fourier(members["step_two_flips"], plan)
+        out.values = [0] * len(out)
+        assert out.lattice is None
+        fresh = GridFunction(out.grid, [0] * len(out), DECAY_RAPID)
+        assert raw(fourier(out, plan).values) == raw(fourier(fresh, plan).values)
+        assert all(v == 0 for v in fourier(out, plan).values)
+
 
 def raw(values):
     return [v._mpf_ for v in values]
@@ -402,8 +410,9 @@ class TestPendingRecord:
             assert out.lattice[0] == plan.params and out.lattice[1].grid == spec.grid
             assert raw(out.lattice[1].values) == raw(spec.values), name
             # the transform of the whole-lattice spectrum, windowed
-            want = spectrum(spec, plan).samples.window(plan.out_grid)
-            assert raw(fourier(out, plan).values) == raw(want.values), name
+            lo = plan.out_grid.n_min - plan.lat_lo
+            want = spectrum(spec, plan).values[lo:lo + len(plan.out_grid)]
+            assert raw(fourier(out, plan).values) == raw(want), name
 
     def test_only_window_rows_until_read(self, params, plan, members, matvec_rows):
         f = members["step_two_flips"]
@@ -507,7 +516,7 @@ class TestMatvec:
         vec = data.draw(st.lists(SAMPLE, min_size=size, max_size=size))
         rows = data.draw(st.one_of(
             st.none(), st.lists(st.integers(min_value=0, max_value=size - 1))))
-        got = unsplit_mpf(*_matvec(plan, vec, rows))
+        got = unsplit_mpf(*_matvec(plan, split_mpf(vec), rows))
         want = self.fdot_rows(plan, vec, range(size) if rows is None else rows)
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
@@ -520,7 +529,7 @@ class TestMatvec:
         big = mpmath.ldexp(mp.one, 2000)
         vec = [big, -big, mp.one]
         assert self.fdot_rows(plan, vec, [0]) == [1]
-        assert unsplit_mpf(*_matvec(plan, vec, [0])) == [1]
+        assert unsplit_mpf(*_matvec(plan, split_mpf(vec), [0])) == [1]
 
     def test_complex_profile_is_refused(self, plan):
         with pytest.raises(InvalidParams):
@@ -548,7 +557,7 @@ class TestMatvec:
             for name, vec in (("sum below term", [1, big, -big]),
                               ("term below sum", [big, 1, -big])):
                 want = self.fdot_rows(plan, vec, [0])
-                got = unsplit_mpf(*_matvec(plan, vec, [0]))
+                got = unsplit_mpf(*_matvec(plan, split_mpf(vec), [0]))
                 assert [v._mpf_ for v in got] == [v._mpf_ for v in want], (name, gap)
                 outcomes.add((name, int(got[0])))
         # each rule both kept and dropped the 1 within the sweep
@@ -678,6 +687,25 @@ class TestIntegerPipeline:
     def test_a_row_of_mpf_values_is_refused(self, plan, members):
         with pytest.raises(InvalidParams, match="callable or a split lattice row"):
             apply_multiplier(plan, members["gauss_1"], list(plan.weights))
+
+    @pytest.mark.parametrize("mans, exps", [(7, 7), (-1, -1), (0, 1), (1, 0)],
+                             ids=["long", "short", "ragged-exponents", "ragged-mantissas"])
+    def test_a_row_off_the_lattice_size_is_refused(self, plan, members, matvec_rows,
+                                                   monkeypatch, mans, exps):
+        spec = spectrum(members["gauss_1"], plan)
+        products = []
+        split_products = qbft.transform.split_products
+        monkeypatch.setattr(qbft.transform, "split_products",
+                            lambda *args: products.append(args) or split_products(*args))
+        del matvec_rows[:]
+        size = plan.size()
+        row = ([1] * (size + mans), [0] * (size + exps))
+        with pytest.raises(InvalidParams, match=f"plan lattice of {size} points"):
+            multiply_spectrum(plan, spec, row)
+        # refused before any product or application
+        assert products == [] and matvec_rows == []
+        with pytest.raises(InvalidParams, match=f"plan lattice of {size} points"):
+            apply_multiplier(plan, members["gauss_1"], row)
 
     def test_head_rows_of_floored_zeros_are_exact_zeros(self, plan, members,
                                                         monkeypatch):
@@ -951,7 +979,8 @@ def per_output_convolve_direct(f, g, plan):
         out = []
         for k in plan.out_grid.exponents():
             col = jrow[k - plan.lat_lo:]
-            t_x = unsplit_mpf(*_matvec(plan, [a * b for a, b in zip(fh, col)], sup))
+            t_x = unsplit_mpf(*_matvec(plan, split_mpf([a * b for a, b in zip(fh, col)]),
+                                       sup))
             out.append(mpmath.fdot(gw, t_x))
     return out
 
