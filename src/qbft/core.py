@@ -9,7 +9,8 @@ q-Bessel difference operator, and JSON serialization with decimal strings.
 It also owns the split form of real samples that transform and bessel
 compute on, signed integer mantissas and exponents, and all rounding of it:
 split_mpf, unsplit_mpf, exact_dot, round_split and split_products.  It is
-the one module that imports mpmath.libmp.
+the one module that imports mpmath.libmp.  The lattice record a
+GridFunction carries is transform's: core only sets it to None.
 
 Precision discipline: mpmath arithmetic performed outside a ``workdps`` scope
 silently runs at the ambient (usually 15-digit) precision, so every function
@@ -443,14 +444,8 @@ class GridFunction:
     Assigning .values validates and repacks, and drops the lattice record,
     which extends the old samples.
 
-    lattice is None unless the function came out of fourier, apply_multiplier
-    or convolve: that record of (plan params, PackedSamples on the plan's
-    whole internal lattice) is transform's own, read back when the same plan
-    transforms it again; transform.spectrum is the public way to reach it.
-    A transform computes only its output window, so the record starts
-    pending: it holds the plan and the packed input, and the first read of
-    .lattice computes the off-window samples once and keeps them.
-    lattice_key names the record's params and lattice without computing it.
+    lattice is None or transform's record of the samples on a plan's whole
+    lattice (transform.LatticeRecord), which only transform reads.
     """
 
     def __init__(self, grid, values, decay_class=DECAY_UNKNOWN):
@@ -472,29 +467,6 @@ class GridFunction:
         f.decay_class = decay_class
         f.lattice = None
         return f
-
-    @property
-    def lattice(self):
-        """The lattice record (params, PackedSamples), or None.  A pending
-        record is computed on this first read and kept."""
-        rec = self._lattice
-        if rec is not None and not isinstance(rec[1], PackedSamples):
-            rec = self._lattice = (rec[0], rec[1].resolve())
-        return rec
-
-    @lattice.setter
-    def lattice(self, rec):
-        """Set the record: None, (params, PackedSamples), or (params,
-        pending) where pending has the lattice .grid and a .resolve() that
-        returns the PackedSamples on it."""
-        self._lattice = rec
-
-    @property
-    def lattice_key(self):
-        """(params, lattice QGrid) of the lattice record, or None; a pending
-        record stays pending."""
-        rec = self._lattice
-        return None if rec is None else (rec[0], rec[1].grid)
 
     @property
     def values(self):

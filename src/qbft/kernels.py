@@ -286,8 +286,15 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
     over the `points` largest grid points of G's window; returns the largest
     passing a with its ratio profile.  A candidate whose g_a is 0 or refused
     at a scanned point is skipped.  Raises NoWitness when no candidate
-    passes, which callers should treat as a diagnostic outcome.
+    passes, which callers should treat as a diagnostic outcome.  points must
+    be an integer >= 2, since a shorter profile passes every candidate;
+    anything else raises InvalidParams, and a window of one point
+    WindowError.
     """
+    if not (isinstance(points, int) and points >= 2):
+        raise InvalidParams(f"points must be an integer >= 2, got {points!r}")
+    if len(G.grid) < 2:
+        raise WindowError("order_diagnostic needs a window of at least 2 points")
     if candidates is None:
         candidates = [params.q ** m for m in range(-8, 13)]
     points = min(points, len(G.grid))

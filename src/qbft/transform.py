@@ -17,8 +17,9 @@ Each row of the matrix is one exact dot product, rounded once, so a row
 computed alone has the bits it has in a full application.  fourier
 therefore computes only its output window's rows.  The rest of the
 lattice, which the next transform through the same plan reads back, is
-left pending in the output's lattice record: the record holds the plan
-and the packed input, and computes the head and tail rows on first read.
+left pending in the output's lattice record (LatticeRecord), which this
+module alone builds and reads: it holds the plan and the packed input, and
+computes the head and tail rows on first read.
 
 Samples stay integers through every application.  A plan keeps its j row
 and weights split, as the signed integer mantissas and exponents
@@ -68,34 +69,30 @@ class TransformPlan:
     """Transform matrix over an extended internal lattice, kept as its factors:
     entry (k, n) is weights[n - lat_lo] * jrow[k + n - 2 lat_lo] at dps.
 
-    Both factors are kept split, as the signed integer mantissas and
-    exponents the matvec reads: jrow[m] is _jman[m] * 2 ** _jexp[m], and
-    the weights likewise.  jrow is given split, as core.split_mpf splits
-    mpf values (odd or zero mantissas, which core.exact_dot needs); weights
-    are given as mpf values and split when assigned, so a reassigned
-    .weights is what the matvec reads.  Reading .jrow or .weights decodes a
-    new tuple of mpf, so read it once per call; entry decodes only its two
-    factors.  A plan pickles as those integers: every fourier output's
-    pending lattice record carries its plan.  _jstart is the index of the
-    j row's first nonzero sample; below it lie the exact zeros build_plan
-    floors, which the matvec's rows skip.
+    Both factors are given and kept split, as core.split_mpf splits mpf
+    values: signed integer mantissas (odd or zero, which core.exact_dot
+    needs) and exponents, so jrow[m] is _jman[m] * 2 ** _jexp[m], and the
+    weights likewise.  .jrow, .weights and entry are read-only views that
+    decode mpf: .jrow and .weights a new tuple per read, so read them once
+    per call, entry only its two factors.  A plan pickles as those
+    integers: every fourier output's pending lattice record carries its
+    plan.  _jstart is the index of the j row's first nonzero sample; below
+    it lie the exact zeros build_plan floors, which the matvec's rows skip.
     """
 
-    def __init__(self, params, in_grid, out_grid, lat_lo, lat_hi, jrow, dps):
+    def __init__(self, params, in_grid, out_grid, lat_lo, lat_hi, jrow, weights, dps):
         self.params = params
         self.in_grid = in_grid
         self.out_grid = out_grid
         self.lat_lo = lat_lo
         self.lat_hi = lat_hi
         self.dps = dps
-        self._jman = tuple(jrow[0])
-        self._jexp = tuple(jrow[1])
+        self._jman, self._jexp = map(tuple, jrow)
+        self._wman, self._wexp = map(tuple, weights)
         self._jstart = next((i for i, man in enumerate(self._jman) if man),
                             len(self._jman))
         with mp.workdps(dps):
             self._prec = mp.prec
-            c1q = constants(params, dps).c_q_nu * (1 - params.q)
-            self.weights = [c1q * w for w in lattice_weights(params, lat_lo, lat_hi)]
 
     @property
     def jrow(self):
@@ -106,12 +103,6 @@ class TransformPlan:
     def weights(self):
         """The weights as a new tuple of mpf."""
         return tuple(unsplit_mpf(self._wman, self._wexp))
-
-    @weights.setter
-    def weights(self, weights):
-        wman, wexp = split_mpf(weights)
-        self._wman = tuple(wman)
-        self._wexp = tuple(wexp)
 
     def entry(self, k, n):
         """Matrix element for output exponent k, input exponent n (I/O view)."""
@@ -143,13 +134,14 @@ class TransformPlan:
 
 
 def build_plan(params, in_grid=None, out_grid=None):
-    """Sample the j row and the weights of the transform matrix.
+    """Sample the j row and the weights of the transform matrix, split.
 
     The row comes from the certified recurrence (j_nu_lattice_row) as its
     integers, and each sample wider than the plan's working precision is
-    rounded to it, as unary plus at that precision rounds an mpf.  j values
-    whose decay envelope already certifies them below the precision floor
-    are stored as exact zeros instead of being evaluated (see
+    rounded to it, as unary plus at that precision rounds an mpf.  The
+    weights c (1-q) q^(l(2nu+2)) are mpf products at that precision.  j
+    values whose decay envelope already certifies them below the precision
+    floor are stored as exact zeros instead of being evaluated (see
     j_nu_lattice_row_floored).  An internal lattice of more than
     MAX_PLAN_POINTS points raises WindowError.
     """
@@ -166,13 +158,16 @@ def build_plan(params, in_grid=None, out_grid=None):
     dps = params.precision_digits + 15
     with mp.workdps(dps):
         prec = mp.prec
+        c1q = constants(params, dps).c_q_nu * (1 - params.q)
+        weights = split_mpf([c1q * w for w in lattice_weights(params, lat_lo, lat_hi)])
     jman, jexp = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
     jman = list(jman)
     jexp = list(jexp)
     for i, man in enumerate(jman):
         if abs(man).bit_length() > prec:
             jman[i], jexp[i] = round_split(man, jexp[i], prec)
-    return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, (jman, jexp), dps)
+    return TransformPlan(params, in_grid, out_grid, lat_lo, lat_hi, (jman, jexp),
+                         weights, dps)
 
 
 def _require_on_lattice(plan, f):
@@ -185,16 +180,17 @@ def _source(plan, f):
     """The packed samples the plan transforms for f.
 
     If f carries a lattice record taken with the plan's parameters on the
-    plan's lattice, that record is the source, computed now if it is still
-    pending; otherwise f's window samples are, zero-extended by _lift.  The
-    difference matters for functions whose off-window values meet large
+    plan's lattice, that record's samples are the source, computed now if
+    they are still pending; otherwise f's window samples are, zero-extended
+    by _lift.  The difference matters for functions whose off-window values meet large
     weights in the next application: a transform's head samples are
     individually tiny but carry order-one mass once multiplied by
     q^(n(2nu+2)), and dropping them blurs sharp features of the original
     function on the small-x side.
     """
-    if f.lattice_key == (plan.params, plan.lattice_grid()):
-        return f.lattice[1]
+    rec = f.lattice
+    if rec is not None and (rec.params, rec.grid) == (plan.params, plan.lattice_grid()):
+        return rec.samples()
     _require_on_lattice(plan, f)
     return f.samples
 
@@ -262,37 +258,42 @@ def _require_transformable(f):
             f"transform needs rapid or integrable decay, got {f.decay_class!r}")
 
 
-class PendingRows:
-    """The off-window rows of a fourier output, computed on first read.
+class LatticeRecord:
+    """A fourier output's samples on the plan's whole lattice, the record
+    the next transform through the same plan reads back (see _source).
 
-    Holds the plan, the packed samples it transformed (an input's own
-    lattice record, or its window samples) and the output's window rows; no
-    sample is copied.  resolve() computes the head and tail rows of the
-    plan's lattice with one _matvec and splices them, split, around the
-    window rows, which gives the PackedSamples spectrum() would have stored.
-    GridFunction.lattice calls it once and keeps the result.
+    It starts pending: it holds the plan's params and lattice grid, the
+    plan, the packed samples the plan transformed (an input's own record,
+    or its window samples) and the output's window rows; no sample is
+    copied.  The first samples() computes the head and tail rows of the
+    lattice with one _matvec and splices them, split, around the window
+    rows, which gives the PackedSamples spectrum() would have stored.  The
+    record keeps that store and drops the plan, source and window.
     """
 
-    __slots__ = ("plan", "source", "window")
+    __slots__ = ("params", "grid", "plan", "source", "window", "_samples")
 
     def __init__(self, plan, source, window):
+        self.params = plan.params
+        self.grid = plan.lattice_grid()
         self.plan = plan
         self.source = source
         self.window = window
+        self._samples = None
 
-    @property
-    def grid(self):
-        return self.plan.lattice_grid()
-
-    def resolve(self):
-        plan = self.plan
-        inner = plan.window_rows()
-        rows = [*range(inner.start), *range(inner.stop, plan.size())]
-        oman, oexp = _matvec(plan, _lift(plan, self.source), rows)
-        wman, wexp = self.window.split()
-        head = inner.start
-        return PackedSamples.from_split(self.grid, oman[:head] + wman + oman[head:],
-                                        oexp[:head] + wexp + oexp[head:])
+    def samples(self):
+        """The PackedSamples on the plan's whole lattice."""
+        if self._samples is None:
+            plan = self.plan
+            inner = plan.window_rows()
+            rows = [*range(inner.start), *range(inner.stop, plan.size())]
+            oman, oexp = _matvec(plan, _lift(plan, self.source), rows)
+            wman, wexp = self.window.split()
+            head = inner.start
+            self._samples = PackedSamples.from_split(
+                self.grid, oman[:head] + wman + oman[head:], oexp[:head] + wexp + oexp[head:])
+            self.plan = self.source = self.window = None
+        return self._samples
 
 
 def _packed(grid, split):
@@ -317,13 +318,13 @@ def fourier(f, plan):
     sharp-edged inputs at full accuracy instead of being limited by the
     window view, starts pending: it holds the plan and the packed input,
     and on first read computes the off-window rows into the PackedSamples
-    that spectrum() would give (see PendingRows).
+    that spectrum() would give (see LatticeRecord).
     """
     _require_transformable(f)
     source = _source(plan, f)
     out = _packed(plan.out_grid,
                   _matvec(plan, _lift(plan, source), plan.window_rows()))
-    out.lattice = (plan.params, PendingRows(plan, source, out.samples))
+    out.lattice = LatticeRecord(plan, source, out.samples)
     return out
 
 def transform_profile(plan, profile):
@@ -365,11 +366,17 @@ def multiply_spectrum(plan, spec, multiplier):
     kernels.approx_identity_run.  A callable's factors are split once.
     Either way each product is the integer product rounded as the mpf
     product at the plan's precision rounds it, so both forms give the bits
-    of the mpf route.  A split row whose mantissas or exponents do not
-    number plan.size() raises InvalidParams."""
+    of the mpf route.  A spec off the plan's lattice (spec.grid is not
+    plan.lattice_grid()) raises WindowError, and a split row whose
+    mantissas or exponents do not number plan.size() InvalidParams, before
+    any product."""
+    if spec.grid != plan.lattice_grid():
+        raise WindowError(
+            f"spectrum window [{spec.grid.n_min}, {spec.grid.n_max}] is not the "
+            f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
     if callable(multiplier):
         with mp.workdps(plan.dps):
-            factors = [multiplier(l) for l in range(plan.lat_lo, plan.lat_lo + len(spec))]
+            factors = [multiplier(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
         multiplier = split_mpf(factors)
     elif not (isinstance(multiplier, tuple) and len(multiplier) == 2):
         raise InvalidParams("a multiplier is a callable or a split lattice row, "

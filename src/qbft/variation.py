@@ -43,10 +43,13 @@ def sign_changes(f, zero_tol=None):
 
     The threshold is relative to the largest magnitude in the window.  When
     every sample drops (including the all-zero function) the pattern is
-    empty and the count is zero.
+    empty and the count is zero.  A negative threshold, which would keep
+    exact zeros as negative samples, raises InvalidParams.
     """
     tol = parse_number(zero_tol if zero_tol is not None else DEFAULT_ZERO_TOL,
                        "zero_tol")
+    if tol < 0:
+        raise InvalidParams(f"zero_tol must be nonnegative, got {zero_tol!r}")
     with mp.workdps(30):
         # each sample rounded to 30 digits from its integers, as abs() of
         # the decoded sample rounds it: the full-precision value is not needed

@@ -186,19 +186,21 @@ def _criterion_3(ctx):
             q = params.q
             nuv = params.nu
             co = 1 + q ** (2 * nuv)
+
+            def stencil(u, n):
+                """Delta u at q^n and the same three-point sum of |u|."""
+                return (q ** (-2 * n) * (u[n - 1] - co * u[n] + q ** (2 * nuv) * u[n + 1]),
+                        q ** (-2 * n) * (abs(u[n - 1]) + co * abs(u[n])
+                                         + q ** (2 * nuv) * abs(u[n + 1])))
+
             for a_exp in (2, 0, -2):
                 a2 = q ** (2 * a_exp)
                 # eigenfunction side: the operator acts as -a^2 on j(a.)
                 v = {n: j_nu_lattice(a_exp + n, params, dps)
                      for n in range(-13, 26)}
                 for n in range(-12, 25):
-                    stencil = q ** (-2 * n) * (v[n - 1] - co * v[n]
-                                               + q ** (2 * nuv) * v[n + 1])
-                    res = abs(stencil + a2 * v[n])
-                    scale = (q ** (-2 * n) * (abs(v[n - 1]) + co * abs(v[n])
-                                              + q ** (2 * nuv) * abs(v[n + 1]))
-                             + a2 * abs(v[n]))
-                    r = res / scale
+                    delta, mass = stencil(v, n)
+                    r = abs(delta + a2 * v[n]) / (mass + a2 * abs(v[n]))
                     if r > worst:
                         worst = r
                 # resolvent side: (1 - Delta/a^2) g_a vanishes on the lattice
@@ -206,13 +208,8 @@ def _criterion_3(ctx):
                 w = {n: g_a_lattice(n, a, params)
                      for n in range(-5, 12)}
                 for n in range(-4, 11):
-                    stencil = q ** (-2 * n) * (w[n - 1] - co * w[n]
-                                               + q ** (2 * nuv) * w[n + 1])
-                    res = abs(w[n] - stencil / a2)
-                    scale = (abs(w[n])
-                             + q ** (-2 * n) * (abs(w[n - 1]) + co * abs(w[n])
-                                                + q ** (2 * nuv) * abs(w[n + 1])) / a2)
-                    r = res / scale
+                    delta, mass = stencil(w, n)
+                    r = abs(w[n] - delta / a2) / (abs(w[n]) + mass / a2)
                     if r > worst:
                         worst = r
     return CriterionResult(3, worst <= threshold, _nstr(worst),

@@ -374,6 +374,13 @@ class TestNonFiniteTolerances:
         with pytest.raises(InvalidParams):
             order_diagnostic(G, params, slack=bad)
 
+    # fewer than two profile points pass every candidate, a vacuous witness
+    @pytest.mark.parametrize("bad", [0, -3, 1, 2.0, "16", True])
+    def test_points_rejected(self, params, bad):
+        G = GridFunction.zero(REFERENCE_GRID)
+        with pytest.raises(InvalidParams):
+            order_diagnostic(G, params, points=bad)
+
 
 class TestOrderDiagnostic:
     def test_elementary_kernel_recovers_its_own_scale(self, params):
@@ -388,6 +395,11 @@ class TestOrderDiagnostic:
     def test_larger_scale_found_by_full_scan(self, params):
         a_est, _ = order_diagnostic(ga_grid("2", params), params)
         assert a_est == 2
+
+    def test_one_point_window_is_refused(self, params):
+        # its one-point profile would pass every candidate, whatever its sign
+        with pytest.raises(WindowError):
+            order_diagnostic(GridFunction(QGrid(5, 5), [-1], DECAY_RAPID), params)
 
     def test_refused_candidate_is_skipped(self, params):
         # a = q^-8 needs g_a at k = -34, beyond the top rung; the scan skips

@@ -313,7 +313,7 @@ class TestLatticeRecord:
 
     def test_fourier_record_is_packed(self, plan, members):
         out = fourier(members["step_two_flips"], plan)
-        params, rec = out.lattice
+        params, rec = out.lattice.params, out.lattice.samples()
         assert params == plan.params and rec.grid == QGrid(plan.lat_lo, plan.lat_hi)
         assert rec.values == spectrum(members["step_two_flips"], plan).values
         # the class object is shared by every record, not held by this one
@@ -349,7 +349,7 @@ class TestLatticeRecord:
             assert not any(isinstance(x, mpf) for x in owned)
             samples = sum(len(x) for x in owned if isinstance(x, PackedSamples))
             assert sum(map(sys.getsizeof, owned)) <= 50 * samples
-            out.lattice
+            out.lattice.samples()
         assert samples == len(out) + plan.size()
         # reading .values decodes and assigning it repacks, bit for bit
         spec = spectrum(members["alternating_burst"], plan).values
@@ -406,9 +406,9 @@ class TestPendingRecord:
         for name, f in members.items():
             out = fourier(f, plan)
             spec = spectrum(f, plan)
-            assert out.lattice_key == (plan.params, spec.grid), name
-            assert out.lattice[0] == plan.params and out.lattice[1].grid == spec.grid
-            assert raw(out.lattice[1].values) == raw(spec.values), name
+            assert (out.lattice.params, out.lattice.grid) == (plan.params, spec.grid), name
+            assert out.lattice.params == plan.params and out.lattice.samples().grid == spec.grid
+            assert raw(out.lattice.samples().values) == raw(spec.values), name
             # the transform of the whole-lattice spectrum, windowed
             lo = plan.out_grid.n_min - plan.lat_lo
             want = spectrum(spec, plan).values[lo:lo + len(plan.out_grid)]
@@ -424,11 +424,11 @@ class TestPendingRecord:
         vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
         assert matvec_rows == [win, win, full, win, win, full, full, win, full, win]
         del matvec_rows[:]
-        first = out.lattice
+        first = out.lattice.samples()
         inner = window_rows(plan)
         off = tuple(r for r in all_rows(plan) if r not in inner)
         assert matvec_rows == [(plan.size(), off)]
-        assert out.lattice is first
+        assert out.lattice.samples() is first
         assert len(matvec_rows) == 1
 
     def test_other_params_leave_the_record_pending(self, params, plan, members,
@@ -441,7 +441,7 @@ class TestPendingRecord:
         vec = _embed(other, out)
         assert matvec_rows == []
         assert vec == _embed(other, GridFunction(out.grid, out.values))
-        out.lattice
+        out.lattice.samples()
         assert len(matvec_rows) == 1
     def test_other_lattice_leaves_the_record_pending(self, plan, small_plan,
                                                      members, matvec_rows):
@@ -460,8 +460,8 @@ class TestPendingRecord:
         back = pickle.loads(blob)
         assert matvec_rows == [(plan.size(), window_rows(plan))]
         assert raw(back.values) == raw(out.values)
-        assert back.lattice_key == out.lattice_key
-        assert raw(back.lattice[1].values) == raw(out.lattice[1].values)
+        assert (back.lattice.params, back.lattice.grid) == (out.lattice.params, out.lattice.grid)
+        assert raw(back.lattice.samples().values) == raw(out.lattice.samples().values)
         assert len(matvec_rows) == 3
         # the plan travels as integers, not as mpf values, so carrying it
         # costs less than the computed record it stands for
@@ -509,10 +509,10 @@ class TestMatvec:
             with mp.workdps(30):
                 return tuple(mpf(v) for v in data.draw(
                     st.lists(SAMPLE, min_size=n, max_size=n)))
-        plan = TransformPlan(params, QGrid(0, size - 1), QGrid(0, size - 1),
-                             0, size - 1, split_mpf(draw_mpf(2 * size - 1)), 20)
         # random factors in place of the lattice weights
-        plan.weights = draw_mpf(size)
+        plan = TransformPlan(params, QGrid(0, size - 1), QGrid(0, size - 1),
+                             0, size - 1, split_mpf(draw_mpf(2 * size - 1)),
+                             split_mpf(draw_mpf(size)), 20)
         vec = data.draw(st.lists(SAMPLE, min_size=size, max_size=size))
         rows = data.draw(st.one_of(
             st.none(), st.lists(st.integers(min_value=0, max_value=size - 1))))
@@ -524,8 +524,7 @@ class TestMatvec:
         # 2^2000 - 2^2000 + 1 is 1 in index order; mpf_sum drops the 1 if
         # it comes before the cancelling pair
         plan = TransformPlan(params, QGrid(0, 2), QGrid(0, 2), 0, 2,
-                             split_mpf((mp.one,) * 5), 20)
-        plan.weights = (mp.one,) * 3
+                             split_mpf((mp.one,) * 5), split_mpf((mp.one,) * 3), 20)
         big = mpmath.ldexp(mp.one, 2000)
         vec = [big, -big, mp.one]
         assert self.fdot_rows(plan, vec, [0]) == [1]
@@ -547,8 +546,7 @@ class TestMatvec:
         # would have uncovered by cancelling the big one, so a row is 1 if
         # the 1 was kept and 0 if it was dropped.
         plan = TransformPlan(params, QGrid(0, 2), QGrid(0, 2), 0, 2,
-                             split_mpf((mp.one,) * 5), 20)
-        plan.weights = (mp.one,) * 3
+                             split_mpf((mp.one,) * 5), split_mpf((mp.one,) * 3), 20)
         with mp.workdps(plan.dps):
             limit = 2 * mp.prec
         outcomes = set()
@@ -578,8 +576,9 @@ class TestMatvec:
 def mpf_lift(plan, f):
     """f's samples on the plan's lattice as mpf, from its lattice record
     when that matches the plan, as _source chooses."""
-    if f.lattice_key == (plan.params, plan.lattice_grid()):
-        return f.lattice[1].values
+    rec = f.lattice
+    if rec is not None and (rec.params, rec.grid) == (plan.params, plan.lattice_grid()):
+        return rec.samples().values
     vec = [mp.zero] * plan.size()
     base = f.grid.n_min - plan.lat_lo
     vec[base:base + len(f)] = f.values
@@ -629,14 +628,14 @@ class TestIntegerPipeline:
         spec = spectrum(f, plan)
         assert raw(out.values) == raw(window)
         assert raw(spec.values) == raw(full)
-        assert raw(out.lattice[1].values) == raw(full)
+        assert raw(out.lattice.samples().values) == raw(full)
         assert raw(fourier(out, plan).values) == raw(mpf_fourier(out, plan)[0])
         want = raw(mpf_multiply_spectrum(plan, full, factors)[0])
         by_callable = multiply_spectrum(plan, spec, lambda l: factors[l - plan.lat_lo])
         by_row = multiply_spectrum(plan, spec, split_mpf(factors))
         assert raw(by_callable.values) == want
         assert raw(by_row.values) == want
-        assert raw(by_row.lattice[1].values) == raw(by_callable.lattice[1].values)
+        assert raw(by_row.lattice.samples().values) == raw(by_callable.lattice.samples().values)
         assert raw(convolve_direct(f, g, plan).values) == raw(mpf_convolve_direct(f, g, plan))
 
     @given(data=st.data(), size=st.integers(min_value=1, max_value=6))
@@ -652,8 +651,8 @@ class TestIntegerPipeline:
         zeros = data.draw(st.integers(min_value=0, max_value=2 * size - 1))
         jrow = [mp.zero] * zeros + draw(2 * size - 1 - zeros)
         lattice = QGrid(0, size - 1)
-        plan = TransformPlan(params, lattice, window(), 0, size - 1, split_mpf(jrow), 20)
-        plan.weights = draw(size)
+        plan = TransformPlan(params, lattice, window(), 0, size - 1, split_mpf(jrow),
+                             split_mpf(draw(size)), 20)
         f_grid = window()
         f = GridFunction(f_grid, data.draw(st.lists(SAMPLE, min_size=len(f_grid),
                                                     max_size=len(f_grid))), DECAY_RAPID)
@@ -707,6 +706,30 @@ class TestIntegerPipeline:
         with pytest.raises(InvalidParams, match=f"plan lattice of {size} points"):
             apply_multiplier(plan, members["gauss_1"], row)
 
+    @pytest.mark.parametrize("form", ["callable", "split-row"])
+    def test_a_spectrum_off_the_plan_lattice_is_refused(self, plan, members, matvec_rows,
+                                                        monkeypatch, form):
+        size = plan.size()
+        factors = []
+        multiplier = {"callable": lambda l: factors.append(l) or (2 if l < 0 else 1),
+                      "split-row": ([1] * size, [0] * size)}[form]
+        # the output window of fourier, and a whole-lattice spectrum one step off
+        spec = spectrum(members["gauss_1"], plan)
+        shifted = GridFunction.packed(
+            PackedSamples.from_split(QGrid(plan.lat_lo + 1, plan.lat_hi + 1),
+                                     *spec.samples.split()), DECAY_RAPID)
+        offs = (fourier(members["gauss_1"], plan), shifted)
+        products = []
+        split_products = qbft.transform.split_products
+        monkeypatch.setattr(qbft.transform, "split_products",
+                            lambda *args: products.append(args) or split_products(*args))
+        del matvec_rows[:]
+        for off in offs:
+            with pytest.raises(WindowError, match="is not the plan lattice"):
+                multiply_spectrum(plan, off, multiplier)
+            # refused before any factor, product or application
+            assert factors == [] and products == [] and matvec_rows == []
+
     def test_head_rows_of_floored_zeros_are_exact_zeros(self, plan, members,
                                                         monkeypatch):
         vec = _embed(plan, members["step_one_flip"])
@@ -735,7 +758,7 @@ class TestIntegerPipeline:
 
         def run():
             outs = {"fourier": fourier(f, plan)}
-            outs["record"] = outs["fourier"].lattice[1]
+            outs["record"] = outs["fourier"].lattice.samples()
             outs["roundtrip"] = fourier(outs["fourier"], plan)
             outs["spectrum"] = spectrum(f, plan)
             outs["convolve"] = convolve(f, g, plan)
@@ -936,9 +959,9 @@ class TestConvolve:
         conv = convolve(f, g, plan)
         mult = apply_multiplier(plan, f, spectrum(g, plan).value_at)
         assert conv.values == mult.values
-        assert conv.lattice[0] == mult.lattice[0]
-        assert conv.lattice[1].grid == mult.lattice[1].grid
-        assert conv.lattice[1].values == mult.lattice[1].values
+        assert conv.lattice.params == mult.lattice.params
+        assert conv.lattice.samples().grid == mult.lattice.samples().grid
+        assert conv.lattice.samples().values == mult.lattice.samples().values
 
     @pytest.fixture(scope="class")
     def off_lattice(self):

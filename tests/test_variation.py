@@ -118,14 +118,17 @@ class TestSignChanges:
 
 class TestNonFiniteTolerances:
     # every comparison with NaN is false, so an unparsed NaN tolerance
-    # would silently change which samples count as zero
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_zero_tol_rejected(self, params, bad):
+    # would silently change which samples count as zero; a negative one
+    # keeps exact zeros as negative samples
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1e-30", -1])
+    def test_zero_tol_rejected(self, params, plan, members, bad):
         f = window([0, 1, -1, 0])
         with pytest.raises(InvalidParams):
             sign_changes(f, zero_tol=bad)
         with pytest.raises(InvalidParams):
             dq_variation_check(f, params, zero_tol=bad)
+        with pytest.raises(InvalidParams):
+            vd_check(members["gauss_1"], [members["step_one_flip"]], plan, zero_tol=bad)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     def test_tol_imag_rejected(self, params, bad):
