@@ -17,7 +17,8 @@ to pick the working precision up front.
 Callers that need j on a contiguous run of lattice exponents take it from
 j_nu_lattice_row, which solves the three-term recurrence instead of summing
 one series per sample.  j_nu and j_nu_lattice stay series-only, so they
-remain an independent oracle for the rows.
+remain an independent oracle for the rows.  Lattice rows (j_nu_lattice_row,
+lattice_weights) come split, as the integers core.exact_dot reads.
 """
 
 import functools
@@ -29,7 +30,7 @@ from mpmath import mp, mpf
 from .core import (
     DomainError, Overflow, PrecisionExhausted, ConstancyViolation, WindowError,
     LATTICE_DPS, QParams, constants, exact_dot, lattice_exponent, materialize,
-    nearest_exponent, parse_number, split_mpf, split_products, unsplit_mpf,
+    nearest_exponent, parse_number, split_mpf, split_products,
 )
 
 
@@ -246,42 +247,32 @@ def _certified_row(s_lo, s_hi, params, digits):
     mans, exps = split_mpf(row)
     return tuple(mans), tuple(exps)
 
-def _check_row_bounds(s_lo, s_hi):
-    if not (isinstance(s_lo, int) and isinstance(s_hi, int)):
-        raise DomainError("lattice evaluation needs integer exponents")
-    if s_lo > s_hi:
-        raise DomainError(f"empty lattice row [{s_lo}, {s_hi}]")
-
 def j_nu_lattice_row(s_lo, s_hi, params, digits=None):
-    """Certified j_nu(q^s; q^2) for the lattice exponents s_lo..s_hi, as a tuple.
+    """Certified j_nu(q^s; q^2) for the lattice exponents s_lo..s_hi, split:
+    a (mantissas, exponents) pair of tuples, as core.split_mpf splits.
 
     The row comes from the three-term recurrence (see _sweep), normalized by
     the one series value j_nu_lattice at the anchor s = 0 clamped into the
     row.  A second sweep from twice the depth at ten more digits certifies
     it: an entry where the two differ by more than 10^-(digits+5) relative
-    falls back to j_nu_lattice.  Values keep the sweep's precision.  Whole
-    rows are memoized in a bounded memo of their own, once each, as the
-    integer mantissas and exponents core.exact_dot reads; this function
-    rebuilds the mpf values from them exactly.  j_nu_lattice's cache only
-    ever holds the anchor and the fallbacks.
+    falls back to j_nu_lattice.  Values keep the sweep's precision.  Where
+    the decay envelope certifies |j_nu(q^s)| below the precision floor
+    10^-(precision_digits + 50), the entry is an exact zero, (0, 0), and is
+    not evaluated.  Whole rows are memoized in a bounded memo of their own,
+    once each; j_nu_lattice's cache only ever holds the anchor and the
+    fallbacks.  Bounds that are not integers, or s_lo > s_hi, raise
+    DomainError.
     """
-    _check_row_bounds(s_lo, s_hi)
-    return tuple(unsplit_mpf(*_certified_row(s_lo, s_hi, params,
-                                             digits or params.precision_digits)))
-
-def j_nu_lattice_row_floored(s_lo, s_hi, params, digits=None):
-    """j_nu_lattice_row's samples as the certified row's own integers, with
-    exact zeros where the decay envelope certifies |j_nu(q^s)| below the
-    precision floor 10^-(precision_digits + 50): a (mantissas, exponents)
-    pair of tuples, as core.split_mpf splits, with (0, 0) for each floored
-    zero.  No mpf is built; the transform reads the row as these integers."""
+    if not (isinstance(s_lo, int) and isinstance(s_hi, int)):
+        raise DomainError("lattice evaluation needs integer exponents")
+    if s_lo > s_hi:
+        raise DomainError(f"empty lattice row [{s_lo}, {s_hi}]")
     first = s_lo
     while first <= s_hi and decay_bound_log10(first, params) < -(params.precision_digits + 50):
         first += 1
     zeros = (0,) * (first - s_lo)
     if first > s_hi:
         return zeros, zeros
-    _check_row_bounds(first, s_hi)
     mans, exps = _certified_row(first, s_hi, params, digits or params.precision_digits)
     return zeros + mans, zeros + exps
 
@@ -406,8 +397,9 @@ def _split_weights(params, a, lo, hi):
 
 def lattice_weights(params, lo, hi):
     """The lattice weights q ** (mpf(l) * (2 * nu + 2)) for l = lo..hi at
-    the current working precision, from their memoized blocks."""
-    return unsplit_mpf(*_split_weights(params, None, lo, hi))
+    the current working precision, from their memoized blocks, split: a
+    (mantissas, exponents) pair of lists, as core.split_mpf splits."""
+    return _split_weights(params, None, lo, hi)
 
 def _quadrature(ks, est, start, dps, a, power, params):
     """c^power (1-q) sum_l w(l) prod_(k in ks) j(q^(k+l)) at dps, over
@@ -520,11 +512,11 @@ def g_a(x, a, params):
     k = lattice_exponent(x, params)
     return g_a_lattice(k, a, params)
 
-def d_nu(params, probes=(3, 6, 9, 12, 15), with_spread=False):
+def d_nu(params, with_spread=False):
     """Wronskian-type constant combining K and i at neighbouring orders.
 
     Evaluates x^(2(nu+1)) [ K_nu(x) i_(nu+1)(x) / (1 - q^(2nu+2))
-    + K_(nu+1)(x) i_nu(x) ] at several interior lattice points; the spread
+    + K_(nu+1)(x) i_nu(x) ] at x = q^n for n = 3, 6, 9, 12, 15; the spread
     must stay below ten times the tolerance or ConstancyViolation is raised.
     Returns the mean, or (mean, spread) when asked.
     """
@@ -533,7 +525,7 @@ def d_nu(params, probes=(3, 6, 9, 12, 15), with_spread=False):
         nu = params.nu
         up = params.replace(nu=mp.nstr(nu + 1, 50))
         vals = []
-        for n in probes:
+        for n in (3, 6, 9, 12, 15):
             x = q ** n
             kn = k_nu(x, params)
             kn1 = k_nu(x, up)

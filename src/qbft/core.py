@@ -26,7 +26,7 @@ from array import array
 
 import mpmath
 from mpmath import mp, mpf, mpmathify
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import MPZ, normalize, round_nearest
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +247,12 @@ def _man_exp(v):
 
     Integers keep every digit and floats their 53 bits; other real types are
     converted at the active precision, as arithmetic with them would be.
+    The mantissa is odd or zero, as an mpf's is.
     """
     if isinstance(v, int):
-        return int(v), 0
+        v = int(v)
+        zeros = (v & -v).bit_length() - 1 if v else 0
+        return v >> zeros, zeros
     if isinstance(v, float):
         v = mpf(v, prec=53)
     elif not isinstance(v, mpf):
@@ -345,9 +348,9 @@ def split_mpf(values):
     """Signed integer mantissas and exponents of finite real samples, as two
     lists: values[i] is mans[i] * 2 ** exps[i].  An mpf is read from its raw
     tuple, other reals as _man_exp reads them (integers keep every digit,
-    floats their 53 bits).  Only an mpf's mantissa is sure to be odd or
-    zero, as core.exact_dot needs.  Infinities, NaN and complex values
-    raise InvalidParams."""
+    floats their 53 bits).  Every mantissa is odd or zero, as
+    core.exact_dot needs.  Infinities, NaN and complex values raise
+    InvalidParams."""
     mans = []
     exps = []
     for v in values:
@@ -408,8 +411,11 @@ def round_split(man, exp, prec):
     """man * 2 ** exp rounded to prec bits, to nearest, as a signed (man,
     exp) with an odd or zero mantissa: the rounding mpmath.fdot gives an
     exact_dot, and an mpf multiplication at prec gives the exact product of
-    its factors."""
-    sign, man, exp, _ = from_man_exp(man, exp, prec, round_nearest)
+    its factors.  mpmath's own normalize rounds it, given the mantissa's
+    exact bit_length."""
+    sign = man < 0
+    man = MPZ(-man if sign else man)
+    _, man, exp, _ = normalize(sign, man, exp, man.bit_length(), prec, round_nearest)
     return (-man if sign else man), exp
 
 def split_products(a_man, a_exp, b_man, b_exp, prec):
@@ -420,14 +426,9 @@ def split_products(a_man, a_exp, b_man, b_exp, prec):
     mans = []
     exps = []
     for am, ae, bm, be in zip(a_man, a_exp, b_man, b_exp):
-        man = am * bm
-        if man:
-            sign, man, exp, _ = from_man_exp(man, ae + be, prec, round_nearest)
-            mans.append(-man if sign else man)
-            exps.append(exp)
-        else:
-            mans.append(0)
-            exps.append(0)
+        man, exp = round_split(am * bm, ae + be, prec)
+        mans.append(man)
+        exps.append(exp)
     return mans, exps
 
 
@@ -439,10 +440,11 @@ class GridFunction:
     integrals and transforms accept the function.
 
     Samples must be finite and real: complex values raise InvalidParams.
-    They are kept packed (see PackedSamples) in .samples, so reading .values
-    decodes a new list of mpf: read it once per call, not per sample.
-    Assigning .values validates and repacks, and drops the lattice record,
-    which extends the old samples.
+    They are kept packed (see PackedSamples) in the read-only .samples, so
+    reading .values decodes a new list of mpf: read it once per call, not
+    per sample.  Assigning .values, the one way to replace the samples,
+    validates and repacks, and drops the lattice record, which extends the
+    old samples.
 
     lattice is None or transform's record of the samples on a plan's whole
     lattice (transform.LatticeRecord), which only transform reads.
@@ -452,7 +454,7 @@ class GridFunction:
         if decay_class not in DECAY_CLASSES:
             raise InvalidParams(f"unknown decay class {decay_class!r}")
         self.grid = grid
-        self.samples = PackedSamples(grid, values)
+        self._samples = PackedSamples(grid, values)
         self.decay_class = decay_class
         self.lattice = None
 
@@ -463,24 +465,29 @@ class GridFunction:
             raise InvalidParams(f"unknown decay class {decay_class!r}")
         f = cls.__new__(cls)
         f.grid = samples.grid
-        f.samples = samples
+        f._samples = samples
         f.decay_class = decay_class
         f.lattice = None
         return f
 
     @property
+    def samples(self):
+        """The PackedSamples store."""
+        return self._samples
+
+    @property
     def values(self):
         """The samples as a new list of mpf."""
-        return self.samples.values
+        return self._samples.values
 
     @values.setter
     def values(self, values):
-        self.samples = PackedSamples(self.grid, values)
+        self._samples = PackedSamples(self.grid, values)
         self.lattice = None
 
     def value_at(self, n):
         """Sample at exponent n, i.e. at the point x = q^n."""
-        return self.samples.value_at(n)
+        return self._samples.value_at(n)
 
     def __len__(self):
         return len(self.grid)
@@ -553,21 +560,22 @@ def qpochhammer_finite(a, q, n):
             ap *= q
         return +prod
 
-def qpochhammer_infinite(a, q, tol=None):
+def qpochhammer_infinite(a, q):
     """(a; q)_inf for |q| < 1.
 
     Multiplies factors until the running term a q^i drops below the truncation
     threshold, then applies one log-tail correction exp(-term / (1 - q)) for
     the remaining factors.  Declared stable when one further factor moves the
-    corrected value by less than the tolerance; otherwise NonConvergent.
+    corrected value by less than 10^-(dps - 8) at the working dps (the
+    active dps + 10); otherwise NonConvergent.
     """
     with mp.workdps(mp.dps + 10):
         a = parse_number(a, "a")
         q = parse_number(q, "q")
         if abs(q) >= 1:
             raise NonConvergent("infinite pochhammer needs |q| < 1")
-        eff_tol = mpmathify(tol) if tol is not None else mpf(10) ** (-(mp.dps - 8))
-        thresh = eff_tol * mpf("1e-2")
+        tol = mpf(10) ** (-(mp.dps - 8))
+        thresh = tol * mpf("1e-2")
         prod = mp.one
         term = a
         steps = 0
@@ -581,7 +589,7 @@ def qpochhammer_infinite(a, q, tol=None):
         prod *= (1 - term)
         term *= q
         second = prod * mp.e ** (-term / (1 - q))
-        if abs(first - second) > eff_tol * max(mp.one, abs(first)):
+        if abs(first - second) > tol * max(mp.one, abs(first)):
             raise NonConvergent("pochhammer tail correction did not stabilize")
         return +second
 
@@ -774,9 +782,9 @@ def decimal_str(x, digits):
     with mp.workdps(2 * digits + 20):
         return mp.nstr(+mpmathify(x), digits, strip_zeros=True)
 
-def gridfunction_to_json(f, params, digits=None):
+def gridfunction_to_json(f, params):
     """Serialize a grid function with its parameters as decimal strings."""
-    d = digits or params.precision_digits + 10
+    d = params.precision_digits + 10
     payload = {
         "q": params.q_str,
         "nu": params.nu_str,

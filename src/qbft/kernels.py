@@ -23,7 +23,7 @@ from .core import (
     DECAY_RAPID, DECAY_UNKNOWN, DomainError, IntegrabilityError, InvalidParams,
     NoWitness, PrecisionExhausted, WindowError, GridFunction, QGrid, constants,
     decimal_str, lattice_exponent, qpochhammer_infinite, q_bessel_operator,
-    parse_number, split_mpf,
+    parse_number, split_mpf, unsplit_mpf,
 )
 from .bessel import g_a_lattice, i_nu, lattice_weights
 from .transform import multiply_spectrum, norm, spectrum, transform_profile
@@ -145,9 +145,8 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
         c = constants(params, plan.dps).c_q_nu
         grid = kernel.grid
         kernel_values = kernel.values
-        mass = c * (1 - q) * mpmath.fsum(
-            w * v for w, v in zip(lattice_weights(params, grid.n_min, grid.n_max),
-                                  kernel_values))
+        weights = unsplit_mpf(*lattice_weights(params, grid.n_min, grid.n_max))
+        mass = c * (1 - q) * mpmath.fsum(w * v for w, v in zip(weights, kernel_values))
         mass = +mass
         mass_defect = +abs(mass - 1)
         min_value = +min(kernel_values)
@@ -313,7 +312,7 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
         exps = list(range(G.grid.n_min, G.grid.n_min + points))
         for a in candidates:
             m = lattice_exponent(a, params, "candidate scale")
-            scale = lattice_weights(params, m, m)[0]
+            scale = unsplit_mpf(*lattice_weights(params, m, m))[0]
             ratios = []
             ok = True
             for n in exps:
@@ -382,8 +381,8 @@ def factorization_check(h, a, params):
 # ---------------------------------------------------------------------------
 # report serialization
 
-def kernel_report_to_json(report, params, digits=None):
-    d = digits or params.precision_digits + 10
+def kernel_report_to_json(report, params):
+    d = params.precision_digits + 10
     payload = {
         "spec": {"c": report.spec.c_str, "zeros": list(report.spec.zeros_str)},
         "mass": decimal_str(report.mass, d),

@@ -30,10 +30,11 @@ rounds it (core.split_products), each row is one exact dot rounded as
 mpmath.fdot rounds it (core.round_split), and the rows go back into a
 store split (PackedSamples.from_split).  core owns that rounding.  mpf
 values are built only where the public API returns them: .values,
-value_at, entry, jrow and weights, norm.
+value_at, a plan's entry, norm.
 """
 
 import math
+from itertools import repeat
 
 import mpmath
 from mpmath import mp, mpmathify
@@ -44,7 +45,7 @@ from .core import (
     GridFunction, PackedSamples, QGrid, constants, exact_dot, lattice_exponent,
     parse_number, round_split, split_mpf, split_products, unsplit_mpf,
 )
-from .bessel import j_nu_lattice_row_floored, lattice_weights
+from .bessel import j_nu_lattice_row, lattice_weights
 # defined with the other per-point quadratures, kept as qbft.transform.triple_kernel
 from .bessel import triple_kernel
 
@@ -72,12 +73,11 @@ class TransformPlan:
     Both factors are given and kept split, as core.split_mpf splits mpf
     values: signed integer mantissas (odd or zero, which core.exact_dot
     needs) and exponents, so jrow[m] is _jman[m] * 2 ** _jexp[m], and the
-    weights likewise.  .jrow, .weights and entry are read-only views that
-    decode mpf: .jrow and .weights a new tuple per read, so read them once
-    per call, entry only its two factors.  A plan pickles as those
-    integers: every fourier output's pending lattice record carries its
-    plan.  _jstart is the index of the j row's first nonzero sample; below
-    it lie the exact zeros build_plan floors, which the matvec's rows skip.
+    weights likewise.  entry is the one view that decodes mpf, only its two
+    factors.  A plan pickles as those integers: every fourier output's
+    pending lattice record carries its plan.  _jstart is the index of the j
+    row's first nonzero sample; below it lie the exact zeros build_plan
+    floors, which the matvec's rows skip.
     """
 
     def __init__(self, params, in_grid, out_grid, lat_lo, lat_hi, jrow, weights, dps):
@@ -93,16 +93,6 @@ class TransformPlan:
                             len(self._jman))
         with mp.workdps(dps):
             self._prec = mp.prec
-
-    @property
-    def jrow(self):
-        """The j row as a new tuple of mpf."""
-        return tuple(unsplit_mpf(self._jman, self._jexp))
-
-    @property
-    def weights(self):
-        """The weights as a new tuple of mpf."""
-        return tuple(unsplit_mpf(self._wman, self._wexp))
 
     def entry(self, k, n):
         """Matrix element for output exponent k, input exponent n (I/O view)."""
@@ -138,12 +128,13 @@ def build_plan(params, in_grid=None, out_grid=None):
 
     The row comes from the certified recurrence (j_nu_lattice_row) as its
     integers, and each sample wider than the plan's working precision is
-    rounded to it, as unary plus at that precision rounds an mpf.  The
-    weights c (1-q) q^(l(2nu+2)) are mpf products at that precision.  j
-    values whose decay envelope already certifies them below the precision
-    floor are stored as exact zeros instead of being evaluated (see
-    j_nu_lattice_row_floored).  An internal lattice of more than
-    MAX_PLAN_POINTS points raises WindowError.
+    rounded to it, as unary plus at that precision rounds an mpf.  j values
+    whose decay envelope already certifies them below the precision floor
+    are exact zeros there.  The weights c (1-q) q^(l(2nu+2)) are the split
+    products of c (1-q) and lattice_weights, each rounded as the mpf
+    product at that precision rounds it (core.split_products).  An
+    internal lattice of more than MAX_PLAN_POINTS points raises
+    WindowError.
     """
     in_grid = in_grid or QGrid()
     out_grid = out_grid or in_grid
@@ -158,9 +149,10 @@ def build_plan(params, in_grid=None, out_grid=None):
     dps = params.precision_digits + 15
     with mp.workdps(dps):
         prec = mp.prec
-        c1q = constants(params, dps).c_q_nu * (1 - params.q)
-        weights = split_mpf([c1q * w for w in lattice_weights(params, lat_lo, lat_hi)])
-    jman, jexp = j_nu_lattice_row_floored(2 * lat_lo, 2 * lat_hi, params, dps)
+        (cman,), (cexp,) = split_mpf([constants(params, dps).c_q_nu * (1 - params.q)])
+        weights = split_products(repeat(cman), repeat(cexp),
+                                 *lattice_weights(params, lat_lo, lat_hi), prec)
+    jman, jexp = j_nu_lattice_row(2 * lat_lo, 2 * lat_hi, params, dps)
     jman = list(jman)
     jexp = list(jexp)
     for i, man in enumerate(jman):
@@ -327,6 +319,13 @@ def fourier(f, plan):
     out.lattice = LatticeRecord(plan, source, out.samples)
     return out
 
+def _profile_row(plan, profile):
+    """The callable profile (l -> value at t = q^l) on the plan's whole
+    lattice, evaluated at the plan's working precision, as a split row."""
+    with mp.workdps(plan.dps):
+        values = [profile(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
+    return split_mpf(values)
+
 def transform_profile(plan, profile):
     """Transform a spectral profile given on the plan's whole lattice.
 
@@ -338,9 +337,8 @@ def transform_profile(plan, profile):
     transform of it sees only its window.  Complex values and values that
     are not finite raise InvalidParams (core.split_mpf).
     """
-    with mp.workdps(plan.dps):
-        vec = [profile(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
-    return _packed(plan.out_grid, _matvec(plan, split_mpf(vec), plan.window_rows()))
+    return _packed(plan.out_grid, _matvec(plan, _profile_row(plan, profile),
+                                          plan.window_rows()))
 
 def apply_multiplier(plan, f, multiplier):
     """Transform f, scale the spectrum pointwise, transform back.
@@ -375,9 +373,7 @@ def multiply_spectrum(plan, spec, multiplier):
             f"spectrum window [{spec.grid.n_min}, {spec.grid.n_max}] is not the "
             f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
     if callable(multiplier):
-        with mp.workdps(plan.dps):
-            factors = [multiplier(l) for l in range(plan.lat_lo, plan.lat_hi + 1)]
-        multiplier = split_mpf(factors)
+        multiplier = _profile_row(plan, multiplier)
     elif not (isinstance(multiplier, tuple) and len(multiplier) == 2):
         raise InvalidParams("a multiplier is a callable or a split lattice row, "
                             "a (mantissas, exponents) pair")
@@ -402,8 +398,7 @@ def translate(f, x, plan):
         a = m - plan.lat_lo
         col = (plan._jman[a:a + plan.size()], plan._jexp[a:a + plan.size()])
     else:
-        col = j_nu_lattice_row_floored(m + plan.lat_lo, m + plan.lat_hi,
-                                       plan.params, plan.dps)
+        col = j_nu_lattice_row(m + plan.lat_lo, m + plan.lat_hi, plan.params, plan.dps)
     return apply_multiplier(plan, f, col)
 
 
@@ -465,6 +460,6 @@ def norm(f, p, params):
             return +max((abs(v) for v in f.values), default=mp.zero)
         q = params.q
         pv = mpmathify(p)
-        weights = lattice_weights(params, f.grid.n_min, f.grid.n_max)
+        weights = unsplit_mpf(*lattice_weights(params, f.grid.n_min, f.grid.n_max))
         terms = [w * abs(v) ** pv for w, v in zip(weights, f.values)]
         return +(((1 - q) * mpmath.fsum(terms)) ** (1 / pv))

@@ -47,6 +47,27 @@ def test_criterion(suite, ident):
     assert result.passed, result.line()
 
 
+# Each criterion's measure string at the default precision and tolerance.
+# A refactor of the arithmetic must keep every bit that reaches them; a
+# change that moves one on purpose records its new value here.
+MEASURES = {
+    1: "4.40432e-67",
+    2: "6.67771e-70",
+    3: "2.39432e-75",
+    4: "positivity=True, pair=7.78499e-47",
+    5: "spread=2.12109e-77, positive=True",
+    6: "1.3806e-59",
+    7: "0 violations in 60 checks",
+    8: "worst gap -1.71789",
+    9: "coeff rel err 1.34876e-37, real-rooted=True",
+    10: "strictly decreasing",
+}
+
+
+def test_measures_are_pinned(suite):
+    assert {r.ident: str(r.measure) for r in suite.results} == MEASURES
+
+
 def test_every_criterion_ran(suite):
     assert [r.ident for r in suite.results] == sorted(CRITERIA)
 

@@ -49,7 +49,6 @@ from qbft.bessel import (
     j_nu,
     j_nu_lattice,
     j_nu_lattice_row,
-    j_nu_lattice_row_floored,
     k_nu,
     quadrature_range,
     triple_kernel,
@@ -210,6 +209,11 @@ class TestOscillatorySeries:
         assert j_nu_lattice(-3, after, 60)._mpf_ == j_nu_lattice(-3, cold, 60)._mpf_
 
 
+def row_values(s_lo, s_hi, params, digits=None):
+    """j_nu_lattice_row's split row decoded to a list of mpf."""
+    return unsplit_mpf(*j_nu_lattice_row(s_lo, s_hi, params, digits))
+
+
 class TestLatticeRow:
     """Recurrence rows against the series oracle, which they never feed."""
 
@@ -244,7 +248,7 @@ class TestLatticeRow:
     @pytest.mark.parametrize("nu", ["-0.9", "0", "0.5", "2"])
     def test_matches_series_oracle(self, q, nu, series_calls):
         p = QParams(q=q, nu=nu)
-        row = j_nu_lattice_row(-6, 12, p)
+        row = row_values(-6, 12, p)
         # only the anchor s = 0 came from the series
         assert series_calls == [0]
         with mp.workdps(p.precision_digits):
@@ -254,7 +258,7 @@ class TestLatticeRow:
     def test_disagreeing_entry_falls_back_to_series(self, monkeypatch, series_calls):
         p = QParams(q="0.6", nu="0.5")
         self.perturb_first_sweep(monkeypatch, 7)
-        row = j_nu_lattice_row(-4, 9, p, 70)
+        row = row_values(-4, 9, p, 70)
         assert sorted(series_calls) == [0, 3]
         assert row[7] == j_nu_lattice(3, p, 70)
         with mp.workdps(70):
@@ -289,23 +293,28 @@ class TestLatticeRow:
         again = j_nu_lattice_row(-5, 15, p)
         assert bessel._certified_row.cache_info().hits == info.hits + 1
         assert bessel._certified_row.cache_info().currsize == info.currsize
-        assert [v._mpf_ for v in again] == [v._mpf_ for v in first]
+        assert again == first
         assert series_calls == [0]
 
     def test_floored_row_zeroes_below_the_envelope_floor(self, params):
         floor = -(params.precision_digits + 50)
-        row = tuple(unsplit_mpf(*j_nu_lattice_row_floored(-24, 4, params)))
-        first = -24 + sum(1 for v in row if v == 0)
+        mans, exps = j_nu_lattice_row(-24, 4, params)
+        first = -24 + sum(1 for m in mans if m == 0)
         assert -24 < first < 0
         assert all(decay_bound_log10(s, params) < floor for s in range(-24, first))
         assert decay_bound_log10(first, params) >= floor
-        assert row[first + 24:] == j_nu_lattice_row(first, 4, params)
+        assert exps[:first + 24] == (0,) * (first + 24)
+        assert (mans[first + 24:], exps[first + 24:]) == bessel._certified_row(
+            first, 4, params, params.precision_digits)
+        # the row's integers are the mpf values' own: odd or zero mantissas
+        assert split_mpf(unsplit_mpf(mans, exps)) == (list(mans), list(exps))
 
     def test_bad_ranges_rejected(self, params):
-        with pytest.raises(DomainError):
-            j_nu_lattice_row(0.5, 3, params)
-        with pytest.raises(DomainError):
-            j_nu_lattice_row(4, 3, params)
+        # the bounds are checked before the floored head is skipped, so
+        # bounds deep below the envelope floor are refused as well
+        for lo, hi in [(0.5, 3), (-500.0, -400.0), (4, 3), (-400, -500)]:
+            with pytest.raises(DomainError):
+                j_nu_lattice_row(lo, hi, params)
 
 
 class TestPositiveCompanion:
@@ -505,12 +514,18 @@ def closed_form_weights(params, a, lo, hi):
     return [q ** (mpf(l) * e) / (1 + q ** (2 * l) / (a * a)) for l in range(lo, hi + 1)]
 
 
+def quadrature_row(s_lo, s_hi, params, dps):
+    """The j row the per-point quadratures read, decoded to mpf: the
+    certified row itself, with no floored head."""
+    return unsplit_mpf(*bessel._certified_row(s_lo, s_hi, params, dps))
+
+
 def rounded_products_sum(ks, est, start, dps, a, power, params):
     """The per-point sum with every column's product rounded and then fsum:
     (value, scale times the sum of the terms' magnitudes)."""
     l_lo, l_hi = quadrature_range(ks, est, start, params)
     lo = min(ks) + l_lo
-    row = j_nu_lattice_row(lo, max(ks) + l_hi, params, dps)
+    row = quadrature_row(lo, max(ks) + l_hi, params, dps)
     with mp.workdps(dps):
         c = constants(params, dps).c_q_nu
         terms = closed_form_weights(params, a, l_lo, l_hi)
@@ -657,7 +672,7 @@ class TestWeightTable:
             want = [q ** (mpf(l) * (2 * nu + 2)) for l in range(-7, 30)]
             bessel.lattice_weights(params, 0, 12)
             got = bessel.lattice_weights(params, -7, 29)
-        assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
+        assert got == split_mpf(want)
 
     def test_precision_is_part_of_the_key(self, cold_memos):
         p = QParams(q="0.6")
@@ -665,7 +680,7 @@ class TestWeightTable:
             low = bessel.lattice_weights(p, 1, 3)
         with mp.workdps(90):
             high = bessel.lattice_weights(p, 1, 3)
-        assert low[0]._mpf_ != high[0]._mpf_
+        assert (low[0][0], low[1][0]) != (high[0][0], high[1][0])
         # one block at each precision
         assert bessel._weight_block.cache_info().currsize == 2
 
@@ -681,7 +696,7 @@ class TestWeightTable:
                 got = bessel.lattice_weights(p, lo, hi)
                 q = p.q
                 want = [q ** (mpf(l) * (2 * p.nu + 2)) for l in range(lo, hi + 1)]
-            assert [w._mpf_ for w in got] == [w._mpf_ for w in want]
+            assert got == split_mpf(want)
             assert bessel._weight_block.cache_info().currsize * bessel.WEIGHT_BLOCK <= cap
         for k in range(0, 8):
             g_a_lattice(k, "2", p)
@@ -729,7 +744,7 @@ def per_entry_route(ks, est, start, dps, a, power, params):
     into one core.exact_dot."""
     l_lo, l_hi = quadrature_range(ks, est, start, params)
     lo = min(ks) + l_lo
-    row = j_nu_lattice_row(lo, max(ks) + l_hi, params, dps)
+    row = quadrature_row(lo, max(ks) + l_hi, params, dps)
     with mp.workdps(dps):
         c = constants(params, dps).c_q_nu
         terms = closed_form_weights(params, a, l_lo, l_hi)
@@ -812,10 +827,9 @@ class TestSplitInputs:
         first_d = triple_kernel(*xyz, p)
         splits = []
         split = bessel.split_mpf
-        unsplit = bessel.unsplit_mpf
+        # bessel has no unsplit_mpf to decode with: its rows leave it split
+        assert not hasattr(bessel, "unsplit_mpf")
         monkeypatch.setattr(bessel, "split_mpf", lambda v: splits.append(v) or split(v))
-        monkeypatch.setattr(bessel, "unsplit_mpf",
-                            lambda *v: splits.append(v) or unsplit(*v))
         memos = (core.materialize, core._log_q, core._constants,
                  bessel._weight_block, bessel._certified_row)
         before = [memo.cache_info().misses for memo in memos]

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpmathify
 
 from qbft import core
-from qbft.core import exact_dot, round_split, split_mpf, split_products
+from qbft.core import exact_dot, round_split, split_mpf, split_products, unsplit_mpf
 from qbft import (
     DECAY_RAPID, DivergentTail, DomainError, InvalidParams, NonConvergent,
     PreconditionError, WindowError,
@@ -182,13 +182,17 @@ DOT_ENTRY = st.one_of(
     st.tuples(st.integers(min_value=-10 ** 6, max_value=10 ** 6), st.just(0)),
     st.tuples(st.integers(min_value=-2 ** 90, max_value=2 ** 90),
               st.integers(min_value=-1500, max_value=1500)),
+    # as wide as a plan's factors: products past the 300 bits where
+    # mpmath's bitcount leaves its table path
+    st.tuples(st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+              st.integers(min_value=-1500, max_value=1500)),
     st.tuples(st.integers(min_value=-2, max_value=2),
               st.sampled_from((-1500, -400, 0, 400, 1500))))
 
 
 def exact(entries):
     """mpf values m * 2 ** e, formed without rounding."""
-    with mp.workprec(200):
+    with mp.workprec(320):
         return [mpmath.ldexp(mpf(m), e) for m, e in entries]
 
 
@@ -259,6 +263,13 @@ class TestExactDot:
 
     def test_split_keeps_signs_and_exponents(self):
         assert split_mpf([mpf(-3), mpf("0.5"), mp.zero]) == ([-3, 1, 0], [0, -1, 0])
+
+    def test_split_mantissas_are_odd_or_zero_and_round_trip(self):
+        values = [0, 4, -6, 2 ** 80, 0.5]
+        mans, exps = split_mpf(values)
+        assert (mans, exps) == ([0, 1, -3, 1, 1], [0, 2, 1, 80, -1])
+        with mp.workprec(100):
+            assert unsplit_mpf(mans, exps) == [mpf(v) for v in values]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ it; a second module that needs it should get a public entry point instead.
 Truncation decisions built on the envelope go through bessel's quadrature
 rules, so each rule is written once: the per-point quadratures (g_a_lattice,
 triple_kernel) size and sum their range in bessel, and other modules call
-them, g_a_floored or j_nu_lattice_row_floored.  No module but bessel names
+them, g_a_floored or j_nu_lattice_row.  No module but bessel names
 decay_bound_log10, envelope_scale or quadrature_range.  Other modules reach
 a whole-lattice spectrum through transform.spectrum.  core is the one
 module that imports mpmath.libmp, by an import statement or as an
