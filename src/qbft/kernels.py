@@ -13,6 +13,7 @@ sum still exists pointwise on the I/O window but the object has no kernel
 calculus (no mass, no chain), and composite_kernel refuses it.
 """
 
+import functools
 import json
 from collections.abc import Sequence
 
@@ -22,8 +23,8 @@ from mpmath import mp, mpf, mpmathify
 from .core import (
     DECAY_RAPID, DECAY_UNKNOWN, DomainError, IntegrabilityError, InvalidParams,
     NoWitness, PrecisionExhausted, WindowError, GridFunction, QGrid, constants,
-    decimal_str, lattice_exponent, qpochhammer_infinite, q_bessel_operator,
-    parse_number, split_mpf, unsplit_mpf,
+    PackedSamples, decimal_str, lattice_exponent, qpochhammer_infinite,
+    q_bessel_operator, parse_number, unsplit_mpf,
 )
 from .bessel import g_a_lattice, i_nu, lattice_weights
 from .transform import multiply_spectrum, norm, spectrum, transform_profile
@@ -248,13 +249,25 @@ def _gauss_multiplier_row(params, n, lo, hi, dps):
     with mp.workdps(dps):
         return tuple(1 / p for p in reversed(prods))
 
+GAUSS_ROW_CACHE_CAP = 32
+"""Most Gauss multiplier rows _gauss_multiplier keeps, each at most
+MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits."""
+
+@functools.lru_cache(maxsize=GAUSS_ROW_CACHE_CAP)
+def _gauss_multiplier(params, n, lo, hi, dps):
+    """_gauss_multiplier_row packed on the lattice [lo, hi], as the split
+    integers multiply_spectrum reads, memoized."""
+    return PackedSamples(QGrid(lo, hi), _gauss_multiplier_row(params, n, lo, hi, dps))
+
 def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
     """Distances ||f - f * h_(q^n)||_1 for shrinking Gauss widths q^n.
 
     The convolutions go through the spectral multiplier e(-q^(2n) t^2; q^2)
     of the Gauss kernel, one telescoped row per n (_gauss_multiplier_row),
-    applied to f's spectrum, which is computed once for all widths.  The
-    row enters multiply_spectrum split, as its integers.
+    applied to f's spectrum, which is computed once for all widths and
+    read from its memoized record.  The row enters multiply_spectrum packed,
+    as its integers, from a memo keyed on the plan's params, n, lattice and
+    dps (_gauss_multiplier).
     For an approximate identity the distances must shrink as n grows.
     """
     params = plan.params
@@ -267,8 +280,8 @@ def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
     lo = ov_lo - plan.out_grid.n_min
     spec = spectrum(f, plan)
     for n in ns:
-        row = _gauss_multiplier_row(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
-        conv = multiply_spectrum(plan, spec, split_mpf(row))
+        row = _gauss_multiplier(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
+        conv = multiply_spectrum(plan, spec, row)
         with mp.workdps(plan.dps):
             diff = GridFunction(
                 QGrid(ov_lo, ov_hi),

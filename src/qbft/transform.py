@@ -14,12 +14,17 @@ reach it.  Plans therefore carry an extended internal lattice; inputs are
 zero-embedded into it and outputs projected back.
 
 Each row of the matrix is one exact dot product, rounded once, so a row
-computed alone has the bits it has in a full application.  fourier
-therefore computes only its output window's rows.  The rest of the
-lattice, which the next transform through the same plan reads back, is
-left pending in the output's lattice record (LatticeRecord), which this
-module alone builds and reads: it holds the plan and the packed input, and
-computes the head and tail rows on first read.
+computed alone has the bits it has in a full application.  A transform is
+therefore kept as a lattice record (LatticeRecord), which this module
+alone builds and reads: it holds the plan and the packed source, and
+computes each row when first read and at most once.  fourier reads only
+its output window's rows; the rest of the lattice, which the next
+transform through the same plan reads back, stays pending.  The record of
+a source through a plan is memoized (_record), so every fourier, spectrum,
+convolve, translate and vd_check of the same samples through the same
+plan shares one record and no row is computed twice.  The outputs of
+multiply_spectrum hold their two factors, the spectrum's store and the
+multiplier, and form the product whenever they compute rows.
 
 Samples stay integers through every application.  A plan keeps its j row
 and weights split, as the signed integer mantissas and exponents
@@ -33,6 +38,7 @@ values are built only where the public API returns them: .values,
 value_at, a plan's entry, norm.
 """
 
+import functools
 import math
 from itertools import repeat
 
@@ -198,10 +204,6 @@ def _lift(plan, samples):
     exps[base:base + len(vexp)] = vexp
     return mans, exps
 
-def _embed(plan, f):
-    """f's samples on the plan's internal lattice, split (see _source)."""
-    return _lift(plan, _source(plan, f))
-
 def _matvec(plan, vec, rows=None):
     """Plan matrix times lattice samples vec, on the given rows (default all).
 
@@ -251,42 +253,85 @@ def _require_transformable(f):
 
 
 class LatticeRecord:
-    """A fourier output's samples on the plan's whole lattice, the record
-    the next transform through the same plan reads back (see _source).
+    """The transform of a source through a plan, on the plan's whole
+    lattice: the record a fourier output carries, which the next transform
+    through the same plan reads back (see _source).
 
-    It starts pending: it holds the plan's params and lattice grid, the
-    plan, the packed samples the plan transformed (an input's own record,
-    or its window samples) and the output's window rows; no sample is
-    copied.  The first samples() computes the head and tail rows of the
-    lattice with one _matvec and splices them, split, around the window
-    rows, which gives the PackedSamples spectrum() would have stored.  The
-    record keeps that store and drops the plan, source and window.
+    It holds the plan's params and lattice grid, the plan and the source,
+    the packed samples the plan transforms: an input's own record, its
+    window samples, or the two factors of a spectral product (_Product),
+    none of them copied.  Each row is computed when first read and at most
+    once: window() computes the output window's rows and keeps them as
+    one PackedSamples, which every output of the record shares, and
+    samples() computes the rows it lacks, one _matvec, and keeps the whole
+    lattice, the store spectrum() returns.  Once both are kept the record
+    drops the plan and the source.
     """
 
-    __slots__ = ("params", "grid", "plan", "source", "window", "_samples")
+    __slots__ = ("params", "grid", "plan", "source", "_window", "_samples")
 
-    def __init__(self, plan, source, window):
+    def __init__(self, plan, source):
         self.params = plan.params
         self.grid = plan.lattice_grid()
         self.plan = plan
         self.source = source
-        self.window = window
+        self._window = None
         self._samples = None
+
+    def window(self):
+        """The PackedSamples on the plan's output window."""
+        if self._window is None:
+            plan = self.plan
+            self._window = PackedSamples.from_split(
+                plan.out_grid, *_matvec(plan, _lift(plan, self.source), plan.window_rows()))
+        return self._window
 
     def samples(self):
         """The PackedSamples on the plan's whole lattice."""
         if self._samples is None:
             plan = self.plan
             inner = plan.window_rows()
-            rows = [*range(inner.start), *range(inner.stop, plan.size())]
-            oman, oexp = _matvec(plan, _lift(plan, self.source), rows)
-            wman, wexp = self.window.split()
-            head = inner.start
-            self._samples = PackedSamples.from_split(
-                self.grid, oman[:head] + wman + oman[head:], oexp[:head] + wexp + oexp[head:])
-            self.plan = self.source = self.window = None
+            head, tail = inner.start, inner.stop
+            if self._window is None:
+                mans, exps = _matvec(plan, _lift(plan, self.source))
+                self._window = PackedSamples.from_split(
+                    plan.out_grid, mans[head:tail], exps[head:tail])
+            else:
+                rows = [*range(head), *range(tail, plan.size())]
+                oman, oexp = _matvec(plan, _lift(plan, self.source), rows)
+                wman, wexp = self._window.split()
+                mans = oman[:head] + wman + oman[head:]
+                exps = oexp[:head] + wexp + oexp[head:]
+            self._samples = PackedSamples.from_split(self.grid, mans, exps)
+            self.plan = self.source = None
         return self._samples
 
+
+RECORD_CACHE_CAP = 64
+"""Most lattice records _record keeps.  A record holds its source and at
+most the whole lattice plus the window, so the memo holds at most about
+64 x 2 x MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits,
+besides the plans of its keys, which it keeps alive."""
+
+@functools.lru_cache(maxsize=RECORD_CACHE_CAP)
+def _record(plan, source):
+    """The one LatticeRecord of the packed samples source through plan.
+
+    A transform is determined by its plan and its source, and both hash by
+    identity: plans and PackedSamples are never mutated, and the memo holds
+    its keys, so an id is not reused while its entry lives."""
+    return LatticeRecord(plan, source)
+
+def _transform(plan, f):
+    """The record of f through plan: its source (see _source), memoized."""
+    _require_transformable(f)
+    return _record(plan, _source(plan, f))
+
+def _output(rec):
+    """A rapid GridFunction over the record's window rows, carrying it."""
+    out = GridFunction.packed(rec.window(), DECAY_RAPID)
+    out.lattice = rec
+    return out
 
 def _packed(grid, split):
     """A rapid GridFunction over the split samples on grid."""
@@ -295,29 +340,26 @@ def _packed(grid, split):
 def spectrum(f, plan):
     """Transform of f on the plan's whole internal lattice, tagged rapid.
 
-    All rows are computed now.  f's lattice record, when it matches the
-    plan (see fourier), is transformed in place of its window samples."""
-    _require_transformable(f)
-    return _packed(plan.lattice_grid(), _matvec(plan, _embed(plan, f)))
+    Its store is the whole lattice of f's record, shared with every
+    transform of the same source through the plan: the rows the record
+    lacks are computed now, and none is computed twice.  f's lattice
+    record, when it matches the plan (see fourier), is transformed in place
+    of its window samples."""
+    return GridFunction.packed(_transform(plan, f).samples(), DECAY_RAPID)
 
 def fourier(f, plan):
     """Apply the transform; result sampled on the plan's output window.
 
     The output is a finite combination of j columns, each of which decays
     like q^(k^2) on the large-x side, so the result is tagged rapid.  Only
-    the window's rows are computed.  The output's `lattice` record, which
-    lets fourier() composed with itself through the same plan invert
-    sharp-edged inputs at full accuracy instead of being limited by the
-    window view, starts pending: it holds the plan and the packed input,
-    and on first read computes the off-window rows into the PackedSamples
-    that spectrum() would give (see LatticeRecord).
+    the window's rows are computed, once per plan and source: the output's
+    `lattice` is the memoized LatticeRecord of its source, whose window
+    store every such output shares.  That record lets fourier() composed
+    with itself through the same plan invert sharp-edged inputs at full
+    accuracy instead of being limited by the window view; it computes the
+    off-window rows, the rest of what spectrum() gives, on first read.
     """
-    _require_transformable(f)
-    source = _source(plan, f)
-    out = _packed(plan.out_grid,
-                  _matvec(plan, _lift(plan, source), plan.window_rows()))
-    out.lattice = LatticeRecord(plan, source, out.samples)
-    return out
+    return _output(_transform(plan, f))
 
 def _profile_row(plan, profile):
     """The callable profile (l -> value at t = q^l) on the plan's whole
@@ -345,44 +387,101 @@ def apply_multiplier(plan, f, multiplier):
 
     multiplier gives the spectral factor at t = q^l for each internal
     lattice exponent l: a callable l -> factor, evaluated at the plan's
-    working precision, or a lattice row already split, a (mantissas,
+    working precision, a lattice row already split, a (mantissas,
     exponents) pair of sequences of plan.size() entries indexed by
-    l - lat_lo (see multiply_spectrum); anything else raises InvalidParams.
-    The pointwise products run at the plan's working precision; letting
-    them run at ambient precision corrupts results far above the precision
-    floor.  The result is fourier()'s, with its record pending.
+    l - lat_lo, or a PackedSamples on the plan's lattice, such as a
+    spectrum's store (see multiply_spectrum); anything else raises
+    InvalidParams.  The pointwise products run at the plan's working
+    precision; letting them run at ambient precision corrupts results far
+    above the precision floor.  The result is fourier()'s, with its record
+    pending.
     """
     return multiply_spectrum(plan, spectrum(f, plan), multiplier)
+
+
+class _JColumn:
+    """The j column at x = q^(lat_lo + offset) on the plan's lattice, which
+    is the slice of the plan's split j row from offset."""
+
+    __slots__ = ("plan", "offset")
+
+    def __init__(self, plan, offset):
+        self.plan = plan
+        self.offset = offset
+
+    def split(self):
+        a = self.offset
+        b = a + self.plan.size()
+        return self.plan._jman[a:b], self.plan._jexp[a:b]
+
+
+class _Product:
+    """The pointwise product of a spectrum store and a multiplier on the
+    plan's whole lattice, the source of a multiply_spectrum output's record.
+
+    It keeps references to its two factors, not their product: the
+    spectrum's store, and the multiplier as a PackedSamples or a _JColumn.
+    split() forms the products, each the integer product rounded as the
+    mpf product at prec rounds it (core.split_products), whenever the
+    record computes rows."""
+
+    __slots__ = ("grid", "spectrum", "factor", "prec")
+
+    def __init__(self, spectrum, factor, prec):
+        self.grid = spectrum.grid
+        self.spectrum = spectrum
+        self.factor = factor
+        self.prec = prec
+
+    def split(self):
+        return split_products(*self.spectrum.split(), *self.factor.split(), self.prec)
+
+def _multiply(plan, spectrum, factor):
+    """fourier of the product of a lattice spectrum store and a factor.
+
+    Its record is not memoized: its source is a new _Product that no later
+    call looks up."""
+    return _output(LatticeRecord(plan, _Product(spectrum, factor, plan._prec)))
 
 def multiply_spectrum(plan, spec, multiplier):
     """apply_multiplier given f's spectrum (as spectrum() returns it), so
     several multipliers can share one forward transform.
 
-    A multiplier that is already a lattice row enters as its integers, with
-    no mpf built: g's spectrum in convolve, the kernel's spectrum in
-    variation.vd_check, the j column in translate and the Gauss row in
-    kernels.approx_identity_run.  A callable's factors are split once.
-    Either way each product is the integer product rounded as the mpf
-    product at the plan's precision rounds it, so both forms give the bits
-    of the mpf route.  A spec off the plan's lattice (spec.grid is not
-    plan.lattice_grid()) raises WindowError, and a split row whose
-    mantissas or exponents do not number plan.size() InvalidParams, before
-    any product."""
-    if spec.grid != plan.lattice_grid():
+    The output's record holds the spectrum's store and the multiplier, not
+    their product, and forms the products whenever it computes rows: the
+    window's now, the rest of the lattice on first read.  A PackedSamples
+    multiplier on the plan's lattice is held as it is: g's spectrum store
+    in convolve, the kernel's in variation.vd_check and the Gauss row in
+    kernels.approx_identity_run; a split row is packed and a callable's
+    factors are split and packed once.  Each product is the integer product
+    rounded as the mpf product at the plan's precision rounds it, so every
+    form gives the bits of the mpf route.  A spec off the plan's lattice
+    (spec.grid is not plan.lattice_grid()) or a PackedSamples multiplier
+    off it raises WindowError, and a split row whose mantissas or exponents
+    do not number plan.size() InvalidParams, before any product."""
+    lattice = plan.lattice_grid()
+    if spec.grid != lattice:
         raise WindowError(
             f"spectrum window [{spec.grid.n_min}, {spec.grid.n_max}] is not the "
             f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
     if callable(multiplier):
-        multiplier = _profile_row(plan, multiplier)
+        factor = PackedSamples.from_split(lattice, *_profile_row(plan, multiplier))
+    elif isinstance(multiplier, PackedSamples):
+        if multiplier.grid != lattice:
+            raise WindowError(
+                f"multiplier window [{multiplier.grid.n_min}, {multiplier.grid.n_max}] "
+                f"is not the plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
+        factor = multiplier
     elif not (isinstance(multiplier, tuple) and len(multiplier) == 2):
         raise InvalidParams("a multiplier is a callable or a split lattice row, "
-                            "a (mantissas, exponents) pair")
+                            "a (mantissas, exponents) pair, or a PackedSamples")
     elif any(len(part) != plan.size() for part in multiplier):
         raise InvalidParams(f"split multiplier row of {len(multiplier[0])} mantissas and "
                             f"{len(multiplier[1])} exponents on a plan lattice of "
                             f"{plan.size()} points")
-    scaled = split_products(*spec.samples.split(), *multiplier, plan._prec)
-    return fourier(_packed(spec.grid, scaled), plan)
+    else:
+        factor = PackedSamples.from_split(lattice, *multiplier)
+    return _multiply(plan, spec.samples, factor)
 
 
 def translate(f, x, plan):
@@ -390,23 +489,28 @@ def translate(f, x, plan):
 
     T_x f = F[ j_nu(x .) F f ]: transform, multiply by the j column at x,
     transform back.  x must be a lattice point; for x on the plan's lattice
-    the column is a slice of the plan's split j row, and off it the column
-    comes split from the certified row.
+    the column is a slice of the plan's split j row, which the output's
+    record reads from the plan, and off it the column comes split from the
+    certified row and is packed.
     """
     m = lattice_exponent(x, plan.params, "x")
     if plan.lat_lo <= m <= plan.lat_hi:
-        a = m - plan.lat_lo
-        col = (plan._jman[a:a + plan.size()], plan._jexp[a:a + plan.size()])
+        col = _JColumn(plan, m - plan.lat_lo)
     else:
-        col = j_nu_lattice_row(m + plan.lat_lo, m + plan.lat_hi, plan.params, plan.dps)
-    return apply_multiplier(plan, f, col)
+        col = PackedSamples.from_split(plan.lattice_grid(), *j_nu_lattice_row(
+            m + plan.lat_lo, m + plan.lat_hi, plan.params, plan.dps))
+    return _multiply(plan, _transform(plan, f).samples(), col)
 
 
 def convolve(f, g, plan):
-    """q-convolution F(f * g) = F f . F g: apply_multiplier by g's spectrum."""
+    """q-convolution F(f * g) = F f . F g: apply_multiplier by g's spectrum.
+
+    Both spectra come from their memoized records, and the output's record
+    holds the two stores."""
     # both decay gates run before either window is checked
     _require_transformable(f)
-    return apply_multiplier(plan, f, spectrum(g, plan).samples.split())
+    g_hat = _transform(plan, g).samples()
+    return _multiply(plan, _transform(plan, f).samples(), g_hat)
 
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.
@@ -417,14 +521,14 @@ def convolve_direct(f, g, plan):
     rounded spectral products scale with g's support, not with the window.
     Both spectral products per support point, the j column times f's
     spectrum and the weights times g, are integer products rounded as mpf
-    products at the plan's precision.  No step of this path shares code
-    with convolve()'s product-of-spectra shortcut beyond applying the plan
-    matrix.
+    products at the plan's precision.  f's spectrum is read from its
+    memoized record.  No step of this path shares code with convolve()'s
+    product-of-spectra shortcut beyond applying the plan matrix.
     """
     _require_transformable(f)
     _require_transformable(g)
     _require_on_lattice(plan, g)
-    fman, fexp = _matvec(plan, _embed(plan, f))
+    fman, fexp = _transform(plan, f).samples().split()
     base = g.grid.n_min - plan.lat_lo
     gman, gexp = g.samples.split()
     support = [base + k for k, man in enumerate(gman) if man]

@@ -81,13 +81,17 @@ def vd_check(kernel, functions, plan, zero_tol=None, names=None):
     """Convolve the kernel with each function and compare variations.
 
     kernel and functions are window samples; convolution multiplies by the
-    kernel's spectrum, taken once and passed on as its integers.  Passes
-    only if no function gains sign changes.
+    kernel's spectrum, and each spectrum, the kernel's and every
+    function's, is read from its memoized lattice record, so a kernel or a
+    function already transformed through the plan is not transformed
+    again.  The kernel's spectrum store is passed on as it is, and each
+    convolution holds it rather than a copy of its product.  Passes only if
+    no function gains sign changes.
     """
     if names is not None and len(names) != len(functions):
         raise InvalidParams(
             f"{len(names)} names given for {len(functions)} functions")
-    kernel_hat = spectrum(kernel, plan).samples.split()
+    kernel_hat = spectrum(kernel, plan).samples
     rows = []
     passed = True
     for i, f in enumerate(functions):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qbft import QParams, QGrid, bessel, core
+from qbft import QParams, QGrid, bessel, core, kernels, transform
 
 # Filled by the acceptance tests when the full suite runs; the terminal
 # summary hook below prints one line per criterion at the end of the run.
@@ -20,9 +20,10 @@ def small_grid():
 
 
 def clear_memos():
-    """Empty every functools memo in core and bessel, found by introspection,
-    so a cold-path test reaches every memo, new ones included."""
-    for module in (core, bessel):
+    """Empty every functools memo in core, bessel, transform and kernels,
+    found by introspection, so a cold-path test reaches every memo, new ones
+    included, and a count of computed rows does not depend on test order."""
+    for module in (core, bessel, transform, kernels):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
@@ -30,8 +31,8 @@ def clear_memos():
 
 @pytest.fixture
 def cold_memos():
-    """Empties every memo in core and bessel; calling the returned function
-    empties them again."""
+    """Empties every memo in core, bessel, transform and kernels; calling the
+    returned function empties them again."""
     clear_memos()
     return clear_memos
 

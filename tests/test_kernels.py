@@ -32,6 +32,7 @@ from qbft.core import (
     jackson_integral_infinite,
     q_bessel_operator,
     qpochhammer_infinite,
+    split_mpf,
 )
 from qbft.bessel import g_a, g_a_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
@@ -42,7 +43,9 @@ from qbft.transform import (
 )
 from qbft.kernels import (
     E_eval,
+    GAUSS_ROW_CACHE_CAP,
     KernelSpec,
+    _gauss_multiplier,
     _gauss_multiplier_row,
     approx_identity_run,
     composite_kernel,
@@ -324,7 +327,7 @@ class TestApproxIdentity:
         with pytest.raises(WindowError):
             approx_identity_run(f, plan)
 
-    def test_one_product_per_width(self, plan, members, monkeypatch):
+    def test_one_product_per_width(self, plan, members, monkeypatch, cold_memos):
         calls = []
         product = qbft.kernels.qpochhammer_infinite
 
@@ -336,9 +339,20 @@ class TestApproxIdentity:
         ns = (2, 4, 6)
         approx_identity_run(members["lorentz_1"], plan, ns)
         assert len(calls) == len(ns)
+        # a repeat call reads every width's row from the memo
+        approx_identity_run(members["lorentz_1"], plan, ns)
+        assert len(calls) == len(ns)
+
+    def test_memoized_row_is_the_row(self, params, plan, cold_memos):
+        args = (params, 2, plan.lat_lo, plan.lat_hi, plan.dps)
+        row = _gauss_multiplier(*args)
+        assert row.grid == plan.lattice_grid()
+        assert row.split() == split_mpf(_gauss_multiplier_row(*args))
+        assert _gauss_multiplier(*args) is row
+        assert _gauss_multiplier.cache_info().maxsize == GAUSS_ROW_CACHE_CAP
 
     def test_one_forward_transform_for_all_widths(self, params, plan, members,
-                                                  monkeypatch):
+                                                  monkeypatch, cold_memos):
         f = members["lorentz_1"]
         ns = (2, 4)
         want = []
@@ -349,17 +363,26 @@ class TestApproxIdentity:
                 diff = GridFunction(f.grid, [a - b for a, b in zip(f.values, conv.values)],
                                     DECAY_RAPID)
             want.append(norm(diff, 1, params)._mpf_)
+        # the reference's spectrum and rows are not the run's
+        cold_memos()
         calls = []
         matvec = qbft.transform._matvec
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return matvec(*args, **kwargs)
+        def counted(plan, vec, rows=None):
+            calls.append(plan.size() if rows is None else len(rows))
+            return matvec(plan, vec, rows)
 
         monkeypatch.setattr(qbft.transform, "_matvec", counted)
         run = approx_identity_run(f, plan, ns)
         assert [d._mpf_ for _, d in run] == want
-        assert len(calls) == 1 + len(ns)
+        # the whole lattice once, then each width's window
+        window = len(plan.window_rows())
+        assert calls == [plan.size()] + [window] * len(ns)
+        # a repeat call computes no row of f's spectrum
+        del calls[:]
+        again = approx_identity_run(f, plan, ns)
+        assert [d._mpf_ for _, d in again] == want
+        assert calls == [window] * len(ns)
 
 
 class TestNonFiniteTolerances:

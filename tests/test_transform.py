@@ -36,6 +36,7 @@ from qbft.core import (
     gridfunction_from_json,
     gridfunction_to_json,
     split_mpf,
+    split_products,
     unsplit_mpf,
 )
 import qbft.transform
@@ -46,9 +47,12 @@ from qbft.kernels import _gauss_multiplier_row, approx_identity_run
 from qbft.variation import vd_check
 from qbft.transform import (
     MAX_PLAN_POINTS,
+    RECORD_CACHE_CAP,
     TransformPlan,
-    _embed,
+    _lift,
     _matvec,
+    _record,
+    _source,
     apply_multiplier,
     build_plan,
     convolve,
@@ -83,6 +87,11 @@ def small_plan(params):
 
 def supdiff(f, g):
     return max(abs(a - b) for a, b in zip(f.values, g.values))
+
+
+def embed(plan, f):
+    """f's samples on the plan's whole lattice, split, as fourier reads them."""
+    return _lift(plan, _source(plan, f))
 
 
 def factors(plan):
@@ -230,11 +239,14 @@ class TestFourier:
                         for k in REFERENCE_GRID.exponents())
             assert worst < mpf("1e-55")
 
-    def test_plan_reuse_bit_identical(self, plan, members):
+    def test_plan_reuse_bit_identical(self, plan, members, cold_memos):
         f = members["gauss_1"]
         first = fourier(f, plan)
+        # a second computation, not the memoized record
+        cold_memos()
         second = fourier(f, plan)
-        assert all(a == b for a, b in zip(first.values, second.values))
+        assert second.lattice is not first.lattice
+        assert raw(first.values) == raw(second.values)
 
 
 Q_STRS = st.decimals("0.1", "0.9", places=2).map(str)
@@ -273,19 +285,21 @@ class TestPromisedParameterSpace:
 
 
 class TestSpectrum:
-    def test_whole_lattice_transform_behind_the_window(self, plan, members):
+    def test_whole_lattice_transform_behind_the_window(self, plan, members, cold_memos):
         f = members["gauss_1"]
         spec = spectrum(f, plan)
         assert spec.decay_class == DECAY_RAPID
         assert spec.grid == QGrid(plan.lat_lo, plan.lat_hi)
+        cold_memos()
         win = fourier(f, plan)
         assert all(spec.value_at(k) == v
                    for k, v in zip(win.grid.exponents(), win.values))
 
-    def test_transform_of_spectrum_is_double_transform(self, plan, members):
+    def test_transform_of_spectrum_is_double_transform(self, plan, members, cold_memos):
         for name in ("step_one_flip", "gauss_1"):
             f = members[name]
             a = fourier(spectrum(f, plan), plan)
+            cold_memos()
             b = fourier(fourier(f, plan), plan)
             assert a.values == b.values
 
@@ -316,10 +330,11 @@ class TestLatticeRecord:
         with pytest.raises(InvalidParams):
             PackedSamples(QGrid(0, 2), [mp.one, bad, mp.zero])
 
-    def test_fourier_record_is_packed(self, plan, members):
+    def test_fourier_record_is_packed(self, plan, members, cold_memos):
         out = fourier(members["step_two_flips"], plan)
         params, rec = out.lattice.params, out.lattice.samples()
         assert params == plan.params and rec.grid == QGrid(plan.lat_lo, plan.lat_hi)
+        cold_memos()
         assert rec.values == spectrum(members["step_two_flips"], plan).values
         # the class object is shared by every record, not held by this one
         parts = [x for x in gc.get_referents(rec) if not isinstance(x, type)]
@@ -345,7 +360,7 @@ class TestLatticeRecord:
             stack.extend(gc.get_referents(obj))
         return owned
 
-    def test_fourier_output_holds_no_mpf(self, plan, members):
+    def test_fourier_output_holds_no_mpf(self, plan, members, cold_memos):
         out = fourier(members["alternating_burst"], plan)
         # a pending record holds the plan, which every output of the plan
         # shares, as it shares the plan's params
@@ -357,6 +372,7 @@ class TestLatticeRecord:
             out.lattice.samples()
         assert samples == len(out) + plan.size()
         # reading .values decodes and assigning it repacks, bit for bit
+        cold_memos()
         spec = spectrum(members["alternating_burst"], plan).values
         lo = plan.out_grid.n_min - plan.lat_lo
         window = [v._mpf_ for v in out.values]
@@ -413,60 +429,87 @@ class TestPendingRecord:
     computed on first read, with the bits spectrum() gives."""
 
     @pytest.mark.parametrize("which", ["plan", "small_plan"])
-    def test_record_is_the_spectrum_bit_for_bit(self, request, which, members):
+    def test_record_is_the_spectrum_bit_for_bit(self, request, which, members, cold_memos):
         plan = request.getfixturevalue(which)
         for name, f in members.items():
             out = fourier(f, plan)
+            record = out.lattice.samples()
+            back = fourier(out, plan)
+            # spectrum() computed afresh, not read from the records above
+            cold_memos()
             spec = spectrum(f, plan)
             assert (out.lattice.params, out.lattice.grid) == (plan.params, spec.grid), name
-            assert out.lattice.params == plan.params and out.lattice.samples().grid == spec.grid
-            assert raw(out.lattice.samples().values) == raw(spec.values), name
+            assert out.lattice.params == plan.params and record.grid == spec.grid
+            assert spec.samples is not record
+            assert raw(record.values) == raw(spec.values), name
             # the transform of the whole-lattice spectrum, windowed
             lo = plan.out_grid.n_min - plan.lat_lo
             want = spectrum(spec, plan).values[lo:lo + len(plan.out_grid)]
-            assert raw(fourier(out, plan).values) == raw(want), name
+            assert raw(back.values) == raw(want), name
 
-    def test_only_window_rows_until_read(self, params, plan, members, matvec_rows):
+    def test_only_window_rows_until_read(self, params, plan, members, matvec_rows,
+                                         cold_memos):
         f = members["step_two_flips"]
         win = (plan.size(), window_rows(plan))
         full = (plan.size(), all_rows(plan))
+        off = (plan.size(), tuple(r for r in all_rows(plan) if r not in window_rows(plan)))
         out = fourier(f, plan)
         transform_profile(plan, lambda l: mpf(1) / (1 + mpf(2) ** (-2 * l)))
-        approx_identity_run(f, plan, (2, 4))
-        vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
-        assert matvec_rows == [win, win, full, win, win, full, full, win, full, win]
+        assert matvec_rows == [win, win]
         del matvec_rows[:]
         first = out.lattice.samples()
-        inner = window_rows(plan)
-        off = tuple(r for r in all_rows(plan) if r not in inner)
-        assert matvec_rows == [(plan.size(), off)]
+        assert matvec_rows == [off]
         assert out.lattice.samples() is first
-        assert len(matvec_rows) == 1
+        # a repeat transform of the same samples computes zero rows
+        del matvec_rows[:]
+        again = fourier(f, plan)
+        assert again.lattice is out.lattice and again.samples is out.samples
+        assert spectrum(f, plan).samples is first
+        assert matvec_rows == []
+        # f's spectrum is read from its record: only the products' windows
+        # and gauss_1's and lorentz_1's spectra are computed
+        approx_identity_run(f, plan, (2, 4))
+        vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
+        assert matvec_rows == [win, win, full, win, full, win]
+        del matvec_rows[:]
+        approx_identity_run(f, plan, (2, 4))
+        vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
+        assert matvec_rows == [win] * 4
 
     def test_other_params_leave_the_record_pending(self, params, plan, members,
-                                                   matvec_rows):
+                                                   matvec_rows, cold_memos):
         out = fourier(members["step_one_flip"], plan)
+        assert matvec_rows == [(plan.size(), window_rows(plan))]
         # the same lattice as plan's, under params that differ in tol only
         other = build_plan(params.replace(tol="1e-41"), REFERENCE_GRID)
         assert other.lattice_grid() == plan.lattice_grid()
         del matvec_rows[:]
-        vec = _embed(other, out)
+        vec = embed(other, out)
         assert matvec_rows == []
-        assert vec == _embed(other, GridFunction(out.grid, out.values))
+        assert vec == embed(other, GridFunction(out.grid, out.values))
         out.lattice.samples()
         assert len(matvec_rows) == 1
+        # a repeat read and a repeat transform compute zero rows
+        out.lattice.samples()
+        fourier(members["step_one_flip"], plan)
+        assert len(matvec_rows) == 1
+
     def test_other_lattice_leaves_the_record_pending(self, plan, small_plan,
-                                                     members, matvec_rows):
+                                                     members, matvec_rows, cold_memos):
         out = fourier(members["step_one_flip"], plan)
         assert small_plan.params == plan.params
+        assert matvec_rows == [(plan.size(), window_rows(plan))]
         del matvec_rows[:]
-        assert _embed(small_plan, out) == _embed(small_plan, GridFunction(out.grid, out.values))
+        assert embed(small_plan, out) == embed(small_plan, GridFunction(out.grid, out.values))
         assert matvec_rows == []
-        _embed(plan, out)
+        embed(plan, out)
         assert matvec_rows == [
             (plan.size(), tuple(r for r in all_rows(plan) if r not in window_rows(plan)))]
+        # a repeat read computes zero rows
+        embed(plan, out)
+        assert len(matvec_rows) == 1
 
-    def test_pickle_keeps_the_record_pending(self, plan, members, matvec_rows):
+    def test_pickle_keeps_the_record_pending(self, plan, members, matvec_rows, cold_memos):
         out = fourier(members["alternating_burst"], plan)
         blob = pickle.dumps(out)
         back = pickle.loads(blob)
@@ -474,6 +517,10 @@ class TestPendingRecord:
         assert raw(back.values) == raw(out.values)
         assert (back.lattice.params, back.lattice.grid) == (out.lattice.params, out.lattice.grid)
         assert raw(back.lattice.samples().values) == raw(out.lattice.samples().values)
+        assert len(matvec_rows) == 3
+        # repeat reads, and a repeat transform, compute zero rows
+        back.lattice.samples()
+        assert fourier(members["alternating_burst"], plan).lattice is out.lattice
         assert len(matvec_rows) == 3
         # the plan travels as integers, not as mpf values, so carrying it
         # costs less than the computed record it stands for
@@ -485,6 +532,102 @@ class TestPendingRecord:
         assert (back._wman, back._wexp) == (plan._wman, plan._wexp)
         assert (back.params, back.lattice_grid(), back.out_grid, back.dps) == (
             plan.params, plan.lattice_grid(), plan.out_grid, plan.dps)
+
+
+def product_copy(plan, spec, factor):
+    """fourier of spec's samples times the split factor, copied into a store
+    of their own: the route that outputs holding their factors replace."""
+    scaled = split_products(*spec.samples.split(), *factor, plan._prec)
+    return fourier(GridFunction.packed(
+        PackedSamples.from_split(plan.lattice_grid(), *scaled), DECAY_RAPID), plan)
+
+
+class TestRecordMemo:
+    """One memoized lattice record per (plan, source), and spectral products
+    that hold their two factors."""
+
+    def test_assigning_values_gives_a_fresh_spectrum(self, plan, members, cold_memos):
+        f = GridFunction(REFERENCE_GRID, members["step_one_flip"].values, DECAY_RAPID)
+        stale = spectrum(f, plan)
+        stale_window = fourier(f, plan)
+        f.values = members["step_two_flips"].values
+        fresh = spectrum(f, plan)
+        fresh_window = fourier(f, plan)
+        assert fresh.samples is not stale.samples
+        cold_memos()
+        want = spectrum(members["step_two_flips"], plan)
+        assert raw(fresh.values) == raw(want.values) != raw(stale.values)
+        assert raw(fresh_window.values) == raw(fourier(members["step_two_flips"], plan).values)
+        assert raw(fresh_window.values) != raw(stale_window.values)
+
+    def test_the_memo_never_exceeds_its_cap(self, params, cold_memos):
+        tiny = build_plan(params, QGrid(0, 0))
+        extra = 6
+        for k in range(RECORD_CACHE_CAP + extra):
+            fourier(GridFunction(QGrid(0, 0), [k], DECAY_RAPID), tiny)
+            assert _record.cache_info().currsize <= RECORD_CACHE_CAP
+        info = _record.cache_info()
+        assert info.maxsize == RECORD_CACHE_CAP == 64
+        assert (info.currsize, info.misses, info.hits) == (
+            RECORD_CACHE_CAP, RECORD_CACHE_CAP + extra, 0)
+
+    @pytest.mark.parametrize("route", ["convolve", "translate", "translate-off-lattice",
+                                       "callable", "split-row"])
+    def test_a_product_record_pickles_to_the_product_copy_bits(self, params, plan, members,
+                                                               route, cold_memos):
+        f = members["step_three_flips"]
+        g = members["lorentz_q2"]
+        spec = spectrum(f, plan)
+        lo, size = plan.lat_lo, plan.size()
+        # the j column at q^m, on the plan's lattice or off it
+        m = 100 if route == "translate-off-lattice" else 3
+        if m <= plan.lat_hi:
+            column = (plan._jman[m - lo:m - lo + size], plan._jexp[m - lo:m - lo + size])
+        else:
+            column = bessel.j_nu_lattice_row(m + lo, m + plan.lat_hi, params, plan.dps)
+        if route == "convolve":
+            out = convolve(f, g, plan)
+            factor = spectrum(g, plan).samples.split()
+        elif route.startswith("translate"):
+            with mp.workdps(plan.dps):
+                out = translate(f, params.q ** m, plan)
+            factor = column
+        elif route == "callable":
+            row = unsplit_mpf(*column)
+            out = multiply_spectrum(plan, spec, lambda l: row[l - lo])
+            factor = column
+        else:
+            out = multiply_spectrum(plan, spec, column)
+            factor = column
+        blob = pickle.dumps(out)
+        # the reference is computed afresh, through a copied product
+        cold_memos()
+        want = product_copy(plan, spec, factor)
+        back = pickle.loads(blob)
+        assert back.lattice.source is not None
+        assert raw(back.values) == raw(out.values) == raw(want.values)
+        assert raw(back.lattice.samples().values) == raw(want.lattice.samples().values)
+
+    @pytest.mark.parametrize("route", ["convolve", "translate"])
+    def test_a_product_output_owns_its_window_only(self, plan, members, route):
+        f = members["step_three_flips"]
+        g = members["lorentz_q2"]
+        # the spectra are the memoized records' stores, shared like the plan
+        shared = [plan, plan.params, spectrum(f, plan).samples, spectrum(g, plan).samples]
+        entries = _record.cache_info().currsize
+        out = convolve(f, g, plan) if route == "convolve" else translate(f, "0.125", plan)
+        # the product's record is not entered in the memo
+        assert _record.cache_info().currsize == entries
+        owned = TestLatticeRecord.owned_by(out, shared)
+        assert not any(isinstance(x, mpf) for x in owned)
+        samples = sum(len(x) for x in owned if isinstance(x, PackedSamples))
+        assert samples == len(out) < plan.size()
+        assert sum(map(sys.getsizeof, owned)) <= 50 * samples
+        # reading the record computes and keeps the whole lattice
+        out.lattice.samples()
+        owned = TestLatticeRecord.owned_by(out, shared)
+        assert sum(len(x) for x in owned if isinstance(x, PackedSamples)) == (
+            len(out) + plan.size())
 
 
 # exact zeros, plain ints and mpf values whose exponents spread far wider
@@ -574,7 +717,7 @@ class TestMatvec:
                             for kept in (0, 1)}
 
     def test_reference_plan_equals_fdot(self, params, plan, members):
-        vec = _embed(plan, members["alternating_burst"])
+        vec = embed(plan, members["alternating_burst"])
         got = unsplit_mpf(*_matvec(plan, vec))
         want = self.fdot_rows(plan, unsplit_mpf(*vec), range(plan.size()))
         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
@@ -740,9 +883,20 @@ class TestIntegerPipeline:
             # refused before any factor, product or application
             assert factors == [] and products == [] and matvec_rows == []
 
+    def test_a_multiplier_store_off_the_plan_lattice_is_refused(self, plan, members,
+                                                                matvec_rows):
+        spec = spectrum(members["gauss_1"], plan)
+        shifted = PackedSamples.from_split(QGrid(plan.lat_lo + 1, plan.lat_hi + 1),
+                                           *spec.samples.split())
+        del matvec_rows[:]
+        for off in (shifted, fourier(members["gauss_1"], plan).samples):
+            with pytest.raises(WindowError, match="multiplier window .* is not the plan lattice"):
+                multiply_spectrum(plan, spec, off)
+        assert matvec_rows == []
+
     def test_head_rows_of_floored_zeros_are_exact_zeros(self, plan, members,
                                                         monkeypatch):
-        vec = _embed(plan, members["step_one_flip"])
+        vec = embed(plan, members["step_one_flip"])
         span = [i for i, man in enumerate(vec[0]) if man]
         zero_rows = [r for r in range(plan.size()) if r + span[-1] < plan._jstart]
         assert len(zero_rows) > 10
@@ -762,7 +916,7 @@ class TestIntegerPipeline:
         assert len(firsts) == plan.size() - len(zero_rows)
         assert all(firsts)
 
-    def test_no_sample_is_decoded(self, plan, members, monkeypatch):
+    def test_no_sample_is_decoded(self, plan, members, monkeypatch, cold_memos):
         f = members["step_two_flips"]
         g = members["hump_small_x"]
 
@@ -786,6 +940,8 @@ class TestIntegerPipeline:
             raise AssertionError("a PackedSamples was decoded to mpf")
 
         monkeypatch.setattr(PackedSamples, "values", property(refuse))
+        # every row computed again, not read from the records of the first run
+        cold_memos()
         assert run() == want
 
 
@@ -1001,7 +1157,7 @@ class TestConvolve:
 def per_output_convolve_direct(f, g, plan):
     """The definitional convolution with one translation T_x f per output
     point x, each evaluated on g's support."""
-    fh = unsplit_mpf(*_matvec(plan, _embed(plan, f)))
+    fh = unsplit_mpf(*_matvec(plan, embed(plan, f)))
     nonzero = [(n - plan.lat_lo, v)
                for n, v in zip(g.grid.exponents(), g.values) if v != 0]
     sup = [i for i, _ in nonzero]

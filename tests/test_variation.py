@@ -158,18 +158,23 @@ class TestVdCheck:
         assert rep.rows[0]["v_in"] == 2
 
     def test_kernel_transformed_once(self, plan, members, two_zero_kernel,
-                                     monkeypatch):
+                                     monkeypatch, cold_memos):
         calls = []
         matvec = qbft.transform._matvec
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return matvec(*args, **kwargs)
+        def counted(plan, vec, rows=None):
+            calls.append("window" if rows is not None else "lattice")
+            return matvec(plan, vec, rows)
 
         monkeypatch.setattr(qbft.transform, "_matvec", counted)
         functions = [members[n] for n in ("step_one_flip", "gauss_1", "lorentz_1")]
-        vd_check(two_zero_kernel, functions, plan)
-        assert len(calls) == 2 * len(functions) + 1
+        first = vd_check(two_zero_kernel, functions, plan)
+        # the kernel's spectrum, then each function's and its convolution's window
+        assert calls == ["lattice"] + ["lattice", "window"] * len(functions)
+        # a repeat call computes no spectrum row, the kernel's or a function's
+        del calls[:]
+        assert vd_check(two_zero_kernel, functions, plan).rows == first.rows
+        assert calls == ["window"] * len(functions)
 
     def test_names_must_match_functions(self, plan, members, two_zero_kernel):
         with pytest.raises(InvalidParams):
