@@ -23,8 +23,15 @@ transform through the same plan reads back, stays pending.  The record of
 a source through a plan is memoized (_record), so every fourier, spectrum,
 convolve, translate and vd_check of the same samples through the same
 plan shares one record and no row is computed twice.  The outputs of
-multiply_spectrum hold their two factors, the spectrum's store and the
-multiplier, and form the product whenever they compute rows.
+convolve, translate and multiply_spectrum hold their two factors, the
+spectrum's store and the multiplier, and form the product whenever they
+compute rows.  The records of convolve and translate are memoized the
+same way, keyed by their factors (_Product): a repeated convolution,
+translation or vd_check computes no row.  multiply_spectrum's records are
+not: its multipliers are caller data, such as approx_identity_run's Gauss
+rows, and a memo entry would keep each product's factors alive.
+convolve_direct, the independent oracle of convolution, computes its own
+translations and reads only its input's record.
 
 Samples stay integers through every application.  A plan keeps its j row
 and weights split, as the signed integer mantissas and exponents
@@ -308,18 +315,22 @@ class LatticeRecord:
 
 
 RECORD_CACHE_CAP = 64
-"""Most lattice records _record keeps.  A record holds its source and at
-most the whole lattice plus the window, so the memo holds at most about
-64 x 2 x MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits,
-besides the plans of its keys, which it keeps alive."""
+"""Most lattice records _record keeps.  A record holds at most the whole
+lattice plus the window, and its key, the source, keeps the source's
+store alive, or both factor stores of a product: a convolution's two
+spectra, a translation's one.  So the memo holds at most about
+64 x 4 x MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits
+(about 18 MB), besides the plans of its keys, which it keeps alive."""
 
 @functools.lru_cache(maxsize=RECORD_CACHE_CAP)
 def _record(plan, source):
-    """The one LatticeRecord of the packed samples source through plan.
+    """The one LatticeRecord of source through plan: packed samples, or
+    the _Product of a convolution or a translation.
 
-    A transform is determined by its plan and its source, and both hash by
-    identity: plans and PackedSamples are never mutated, and the memo holds
-    its keys, so an id is not reused while its entry lives."""
+    A transform is determined by its plan and its source.  Plans and
+    PackedSamples hash by identity, and a _Product by its factors, the same
+    way: none of them is mutated, and the memo holds its keys, so an id is
+    not reused while its entry lives."""
     return LatticeRecord(plan, source)
 
 def _transform(plan, f):
@@ -400,30 +411,43 @@ def apply_multiplier(plan, f, multiplier):
 
 
 class _JColumn:
-    """The j column at x = q^(lat_lo + offset) on the plan's lattice, which
-    is the slice of the plan's split j row from offset."""
+    """The j column at x = q^m on the plan's lattice, j_nu(q^(m + l)) for
+    l = lat_lo..lat_hi, keyed by (plan, m).  On the plan's lattice it is
+    the slice of the plan's split j row from m - lat_lo; off it, the
+    certified row j_nu_lattice_row gives, which that row's own memo keeps."""
 
-    __slots__ = ("plan", "offset")
+    __slots__ = ("plan", "m")
 
-    def __init__(self, plan, offset):
+    def __init__(self, plan, m):
         self.plan = plan
-        self.offset = offset
+        self.m = m
+
+    def __eq__(self, other):
+        return isinstance(other, _JColumn) and (self.plan, self.m) == (other.plan, other.m)
+
+    def __hash__(self):
+        return hash((self.plan, self.m))
 
     def split(self):
-        a = self.offset
-        b = a + self.plan.size()
-        return self.plan._jman[a:b], self.plan._jexp[a:b]
+        plan, m = self.plan, self.m
+        if plan.lat_lo <= m <= plan.lat_hi:
+            a = m - plan.lat_lo
+            b = a + plan.size()
+            return plan._jman[a:b], plan._jexp[a:b]
+        return j_nu_lattice_row(m + plan.lat_lo, m + plan.lat_hi, plan.params, plan.dps)
 
 
 class _Product:
     """The pointwise product of a spectrum store and a multiplier on the
-    plan's whole lattice, the source of a multiply_spectrum output's record.
+    plan's whole lattice, the source of a spectral product's record.
 
     It keeps references to its two factors, not their product: the
     spectrum's store, and the multiplier as a PackedSamples or a _JColumn.
     split() forms the products, each the integer product rounded as the
     mpf product at prec rounds it (core.split_products), whenever the
-    record computes rows."""
+    record computes rows.  It hashes and compares by its factors, the
+    store and a PackedSamples multiplier by identity, a column by its
+    (plan, m), and by prec, so it keys _record as a source's store does."""
 
     __slots__ = ("grid", "spectrum", "factor", "prec")
 
@@ -433,15 +457,17 @@ class _Product:
         self.factor = factor
         self.prec = prec
 
+    def _key(self):
+        return self.spectrum, self.factor, self.prec
+
+    def __eq__(self, other):
+        return isinstance(other, _Product) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def split(self):
         return split_products(*self.spectrum.split(), *self.factor.split(), self.prec)
-
-def _multiply(plan, spectrum, factor):
-    """fourier of the product of a lattice spectrum store and a factor.
-
-    Its record is not memoized: its source is a new _Product that no later
-    call looks up."""
-    return _output(LatticeRecord(plan, _Product(spectrum, factor, plan._prec)))
 
 def multiply_spectrum(plan, spec, multiplier):
     """apply_multiplier given f's spectrum (as spectrum() returns it), so
@@ -449,9 +475,9 @@ def multiply_spectrum(plan, spec, multiplier):
 
     The output's record holds the spectrum's store and the multiplier, not
     their product, and forms the products whenever it computes rows: the
-    window's now, the rest of the lattice on first read.  A PackedSamples
-    multiplier on the plan's lattice is held as it is: g's spectrum store
-    in convolve, the kernel's in variation.vd_check and the Gauss row in
+    window's now, the rest of the lattice on first read.  Its record is not
+    memoized (see the module's notes).  A PackedSamples multiplier on the
+    plan's lattice is held as it is, such as the Gauss row of
     kernels.approx_identity_run; a split row is packed and a callable's
     factors are split and packed once.  Each product is the integer product
     rounded as the mpf product at the plan's precision rounds it, so every
@@ -481,36 +507,38 @@ def multiply_spectrum(plan, spec, multiplier):
                             f"{plan.size()} points")
     else:
         factor = PackedSamples.from_split(lattice, *multiplier)
-    return _multiply(plan, spec.samples, factor)
+    return _output(LatticeRecord(plan, _Product(spec.samples, factor, plan._prec)))
 
 
 def translate(f, x, plan):
     """Generalized translation T_x f via the spectral route.
 
     T_x f = F[ j_nu(x .) F f ]: transform, multiply by the j column at x,
-    transform back.  x must be a lattice point; for x on the plan's lattice
-    the column is a slice of the plan's split j row, which the output's
-    record reads from the plan, and off it the column comes split from the
-    certified row and is packed.
+    transform back.  x must be a lattice point q^m.  The column is keyed by
+    (plan, m): for x on the plan's lattice it is a slice of the plan's split
+    j row, and off it the certified row, each formed when the record
+    computes rows.  The output's record is memoized by f's spectrum store
+    and the column, so a repeated translation of the same samples by the
+    same x through the same plan computes no row and shares one window
+    store.
     """
     m = lattice_exponent(x, plan.params, "x")
-    if plan.lat_lo <= m <= plan.lat_hi:
-        col = _JColumn(plan, m - plan.lat_lo)
-    else:
-        col = PackedSamples.from_split(plan.lattice_grid(), *j_nu_lattice_row(
-            m + plan.lat_lo, m + plan.lat_hi, plan.params, plan.dps))
-    return _multiply(plan, _transform(plan, f).samples(), col)
+    f_hat = _transform(plan, f).samples()
+    return _output(_record(plan, _Product(f_hat, _JColumn(plan, m), plan._prec)))
 
 
 def convolve(f, g, plan):
     """q-convolution F(f * g) = F f . F g: apply_multiplier by g's spectrum.
 
-    Both spectra come from their memoized records, and the output's record
-    holds the two stores."""
+    Both spectra come from their memoized records, and the output's record,
+    which holds the two stores, is memoized by them: a repeated convolution
+    of the same samples through the same plan computes no row and shares
+    one window store."""
     # both decay gates run before either window is checked
     _require_transformable(f)
     g_hat = _transform(plan, g).samples()
-    return _multiply(plan, _transform(plan, f).samples(), g_hat)
+    f_hat = _transform(plan, f).samples()
+    return _output(_record(plan, _Product(f_hat, g_hat, plan._prec)))
 
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.

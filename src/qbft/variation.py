@@ -21,7 +21,7 @@ from .core import (
     WindowError, GridFunction, QGrid, constants,
     parse_number, qpochhammer_finite, q_derivative,
 )
-from .transform import apply_multiplier, fourier, spectrum
+from .transform import convolve, fourier, spectrum
 
 DEFAULT_ZERO_TOL = "1e-30"
 
@@ -80,24 +80,25 @@ class VdReport:
 def vd_check(kernel, functions, plan, zero_tol=None, names=None):
     """Convolve the kernel with each function and compare variations.
 
-    kernel and functions are window samples; convolution multiplies by the
-    kernel's spectrum, and each spectrum, the kernel's and every
-    function's, is read from its memoized lattice record, so a kernel or a
-    function already transformed through the plan is not transformed
-    again.  The kernel's spectrum store is passed on as it is, and each
-    convolution holds it rather than a copy of its product.  Passes only if
-    no function gains sign changes.
+    kernel and functions are window samples.  The kernel is checked and
+    transformed first, so a kernel that cannot be transformed raises before
+    any function is read, even when there is none.  Each comparison is
+    convolve(f, kernel, plan), whose record is memoized by the two spectra:
+    a function already convolved with the kernel through the plan, by an
+    earlier vd_check or by convolve, is not convolved again.  Passes only
+    if no function gains sign changes.
     """
     if names is not None and len(names) != len(functions):
         raise InvalidParams(
             f"{len(names)} names given for {len(functions)} functions")
-    kernel_hat = spectrum(kernel, plan).samples
+    # the kernel's gates run, and its rows are computed, before any function's
+    spectrum(kernel, plan)
     rows = []
     passed = True
     for i, f in enumerate(functions):
         name = names[i] if names else f"f{i}"
         v_in = sign_changes(f, zero_tol).changes
-        conv = apply_multiplier(plan, f, kernel_hat)
+        conv = convolve(f, kernel, plan)
         v_out = sign_changes(conv, zero_tol).changes
         ok = v_out <= v_in
         passed = passed and ok

@@ -1,7 +1,9 @@
 """Package layout: no qbft module imports another module's private names,
 only bessel evaluates the decay envelope of j, only transform reads the
 whole-lattice record a transform output keeps (core's GridFunction only
-assigns it, to None), only transform does arithmetic on raw mpf tuples, no
+assigns it, to None), convolve_direct, the independent oracle of
+convolution, builds no spectral product and looks none up in the record
+memo, only transform does arithmetic on raw mpf tuples, no
 module keeps hand-rolled module state, and every memo is bounded.
 
 A private helper (leading underscore) belongs to the module that defines
@@ -105,6 +107,41 @@ def test_lattice_lint_sees_a_read(tmp_path):
                       "    return f.lattice.grid\n")
     assert [hit.split(":", 1)[1] for hit in lattice_record_reads(module)] == [
         "4 reads .lattice"]
+
+
+ORACLE_SHORTCUTS = ("_Product", "_record")
+
+
+def oracle_shortcuts(path, func="convolve_direct"):
+    """Names inside func that build a spectral product or look one up in the
+    record memo; a module that does not define func is reported too."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == func]
+    if not defs:
+        yield f"{path.name} defines no {func}"
+    for node in (inner for fn in defs for inner in ast.walk(fn)):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in ORACLE_SHORTCUTS:
+            yield f"{path.name}:{node.lineno} uses {name} in {func}"
+
+
+def test_convolve_direct_stays_independent_of_the_product_memo():
+    assert list(oracle_shortcuts(PACKAGE / "transform.py")) == []
+
+
+def test_oracle_lint_sees_a_shortcut(tmp_path):
+    module = tmp_path / "shortcut.py"
+    module.write_text("def convolve_direct(f, g, plan):\n"
+                      "    fh = _transform(plan, f).samples()\n"
+                      "    out = _record(plan, _Product(fh, g, 53))\n"
+                      "    return transform._record.cache_info()\n"
+                      "def convolve(f, g, plan):\n"
+                      "    return _record(plan, _Product(f, g, 53))\n")
+    assert [hit.split(":", 1)[1] for hit in oracle_shortcuts(module)] == [
+        "3 uses _record in convolve_direct", "3 uses _Product in convolve_direct",
+        "4 uses _record in convolve_direct"]
+    assert list(oracle_shortcuts(module, "translate")) == ["shortcut.py defines no translate"]
 
 
 def libmp_imports(path):

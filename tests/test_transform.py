@@ -471,10 +471,12 @@ class TestPendingRecord:
         approx_identity_run(f, plan, (2, 4))
         vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
         assert matvec_rows == [win, win, full, win, full, win]
+        # the Gauss widths are caller multipliers, computed again; the
+        # convolutions are memoized and computed once
         del matvec_rows[:]
         approx_identity_run(f, plan, (2, 4))
         vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
-        assert matvec_rows == [win] * 4
+        assert matvec_rows == [win] * 2
 
     def test_other_params_leave_the_record_pending(self, params, plan, members,
                                                    matvec_rows, cold_memos):
@@ -608,16 +610,23 @@ class TestRecordMemo:
         assert raw(back.values) == raw(out.values) == raw(want.values)
         assert raw(back.lattice.samples().values) == raw(want.lattice.samples().values)
 
-    @pytest.mark.parametrize("route", ["convolve", "translate"])
-    def test_a_product_output_owns_its_window_only(self, plan, members, route):
+    @pytest.mark.parametrize("route", ["convolve", "translate", "multiply_spectrum"])
+    def test_a_product_output_owns_its_window_only(self, plan, members, route, cold_memos):
         f = members["step_three_flips"]
         g = members["lorentz_q2"]
         # the spectra are the memoized records' stores, shared like the plan
         shared = [plan, plan.params, spectrum(f, plan).samples, spectrum(g, plan).samples]
         entries = _record.cache_info().currsize
-        out = convolve(f, g, plan) if route == "convolve" else translate(f, "0.125", plan)
-        # the product's record is not entered in the memo
-        assert _record.cache_info().currsize == entries
+        if route == "convolve":
+            out = convolve(f, g, plan)
+        elif route == "translate":
+            out = translate(f, "0.125", plan)
+        else:
+            out = multiply_spectrum(plan, spectrum(f, plan), spectrum(g, plan).samples)
+        # a convolution's or a translation's record is entered in the memo,
+        # a caller multiplier's is not
+        memoized = route != "multiply_spectrum"
+        assert _record.cache_info().currsize == entries + memoized
         owned = TestLatticeRecord.owned_by(out, shared)
         assert not any(isinstance(x, mpf) for x in owned)
         samples = sum(len(x) for x in owned if isinstance(x, PackedSamples))
@@ -628,6 +637,45 @@ class TestRecordMemo:
         owned = TestLatticeRecord.owned_by(out, shared)
         assert sum(len(x) for x in owned if isinstance(x, PackedSamples)) == (
             len(out) + plan.size())
+
+    @pytest.mark.parametrize("route", ["convolve", "translate", "translate-off-lattice",
+                                       "vd_check"])
+    def test_a_repeat_computes_no_row(self, params, plan, members, matvec_rows, route,
+                                      cold_memos):
+        f = members["step_three_flips"]
+        g = members["lorentz_q2"]
+        m = 100 if route == "translate-off-lattice" else 3
+        assert (m > plan.lat_hi) == (route == "translate-off-lattice")
+
+        def run():
+            if route.startswith("translate"):
+                with mp.workdps(plan.dps):
+                    return translate(f, params.q ** m, plan)
+            if route == "vd_check":
+                # vd_check's convolution is convolve's record
+                vd_check(g, [f], plan)
+            return convolve(f, g, plan)
+
+        full = (plan.size(), all_rows(plan))
+        win = (plan.size(), window_rows(plan))
+        first = run()
+        assert matvec_rows == ([full, win] if route.startswith("translate")
+                               else [full, full, win])
+        del matvec_rows[:]
+        again = run()
+        assert matvec_rows == []
+        assert again.lattice is first.lattice and again.samples is first.samples
+
+    def test_caller_multipliers_are_not_memoized(self, plan, members, cold_memos):
+        f = members["step_three_flips"]
+        spec = spectrum(f, plan)
+        row = spectrum(members["gauss_1"], plan).samples
+        entries = _record.cache_info().currsize
+        multiply_spectrum(plan, spec, row)
+        apply_multiplier(plan, f, row.split())
+        apply_multiplier(plan, f, lambda l: mpf(1) / (1 + mpf(2) ** (-2 * l)))
+        approx_identity_run(f, plan, (2, 4))
+        assert _record.cache_info().currsize == entries
 
 
 # exact zeros, plain ints and mpf values whose exponents spread far wider
@@ -1203,6 +1251,17 @@ class TestConvolveDirect:
             with mp.workdps(small_plan.dps):
                 tol = mpf(10) ** -(small_plan.dps - 3) * max(abs(v) for v in out)
                 assert max(abs(a - b) for a, b in zip(out, want)) <= tol
+
+    def test_translations_do_not_feed_the_oracle(self, params, small_plan, pairs,
+                                                 matvec_rows):
+        for f, g in pairs:
+            support = [n for n, man in zip(g.grid.exponents(), g.samples.split()[0]) if man]
+            with mp.workdps(small_plan.dps):
+                for n in support:
+                    translate(f, params.q ** n, small_plan)
+            del matvec_rows[:]
+            convolve_direct(f, g, small_plan)
+            assert matvec_rows == [(small_plan.size(), window_rows(small_plan))] * len(support)
 
     def test_cold_and_warm_calls_are_bit_identical(self, params, members, cold_memos):
         f = members["const_plus"]

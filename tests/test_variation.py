@@ -17,6 +17,7 @@ from mpmath import mp, mpf
 
 import qbft.transform
 from qbft.core import (
+    DECAY_BOUNDED,
     DECAY_RAPID,
     DegenerateLeading,
     GridFunction,
@@ -171,10 +172,28 @@ class TestVdCheck:
         first = vd_check(two_zero_kernel, functions, plan)
         # the kernel's spectrum, then each function's and its convolution's window
         assert calls == ["lattice"] + ["lattice", "window"] * len(functions)
-        # a repeat call computes no spectrum row, the kernel's or a function's
+        # a repeat call computes no row: each convolution is memoized
         del calls[:]
         assert vd_check(two_zero_kernel, functions, plan).rows == first.rows
-        assert calls == ["window"] * len(functions)
+        assert calls == []
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_undeclared_kernel_rejected_before_any_convolution(self, plan, members,
+                                                               monkeypatch, count):
+        calls = []
+        matvec = qbft.transform._matvec
+
+        def counted(plan, vec, rows=None):
+            calls.append(rows)
+            return matvec(plan, vec, rows)
+
+        monkeypatch.setattr(qbft.transform, "_matvec", counted)
+        kernel = GridFunction(REFERENCE_GRID, members["gauss_1"].values)
+        # a function that fails its own gate names another decay class
+        f = GridFunction(REFERENCE_GRID, members["step_one_flip"].values, DECAY_BOUNDED)
+        with pytest.raises(PreconditionError, match="'unknown'"):
+            vd_check(kernel, [f] * count, plan)
+        assert calls == []
 
     def test_names_must_match_functions(self, plan, members, two_zero_kernel):
         with pytest.raises(InvalidParams):
