@@ -288,15 +288,17 @@ class PackedSamples:
 
     @classmethod
     def from_split(cls, grid, mans, exps):
-        """The store of the samples mans[i] * 2 ** exps[i] on grid."""
+        """The store of the samples mans[i] * 2 ** exps[i] on grid.  mans
+        and exps must both have len(grid) entries, or InvalidParams."""
         out = cls.__new__(cls)
         out._pack(grid, mans, exps)
         return out
 
     def _pack(self, grid, mans, exps):
-        if len(mans) != len(grid):
+        if not len(mans) == len(exps) == len(grid):
             raise InvalidParams(
-                f"value count {len(mans)} does not match window size {len(grid)}")
+                f"value count {len(mans)} (exponent count {len(exps)}) does not "
+                f"match window size {len(grid)}")
         width = max(max(mans), -min(mans)).bit_length() // 8 + 1
         # 32-bit exponents when they fit, as they do at any working precision
         for code in ("i", "q"):

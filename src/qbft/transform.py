@@ -16,17 +16,19 @@ zero-embedded into it and outputs projected back.
 Each row of the matrix is one exact dot product, rounded once, so a row
 computed alone has the bits it has in a full application.  A transform is
 therefore kept as a lattice record (LatticeRecord), which this module
-alone builds and reads: it holds the plan and the packed source, and
-computes each row when first read and at most once.  fourier reads only
-its output window's rows; the rest of the lattice, which the next
-transform through the same plan reads back, stays pending.  The record of
-a source through a plan is memoized (_record), so every fourier, spectrum,
-convolve, translate and vd_check of the same samples through the same
-plan shares one record and no row is computed twice.  The outputs of
-convolve, translate and multiply_spectrum hold their two factors, the
-spectrum's store and the multiplier, and form the product whenever they
-compute rows.  The records of convolve and translate are memoized the
-same way, keyed by their factors (_Product): a repeated convolution,
+alone builds and reads: it holds the plan, the packed source and, for a
+spectral product, a factor, and computes each row when first read and at
+most once.  fourier reads only its output window's rows; the rest of the
+lattice, which the next transform through the same plan reads back, stays
+pending.  One memo (_record), keyed by its arguments, holds the record of
+a source through a plan, so every fourier, spectrum, convolve, translate
+and vd_check of the same samples through the same plan shares one record
+and no row is computed twice.  The outputs of convolve, translate and
+multiply_spectrum are spectral products: their records hold the
+spectrum's store and the factor (the other spectrum's store, the j
+column's exponent, or the caller's multiplier) and form the products
+whenever they compute rows.  The records of convolve and translate are
+memoized by their spectrum and factor, so a repeated convolution,
 translation or vd_check computes no row.  multiply_spectrum's records are
 not: its multipliers are caller data, such as approx_identity_run's Gauss
 rows, and a memo entry would keep each product's factors alive.
@@ -264,33 +266,48 @@ class LatticeRecord:
     lattice: the record a fourier output carries, which the next transform
     through the same plan reads back (see _source).
 
-    It holds the plan's params and lattice grid, the plan and the source,
-    the packed samples the plan transforms: an input's own record, its
-    window samples, or the two factors of a spectral product (_Product),
-    none of them copied.  Each row is computed when first read and at most
-    once: window() computes the output window's rows and keeps them as
-    one PackedSamples, which every output of the record shares, and
-    samples() computes the rows it lacks, one _matvec, and keeps the whole
-    lattice, the store spectrum() returns.  Once both are kept the record
-    drops the plan and the source.
+    It holds the plan's params and lattice grid, the plan, the source (the
+    packed samples of an input's own record or of its window) and an
+    optional factor, none of them copied.  With a factor the record is a
+    spectral product: the source is a spectrum's store on the plan's
+    lattice, and the factor another spectrum's store (convolve), the
+    exponent m of the j column at x = q^m (translate, see _column) or a
+    caller's PackedSamples (multiply_spectrum).  Each row is computed when
+    first read and at most once: window() computes the output window's
+    rows and keeps them as one PackedSamples, which every output of the
+    record shares, and samples() computes the rows it lacks, one _matvec,
+    and keeps the whole lattice, the store spectrum() returns.  Once both
+    are kept the record drops the plan, the source and the factor.
     """
 
-    __slots__ = ("params", "grid", "plan", "source", "_window", "_samples")
+    __slots__ = ("params", "grid", "plan", "source", "factor", "_window", "_samples")
 
-    def __init__(self, plan, source):
+    def __init__(self, plan, source, factor=None):
         self.params = plan.params
         self.grid = plan.lattice_grid()
         self.plan = plan
         self.source = source
+        self.factor = factor
         self._window = None
         self._samples = None
+
+    def _vector(self):
+        """The split vector the plan transforms: the source zero-extended
+        to the lattice, or its products with the factor, each the integer
+        product rounded as the mpf product at the plan's precision rounds
+        it (core.split_products), formed again whenever rows are computed."""
+        plan, factor = self.plan, self.factor
+        if factor is None:
+            return _lift(plan, self.source)
+        factor = _column(plan, factor) if isinstance(factor, int) else factor.split()
+        return split_products(*self.source.split(), *factor, plan._prec)
 
     def window(self):
         """The PackedSamples on the plan's output window."""
         if self._window is None:
             plan = self.plan
             self._window = PackedSamples.from_split(
-                plan.out_grid, *_matvec(plan, _lift(plan, self.source), plan.window_rows()))
+                plan.out_grid, *_matvec(plan, self._vector(), plan.window_rows()))
         return self._window
 
     def samples(self):
@@ -300,38 +317,38 @@ class LatticeRecord:
             inner = plan.window_rows()
             head, tail = inner.start, inner.stop
             if self._window is None:
-                mans, exps = _matvec(plan, _lift(plan, self.source))
+                mans, exps = _matvec(plan, self._vector())
                 self._window = PackedSamples.from_split(
                     plan.out_grid, mans[head:tail], exps[head:tail])
             else:
                 rows = [*range(head), *range(tail, plan.size())]
-                oman, oexp = _matvec(plan, _lift(plan, self.source), rows)
+                oman, oexp = _matvec(plan, self._vector(), rows)
                 wman, wexp = self._window.split()
                 mans = oman[:head] + wman + oman[head:]
                 exps = oexp[:head] + wexp + oexp[head:]
             self._samples = PackedSamples.from_split(self.grid, mans, exps)
-            self.plan = self.source = None
+            self.plan = self.source = self.factor = None
         return self._samples
 
 
 RECORD_CACHE_CAP = 64
 """Most lattice records _record keeps.  A record holds at most the whole
-lattice plus the window, and its key, the source, keeps the source's
-store alive, or both factor stores of a product: a convolution's two
-spectra, a translation's one.  So the memo holds at most about
+lattice plus the window, and its key keeps the source's store alive, or
+a convolution's two spectra.  So the memo holds at most about
 64 x 4 x MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits
 (about 18 MB), besides the plans of its keys, which it keeps alive."""
 
 @functools.lru_cache(maxsize=RECORD_CACHE_CAP)
-def _record(plan, source):
-    """The one LatticeRecord of source through plan: packed samples, or
-    the _Product of a convolution or a translation.
+def _record(plan, source, factor=None):
+    """The one LatticeRecord of source (and factor) through plan.
 
-    A transform is determined by its plan and its source.  Plans and
-    PackedSamples hash by identity, and a _Product by its factors, the same
-    way: none of them is mutated, and the memo holds its keys, so an id is
-    not reused while its entry lives."""
-    return LatticeRecord(plan, source)
+    The memo is keyed by the arguments as given: plans and PackedSamples
+    by identity, a translation's exponent m by value.  None of them is
+    mutated, and the memo holds its keys, so an id is not reused while its
+    entry lives.  _transform passes two arguments, convolve and translate
+    three; (plan, s) and (plan, s, None) would be two keys, so None is
+    never passed."""
+    return LatticeRecord(plan, source, factor)
 
 def _transform(plan, f):
     """The record of f through plan: its source (see _source), memoized."""
@@ -398,93 +415,44 @@ def apply_multiplier(plan, f, multiplier):
 
     multiplier gives the spectral factor at t = q^l for each internal
     lattice exponent l: a callable l -> factor, evaluated at the plan's
-    working precision, a lattice row already split, a (mantissas,
-    exponents) pair of sequences of plan.size() entries indexed by
-    l - lat_lo, or a PackedSamples on the plan's lattice, such as a
-    spectrum's store (see multiply_spectrum); anything else raises
-    InvalidParams.  The pointwise products run at the plan's working
-    precision; letting them run at ambient precision corrupts results far
-    above the precision floor.  The result is fourier()'s, with its record
-    pending.
+    working precision, or a PackedSamples on the plan's lattice, such as
+    a spectrum's store or a split row packed by PackedSamples.from_split
+    (see multiply_spectrum); anything else raises InvalidParams.  The
+    pointwise products run at the plan's working precision; letting them
+    run at ambient precision corrupts results far above the precision
+    floor.  The result is fourier()'s, with its record pending.
     """
     return multiply_spectrum(plan, spectrum(f, plan), multiplier)
 
 
-class _JColumn:
+def _column(plan, m):
     """The j column at x = q^m on the plan's lattice, j_nu(q^(m + l)) for
-    l = lat_lo..lat_hi, keyed by (plan, m).  On the plan's lattice it is
-    the slice of the plan's split j row from m - lat_lo; off it, the
-    certified row j_nu_lattice_row gives, which that row's own memo keeps."""
+    l = lat_lo..lat_hi, split.  On the plan's lattice it is the slice of
+    the plan's split j row from m - lat_lo; off it, the certified row
+    j_nu_lattice_row gives, which that row's own memo keeps."""
+    if plan.lat_lo <= m <= plan.lat_hi:
+        a = m - plan.lat_lo
+        b = a + plan.size()
+        return plan._jman[a:b], plan._jexp[a:b]
+    return j_nu_lattice_row(m + plan.lat_lo, m + plan.lat_hi, plan.params, plan.dps)
 
-    __slots__ = ("plan", "m")
-
-    def __init__(self, plan, m):
-        self.plan = plan
-        self.m = m
-
-    def __eq__(self, other):
-        return isinstance(other, _JColumn) and (self.plan, self.m) == (other.plan, other.m)
-
-    def __hash__(self):
-        return hash((self.plan, self.m))
-
-    def split(self):
-        plan, m = self.plan, self.m
-        if plan.lat_lo <= m <= plan.lat_hi:
-            a = m - plan.lat_lo
-            b = a + plan.size()
-            return plan._jman[a:b], plan._jexp[a:b]
-        return j_nu_lattice_row(m + plan.lat_lo, m + plan.lat_hi, plan.params, plan.dps)
-
-
-class _Product:
-    """The pointwise product of a spectrum store and a multiplier on the
-    plan's whole lattice, the source of a spectral product's record.
-
-    It keeps references to its two factors, not their product: the
-    spectrum's store, and the multiplier as a PackedSamples or a _JColumn.
-    split() forms the products, each the integer product rounded as the
-    mpf product at prec rounds it (core.split_products), whenever the
-    record computes rows.  It hashes and compares by its factors, the
-    store and a PackedSamples multiplier by identity, a column by its
-    (plan, m), and by prec, so it keys _record as a source's store does."""
-
-    __slots__ = ("grid", "spectrum", "factor", "prec")
-
-    def __init__(self, spectrum, factor, prec):
-        self.grid = spectrum.grid
-        self.spectrum = spectrum
-        self.factor = factor
-        self.prec = prec
-
-    def _key(self):
-        return self.spectrum, self.factor, self.prec
-
-    def __eq__(self, other):
-        return isinstance(other, _Product) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def split(self):
-        return split_products(*self.spectrum.split(), *self.factor.split(), self.prec)
 
 def multiply_spectrum(plan, spec, multiplier):
     """apply_multiplier given f's spectrum (as spectrum() returns it), so
     several multipliers can share one forward transform.
 
-    The output's record holds the spectrum's store and the multiplier, not
-    their product, and forms the products whenever it computes rows: the
-    window's now, the rest of the lattice on first read.  Its record is not
-    memoized (see the module's notes).  A PackedSamples multiplier on the
-    plan's lattice is held as it is, such as the Gauss row of
-    kernels.approx_identity_run; a split row is packed and a callable's
-    factors are split and packed once.  Each product is the integer product
-    rounded as the mpf product at the plan's precision rounds it, so every
-    form gives the bits of the mpf route.  A spec off the plan's lattice
+    The output's record holds the spectrum's store and the multiplier as
+    its factor, not their product, and forms the products whenever it
+    computes rows: the window's now, the rest of the lattice on first
+    read.  Its record is not memoized (see the module's notes).  A
+    PackedSamples multiplier on the plan's lattice is held as it is, such
+    as the Gauss row of kernels.approx_identity_run; a callable's factors
+    are split and packed once.  Each product is the integer product
+    rounded as the mpf product at the plan's precision rounds it, so both
+    forms give the bits of the mpf route.  A spec off the plan's lattice
     (spec.grid is not plan.lattice_grid()) or a PackedSamples multiplier
-    off it raises WindowError, and a split row whose mantissas or exponents
-    do not number plan.size() InvalidParams, before any product."""
+    off it raises WindowError, and any other multiplier InvalidParams,
+    before any product."""
     lattice = plan.lattice_grid()
     if spec.grid != lattice:
         raise WindowError(
@@ -492,39 +460,31 @@ def multiply_spectrum(plan, spec, multiplier):
             f"plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
     if callable(multiplier):
         factor = PackedSamples.from_split(lattice, *_profile_row(plan, multiplier))
-    elif isinstance(multiplier, PackedSamples):
-        if multiplier.grid != lattice:
-            raise WindowError(
-                f"multiplier window [{multiplier.grid.n_min}, {multiplier.grid.n_max}] "
-                f"is not the plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
-        factor = multiplier
-    elif not (isinstance(multiplier, tuple) and len(multiplier) == 2):
-        raise InvalidParams("a multiplier is a callable or a split lattice row, "
-                            "a (mantissas, exponents) pair, or a PackedSamples")
-    elif any(len(part) != plan.size() for part in multiplier):
-        raise InvalidParams(f"split multiplier row of {len(multiplier[0])} mantissas and "
-                            f"{len(multiplier[1])} exponents on a plan lattice of "
-                            f"{plan.size()} points")
+    elif not isinstance(multiplier, PackedSamples):
+        raise InvalidParams("a multiplier is a callable or a PackedSamples on the "
+                            f"plan lattice, got {type(multiplier).__name__}")
+    elif multiplier.grid != lattice:
+        raise WindowError(
+            f"multiplier window [{multiplier.grid.n_min}, {multiplier.grid.n_max}] "
+            f"is not the plan lattice [{plan.lat_lo}, {plan.lat_hi}]")
     else:
-        factor = PackedSamples.from_split(lattice, *multiplier)
-    return _output(LatticeRecord(plan, _Product(spec.samples, factor, plan._prec)))
+        factor = multiplier
+    return _output(LatticeRecord(plan, spec.samples, factor))
 
 
 def translate(f, x, plan):
     """Generalized translation T_x f via the spectral route.
 
     T_x f = F[ j_nu(x .) F f ]: transform, multiply by the j column at x,
-    transform back.  x must be a lattice point q^m.  The column is keyed by
-    (plan, m): for x on the plan's lattice it is a slice of the plan's split
-    j row, and off it the certified row, each formed when the record
-    computes rows.  The output's record is memoized by f's spectrum store
-    and the column, so a repeated translation of the same samples by the
-    same x through the same plan computes no row and shares one window
-    store.
+    transform back.  x must be a lattice point q^m.  The output's record
+    holds f's spectrum store and m, and forms the column (_column) when it
+    computes rows.  It is memoized by the store and m, so a repeated
+    translation of the same samples by the same x through the same plan
+    computes no row and shares one window store.
     """
     m = lattice_exponent(x, plan.params, "x")
     f_hat = _transform(plan, f).samples()
-    return _output(_record(plan, _Product(f_hat, _JColumn(plan, m), plan._prec)))
+    return _output(_record(plan, f_hat, m))
 
 
 def convolve(f, g, plan):
@@ -538,7 +498,7 @@ def convolve(f, g, plan):
     _require_transformable(f)
     g_hat = _transform(plan, g).samples()
     f_hat = _transform(plan, f).samples()
-    return _output(_record(plan, _Product(f_hat, g_hat, plan._prec)))
+    return _output(_record(plan, f_hat, g_hat))
 
 def convolve_direct(f, g, plan):
     """q-convolution by the definitional route, as an independent oracle.

@@ -10,7 +10,10 @@ The series side: omega_series inverts the spectrum of a kernel into the
 coefficient sequence w of its reciprocal multiplier E, and the q_n / Q_n
 polynomial families built from w converge to E's zero structure.  Their
 real-rootedness is what ultimately forces the variation-diminishing
-property, so it gets its own check via companion-matrix eigenvalues.
+property, so it gets its own check via companion-matrix eigenvalues.  The
+series side reads its coefficients and arguments through mpmathify at its
+working precision (_finite) and refuses values that are not finite
+numbers, and orders that are not nonnegative integers, with InvalidParams.
 """
 
 import mpmath
@@ -127,6 +130,34 @@ def dq_variation_check(f, params, zero_tol=None):
 # ---------------------------------------------------------------------------
 # series and polynomial side
 
+def _finite(values, what):
+    """values read through mpmathify at the working precision, so a float
+    keeps its 53 bits; a value that is not a finite number raises
+    InvalidParams."""
+    out = []
+    for v in values:
+        try:
+            x = mpmathify(v)
+        except (TypeError, ValueError):
+            raise InvalidParams(f"{what} {v!r} is not a number") from None
+        if not mp.isfinite(x):
+            raise InvalidParams(f"{what} {v!r} is not finite")
+        out.append(x)
+    return out
+
+def _order(n, what):
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParams(f"{what} must be a nonnegative integer, got {n!r}")
+
+def _leading(w, n):
+    """w_0..w_n of the coefficients w, as _finite reads them."""
+    _order(n, "polynomial order n")
+    w = list(w)
+    if len(w) < n + 1:
+        raise InvalidParams(f"need at least {n + 1} coefficients, got {len(w)}")
+    return _finite(w[:n + 1], "coefficient")
+
+
 class EvenSeries:
     """Truncated even power series: coefficients[j] multiplies z^(2j)."""
 
@@ -138,9 +169,9 @@ class EvenSeries:
 
     def __call__(self, z):
         with mp.workdps(mp.dps + 5):
-            z2 = mpmathify(z) ** 2
-            return +mpmath.fsum(c * z2 ** j
-                                for j, c in enumerate(self.coefficients))
+            z2 = _finite([z], "argument")[0] ** 2
+            return +mpmath.fsum(c * z2 ** j for j, c in
+                                enumerate(_finite(self.coefficients, "coefficient")))
 
 
 class EvenPolynomial(EvenSeries):
@@ -157,8 +188,7 @@ def omega_series(G, plan, m):
     smallest window arguments would put the high coefficients below noise.
     w_0 is normalized to 1 (unit kernel mass).
     """
-    if m < 0:
-        raise InvalidParams("series order m must be nonnegative")
+    _order(m, "series order m")
     params = plan.params
     spec = fourier(G, plan)
     lq = params.log10_inv_q
@@ -220,10 +250,8 @@ def qn_polynomial(w, n, params):
     / ((q^(2nu+2); q^2)_i (q^2; q^2)_i), with rho_n the product of the
     operator symbols q^(-2i) - (1+q^(2nu)) + q^(2nu+2i).
     """
-    w = list(w)
-    if len(w) < n + 1:
-        raise InvalidParams(f"need at least {n + 1} coefficients, got {len(w)}")
     with params.working(15):
+        w = _leading(w, n)
         q = params.q
         nu = params.nu
         rho = mp.one
@@ -232,7 +260,7 @@ def qn_polynomial(w, n, params):
         pa, pb = _pochs(params, n)
         coeffs = []
         for i in range(n + 1):
-            c = rho * (-1) ** i * q ** (i * (i + 1)) * mpmathify(w[n - i])
+            c = rho * (-1) ** i * q ** (i * (i + 1)) * w[n - i]
             coeffs.append(+(c / (pa[i] * pb[i])))
     return EvenPolynomial(coeffs)
 
@@ -242,16 +270,14 @@ def Qn_polynomial(w, n, params):
     Coefficient of z^(2j) is sigma_nu (-1)^j q^(j^2) w_j
     / ((q^(2nu+2); q^2)_(n-j) (q^2; q^2)_(n-j)).
     """
-    w = list(w)
-    if len(w) < n + 1:
-        raise InvalidParams(f"need at least {n + 1} coefficients, got {len(w)}")
     with params.working(15):
+        w = _leading(w, n)
         q = params.q
         sig = constants(params).sigma_nu
         pa, pb = _pochs(params, n)
         coeffs = []
         for j in range(n + 1):
-            c = sig * (-1) ** j * q ** (j * j) * mpmathify(w[j])
+            c = sig * (-1) ** j * q ** (j * j) * w[j]
             coeffs.append(+(c / (pa[n - j] * pb[n - j])))
     return EvenPolynomial(coeffs)
 
@@ -262,8 +288,8 @@ def lq_map(coefficients, params):
     """
     with params.working(10):
         q = params.q
-        return [+(mpmathify(c) * q ** (n * n))
-                for n, c in enumerate(coefficients)]
+        return [+(c * q ** (n * n))
+                for n, c in enumerate(_finite(coefficients, "coefficient"))]
 
 
 class RootReport:
@@ -283,16 +309,16 @@ def real_roots_check(p, params, tol_imag="1e-20"):
     nonnegative (a negative real u gives purely imaginary z).
     """
     tol = parse_number(tol_imag, "tol_imag")
-    coeffs = list(p.coefficients)
     with params.working(25):
-        mxc = max((abs(mpmathify(c)) for c in coeffs), default=mp.zero)
-        if mxc == 0 or abs(mpmathify(coeffs[-1])) < mpf("1e-30") * mxc:
+        coeffs = _finite(p.coefficients, "coefficient")
+        mxc = max((abs(c) for c in coeffs), default=mp.zero)
+        if mxc == 0 or abs(coeffs[-1]) < mpf("1e-30") * mxc:
             raise DegenerateLeading("leading coefficient is numerically zero")
         n = len(coeffs) - 1
         if n == 0:
             return RootReport([], True, mp.zero)
-        lead = mpmathify(coeffs[-1])
-        monic = [mpmathify(c) / lead for c in coeffs]
+        lead = coeffs[-1]
+        monic = [c / lead for c in coeffs]
         comp = mp.matrix(n, n)
         for i in range(n):
             comp[i, n - 1] = -monic[i]

@@ -4,7 +4,8 @@ whole-lattice record a transform output keeps (core's GridFunction only
 assigns it, to None), convolve_direct, the independent oracle of
 convolution, builds no spectral product and looks none up in the record
 memo, only transform does arithmetic on raw mpf tuples, no
-module keeps hand-rolled module state, and every memo is bounded.
+module keeps hand-rolled module state, every memo is bounded, and only
+core's QParams and QGrid define __eq__ or __hash__.
 
 A private helper (leading underscore) belongs to the module that defines
 it; a second module that needs it should get a public entry point instead.
@@ -109,12 +110,14 @@ def test_lattice_lint_sees_a_read(tmp_path):
         "4 reads .lattice"]
 
 
-ORACLE_SHORTCUTS = ("_Product", "_record")
+ORACLE_SHORTCUTS = ("_record", "_column")
 
 
 def oracle_shortcuts(path, func="convolve_direct"):
-    """Names inside func that build a spectral product or look one up in the
-    record memo; a module that does not define func is reported too."""
+    """Names inside func that look a record up in the record memo or form
+    translate's j column, and LatticeRecord calls given a factor (more than
+    a plan and a source); a module that does not define func is reported
+    too."""
     tree = ast.parse(path.read_text(), filename=str(path))
     defs = [node for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name == func]
@@ -124,6 +127,10 @@ def oracle_shortcuts(path, func="convolve_direct"):
         name = getattr(node, "id", getattr(node, "attr", None))
         if isinstance(node, (ast.Name, ast.Attribute)) and name in ORACLE_SHORTCUTS:
             yield f"{path.name}:{node.lineno} uses {name} in {func}"
+        elif isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 2:
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee == "LatticeRecord":
+                yield f"{path.name}:{node.lineno} builds a product record in {func}"
 
 
 def test_convolve_direct_stays_independent_of_the_product_memo():
@@ -134,13 +141,17 @@ def test_oracle_lint_sees_a_shortcut(tmp_path):
     module = tmp_path / "shortcut.py"
     module.write_text("def convolve_direct(f, g, plan):\n"
                       "    fh = _transform(plan, f).samples()\n"
-                      "    out = _record(plan, _Product(fh, g, 53))\n"
-                      "    return transform._record.cache_info()\n"
+                      "    own = LatticeRecord(plan, fh)\n"
+                      "    out = _record(plan, fh, g)\n"
+                      "    col = _column(plan, 3)\n"
+                      "    rec = transform.LatticeRecord(plan, fh, factor=col)\n"
+                      "    return LatticeRecord(plan, fh, g), transform._record.cache_info()\n"
                       "def convolve(f, g, plan):\n"
-                      "    return _record(plan, _Product(f, g, 53))\n")
-    assert [hit.split(":", 1)[1] for hit in oracle_shortcuts(module)] == [
-        "3 uses _record in convolve_direct", "3 uses _Product in convolve_direct",
-        "4 uses _record in convolve_direct"]
+                      "    return _record(plan, f, g), LatticeRecord(plan, f, g)\n")
+    assert sorted(hit.split(":", 1)[1] for hit in oracle_shortcuts(module)) == [
+        "4 uses _record in convolve_direct", "5 uses _column in convolve_direct",
+        "6 builds a product record in convolve_direct",
+        "7 builds a product record in convolve_direct", "7 uses _record in convolve_direct"]
     assert list(oracle_shortcuts(module, "translate")) == ["shortcut.py defines no translate"]
 
 
@@ -313,3 +324,54 @@ def test_every_memo_is_bounded():
              for line, problem in memo_decorators(path)]
     assert [f for f in found if f[2] is not None] == []
     assert len(found) >= 5
+
+
+KEYED_CLASSES = (("core.py", "QParams"), ("core.py", "QGrid"))
+
+
+def equality_definitions(path):
+    """(class, name) for each __eq__ or __hash__ a class body defines or
+    assigns."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name in ("__eq__", "__hash__"):
+                    yield cls.name, name
+
+
+def test_memo_keys_compare_by_value_only_for_qparams_and_qgrid():
+    # every other memo key compares by identity or is a plain value, so a
+    # memo is keyed by its arguments as they are
+    found = {(path.name, cls, name) for path in sorted(PACKAGE.glob("*.py"))
+             for cls, name in equality_definitions(path)}
+    assert found == {(module, cls, name) for module, cls in KEYED_CLASSES
+                     for name in ("__eq__", "__hash__")}
+
+
+def test_equality_lint_sees_every_definition(tmp_path):
+    module = tmp_path / "keyed.py"
+    module.write_text("class Column:\n"
+                      "    def __eq__(self, other):\n"
+                      "        return self.m == other.m\n"
+                      "    def __hash__(self):\n"
+                      "        return hash(self.m)\n"
+                      "    def split(self):\n"
+                      "        return ()\n"
+                      "class Product:\n"
+                      "    __hash__ = None\n"
+                      "    def _key(self):\n"
+                      "        def __eq__(a, b):\n"
+                      "            return a is b\n"
+                      "        return __eq__\n")
+    assert list(equality_definitions(module)) == [
+        ("Column", "__eq__"), ("Column", "__hash__"), ("Product", "__hash__")]

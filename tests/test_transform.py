@@ -330,6 +330,12 @@ class TestLatticeRecord:
         with pytest.raises(InvalidParams):
             PackedSamples(QGrid(0, 2), [mp.one, bad, mp.zero])
 
+    @pytest.mark.parametrize("mans, exps", [([1, 3, 5], [0, 1]), ([1, 3], [0, 1, 2])],
+                             ids=["short-exponents", "short-mantissas"])
+    def test_ragged_split_samples_are_refused(self, mans, exps):
+        with pytest.raises(InvalidParams, match="does not match window size 3"):
+            PackedSamples.from_split(QGrid(0, 2), mans, exps)
+
     def test_fourier_record_is_packed(self, plan, members, cold_memos):
         out = fourier(members["step_two_flips"], plan)
         params, rec = out.lattice.params, out.lattice.samples()
@@ -599,7 +605,8 @@ class TestRecordMemo:
             out = multiply_spectrum(plan, spec, lambda l: row[l - lo])
             factor = column
         else:
-            out = multiply_spectrum(plan, spec, column)
+            out = multiply_spectrum(plan, spec,
+                                    PackedSamples.from_split(plan.lattice_grid(), *column))
             factor = column
         blob = pickle.dumps(out)
         # the reference is computed afresh, through a copied product
@@ -672,7 +679,7 @@ class TestRecordMemo:
         row = spectrum(members["gauss_1"], plan).samples
         entries = _record.cache_info().currsize
         multiply_spectrum(plan, spec, row)
-        apply_multiplier(plan, f, row.split())
+        apply_multiplier(plan, f, PackedSamples.from_split(plan.lattice_grid(), *row.split()))
         apply_multiplier(plan, f, lambda l: mpf(1) / (1 + mpf(2) ** (-2 * l)))
         approx_identity_run(f, plan, (2, 4))
         assert _record.cache_info().currsize == entries
@@ -822,8 +829,8 @@ class TestIntegerPipeline:
     @staticmethod
     def check(plan, f, g, factors):
         """fourier and its resolved record, a transform through the record,
-        spectrum, multiply_spectrum by a callable and by a split row, and
-        convolve_direct, each against its mpf copy."""
+        spectrum, multiply_spectrum by a callable and by a packed split row,
+        and convolve_direct, each against its mpf copy."""
         out = fourier(f, plan)
         window, full = mpf_fourier(f, plan)
         spec = spectrum(f, plan)
@@ -833,7 +840,8 @@ class TestIntegerPipeline:
         assert raw(fourier(out, plan).values) == raw(mpf_fourier(out, plan)[0])
         want = raw(mpf_multiply_spectrum(plan, full, factors)[0])
         by_callable = multiply_spectrum(plan, spec, lambda l: factors[l - plan.lat_lo])
-        by_row = multiply_spectrum(plan, spec, split_mpf(factors))
+        by_row = multiply_spectrum(
+            plan, spec, PackedSamples.from_split(plan.lattice_grid(), *split_mpf(factors)))
         assert raw(by_callable.values) == want
         assert raw(by_row.values) == want
         assert raw(by_row.lattice.samples().values) == raw(by_callable.lattice.samples().values)
@@ -885,7 +893,7 @@ class TestIntegerPipeline:
         assert raw(translate(f, x, plan).values) == raw(want)
 
     def test_a_row_of_mpf_values_is_refused(self, plan, members):
-        with pytest.raises(InvalidParams, match="callable or a split lattice row"):
+        with pytest.raises(InvalidParams, match="callable or a PackedSamples"):
             apply_multiplier(plan, members["gauss_1"], list(factors(plan)[1]))
 
     @pytest.mark.parametrize("mans, exps", [(7, 7), (-1, -1), (0, 1), (1, 0)],
@@ -900,12 +908,29 @@ class TestIntegerPipeline:
         del matvec_rows[:]
         size = plan.size()
         row = ([1] * (size + mans), [0] * (size + exps))
-        with pytest.raises(InvalidParams, match=f"plan lattice of {size} points"):
-            multiply_spectrum(plan, spec, row)
+        with pytest.raises(InvalidParams, match=f"does not match window size {size}"):
+            multiply_spectrum(plan, spec, PackedSamples.from_split(plan.lattice_grid(), *row))
         # refused before any product or application
         assert products == [] and matvec_rows == []
-        with pytest.raises(InvalidParams, match=f"plan lattice of {size} points"):
-            apply_multiplier(plan, members["gauss_1"], row)
+        with pytest.raises(InvalidParams, match=f"does not match window size {size}"):
+            apply_multiplier(plan, members["gauss_1"],
+                             PackedSamples.from_split(plan.lattice_grid(), *row))
+
+    def test_a_split_tuple_is_refused(self, plan, members, matvec_rows, monkeypatch):
+        f = members["gauss_1"]
+        spec = spectrum(f, plan)
+        row = spec.samples.split()
+        products = []
+        split_products = qbft.transform.split_products
+        monkeypatch.setattr(qbft.transform, "split_products",
+                            lambda *args: products.append(args) or split_products(*args))
+        del matvec_rows[:]
+        with pytest.raises(InvalidParams, match="callable or a PackedSamples"):
+            multiply_spectrum(plan, spec, row)
+        with pytest.raises(InvalidParams, match="callable or a PackedSamples"):
+            apply_multiplier(plan, f, row)
+        # refused before any product or application
+        assert products == [] and matvec_rows == []
 
     @pytest.mark.parametrize("form", ["callable", "split-row"])
     def test_a_spectrum_off_the_plan_lattice_is_refused(self, plan, members, matvec_rows,
@@ -913,7 +938,8 @@ class TestIntegerPipeline:
         size = plan.size()
         factors = []
         multiplier = {"callable": lambda l: factors.append(l) or (2 if l < 0 else 1),
-                      "split-row": ([1] * size, [0] * size)}[form]
+                      "split-row": PackedSamples.from_split(plan.lattice_grid(),
+                                                            [1] * size, [0] * size)}[form]
         # the output window of fourier, and a whole-lattice spectrum one step off
         spec = spectrum(members["gauss_1"], plan)
         shifted = GridFunction.packed(
@@ -976,7 +1002,8 @@ class TestIntegerPipeline:
             outs["convolve"] = convolve(f, g, plan)
             outs["translate"] = translate(f, "0.25", plan)
             outs["apply_multiplier"] = apply_multiplier(
-                plan, f, spectrum(g, plan).samples.split())
+                plan, f, PackedSamples.from_split(plan.lattice_grid(),
+                                                  *spectrum(g, plan).samples.split()))
             outs["convolve_direct"] = convolve_direct(f, g, plan)
             got = {k: getattr(v, "samples", v).split() for k, v in outs.items()}
             got["vd_check"] = vd_check(members["gauss_1"], [f, g], plan).rows

@@ -137,6 +137,37 @@ class TestNonFiniteTolerances:
             real_roots_check(EvenPolynomial([1, -1]), params, tol_imag=bad)
 
 
+class TestSeriesInputs:
+    # NaN and inf would pass through every product and sum of the series
+    # side; an order that is not a nonnegative integer would fail untyped
+    # or give an empty polynomial
+    W = [1, mpf("0.5"), mpf("0.125")]
+
+    @pytest.mark.parametrize("call", [
+        lambda p, plan, G: qn_polynomial([1, "nan"], 1, p),
+        lambda p, plan, G: Qn_polynomial([1, "inf"], 1, p),
+        lambda p, plan, G: lq_map([1, "nan"], p),
+        lambda p, plan, G: lq_map([1, "one"], p),
+        lambda p, plan, G: EvenSeries([1, 2])("inf"),
+        lambda p, plan, G: EvenSeries([1, float("nan")])(1),
+        lambda p, plan, G: real_roots_check(EvenPolynomial([1, "nan", 1]), p),
+        lambda p, plan, G: omega_series(G, plan, 1.5),
+        lambda p, plan, G: qn_polynomial(TestSeriesInputs.W, 1.5, p),
+        lambda p, plan, G: qn_polynomial(TestSeriesInputs.W, -1, p),
+        lambda p, plan, G: Qn_polynomial(TestSeriesInputs.W, -1, p),
+    ], ids=["qn-nan", "Qn-inf", "lq-nan", "lq-text", "series-at-inf", "series-nan",
+            "roots-nan", "omega-fractional-order", "qn-fractional-order",
+            "qn-negative-order", "Qn-negative-order"])
+    def test_refused(self, params, plan, two_zero_kernel, call):
+        with pytest.raises(InvalidParams):
+            call(params, plan, two_zero_kernel)
+
+    def test_float_coefficients_keep_their_bits(self, params):
+        assert lq_map([0.1], params) == [mpf(0.1)]
+        assert qn_polynomial([0.1], 0, params).coefficients == (
+            qn_polynomial([mpf(0.1)], 0, params).coefficients)
+
+
 class TestVdCheck:
     def test_elementary_kernel_never_gains_changes(self, params, plan, members):
         names = ["const_plus", "step_one_flip", "step_three_flips",
