@@ -7,9 +7,10 @@ declared counts.  Smoothly decaying members (the Lorentz transforms g_a and
 the Gauss kernels) form the rapid-decay subset used by norm-preservation
 checks; the windowed step and plateau members are tagged integrable.
 
+The members are declared once, in manifest order, in the table `_MEMBERS`.
 The shipped JSON artifacts freeze one generation of the corpus; the builder
-regenerates the same values from scratch so tests can hold the two against
-each other.
+regenerates the same values from that table so tests can hold the two
+against each other.
 """
 
 import json
@@ -43,74 +44,70 @@ class CorpusEntry:
         return f"CorpusEntry({self.name}, V={self.declared_v})"
 
 
-# (name, bands, declared V): bands are (lo, hi, value) in exponents
-_PIECEWISE = [
-    ("const_plus", [(-8, 36, "1")], 0),
-    ("const_minus_half", [(-4, 30, "-0.5")], 0),
-    ("step_one_flip", [(-8, 13, "1"), (14, 36, "-1")], 1),
-    ("step_two_flips", [(-8, 6, "1"), (7, 21, "-1"), (22, 36, "1")], 2),
-    ("step_three_flips", [(-8, 2, "1"), (3, 13, "-1"),
-                          (14, 24, "1"), (25, 36, "-1")], 3),
-    ("hump_small_x", [(18, 30, "1")], 0),
-]
-
-# Lorentz-transform members: scale exponents j with a = q^j
-_LORENTZ = [("lorentz_q2", 2), ("lorentz_1", 0), ("lorentz_qm2", -2)]
-
-# Gauss members: kernel widths
-_GAUSS = [("gauss_1", "1"), ("gauss_half", "0.5")]
-
-_BURST = ("alternating_burst", 0, 21, 21)  # name, lo, hi, declared V
-
-MEMBER_ORDER = ([name for name, _, _ in _PIECEWISE[:5]]
-                + [name for name, _ in _LORENTZ]
-                + [name for name, _ in _GAUSS]
-                + [_BURST[0], _PIECEWISE[5][0]])
-
-
-def _piecewise(grid, bands):
+def _piecewise(plan, bands):
+    """Bands (lo, hi, value) in exponents on the plan's window, zero elsewhere."""
     with mp.workdps(30):
         vals = []
-        for n in grid.exponents():
+        for n in plan.out_grid.exponents():
             v = mp.zero
             for lo, hi, s in bands:
                 if lo <= n <= hi:
                     v = mpf(s)
                     break
             vals.append(v)
-    return GridFunction(grid, vals, DECAY_INTEGRABLE)
+    return GridFunction(plan.out_grid, vals, DECAY_INTEGRABLE)
 
-def _burst(grid, lo, hi):
-    with mp.workdps(30):
-        vals = [mpf(1 if n % 2 == 0 else -1) if lo <= n <= hi else mp.zero
-                for n in grid.exponents()]
-    return GridFunction(grid, vals, DECAY_INTEGRABLE)
-
-def _lorentz_member(j, plan):
+def _lorentz(plan, j):
+    """g_a at a = q^j, the transform of 1 / (1 + t^2/a^2)."""
     with mp.workdps(40):
         a = decimal_str(plan.params.q ** j, 30)
     return transform_profile(plan, KernelSpec("0", (a,)).reciprocal_profile(plan))
 
+def _gauss(plan, c):
+    """The Gauss kernel of width c on the plan's window."""
+    return gauss_kernel_grid(c, plan.params, plan.out_grid)
+
+def _burst(plan, span):
+    """Alternating +1/-1 on the exponents lo..hi of span, zero elsewhere."""
+    lo, hi = span
+    with mp.workdps(30):
+        vals = [mpf(1 if n % 2 == 0 else -1) if lo <= n <= hi else mp.zero
+                for n in plan.out_grid.exponents()]
+    return GridFunction(plan.out_grid, vals, DECAY_INTEGRABLE)
+
+
+# The corpus, in manifest order: (name, builder, argument, declared V).
+# Each member is builder(plan, argument); the Lorentz and Gauss members are
+# the rapid-decay (Plancherel) subset.
+_MEMBERS = [
+    ("const_plus", _piecewise, [(-8, 36, "1")], 0),
+    ("const_minus_half", _piecewise, [(-4, 30, "-0.5")], 0),
+    ("step_one_flip", _piecewise, [(-8, 13, "1"), (14, 36, "-1")], 1),
+    ("step_two_flips", _piecewise,
+     [(-8, 6, "1"), (7, 21, "-1"), (22, 36, "1")], 2),
+    ("step_three_flips", _piecewise,
+     [(-8, 2, "1"), (3, 13, "-1"), (14, 24, "1"), (25, 36, "-1")], 3),
+    ("lorentz_q2", _lorentz, 2, 0),
+    ("lorentz_1", _lorentz, 0, 0),
+    ("lorentz_qm2", _lorentz, -2, 0),
+    ("gauss_1", _gauss, "1", 0),
+    ("gauss_half", _gauss, "0.5", 0),
+    ("alternating_burst", _burst, (0, 21), 21),
+    ("hump_small_x", _piecewise, [(18, 30, "1")], 0),
+]
+
+MEMBER_ORDER = [name for name, _, _, _ in _MEMBERS]
+
 
 def build_corpus(params=None, plan=None):
-    """Regenerate all twelve members in manifest order."""
-    params = params or reference_params()
-    plan = plan or build_plan(params, REFERENCE_GRID)
-    grid = plan.out_grid
-    entries = []
-    by_name = {}
-    for name, bands, v in _PIECEWISE:
-        by_name[name] = CorpusEntry(name, _piecewise(grid, bands), v, False)
-    for name, j in _LORENTZ:
-        by_name[name] = CorpusEntry(name, _lorentz_member(j, plan), 0, True)
-    for name, c in _GAUSS:
-        by_name[name] = CorpusEntry(
-            name, gauss_kernel_grid(c, params, grid), 0, True)
-    bname, blo, bhi, bv = _BURST
-    by_name[bname] = CorpusEntry(bname, _burst(grid, blo, bhi), bv, False)
-    for name in MEMBER_ORDER:
-        entries.append(by_name[name])
-    return entries
+    """Regenerate all twelve members in manifest order.
+
+    The members are sampled through `plan` (by default the plan of `params`,
+    or of the reference parameters, on the reference window).
+    """
+    plan = plan or build_plan(params or reference_params(), REFERENCE_GRID)
+    return [CorpusEntry(name, build(plan, arg), v, build in (_lorentz, _gauss))
+            for name, build, arg, v in _MEMBERS]
 
 
 def write_corpus(directory, params=None, plan=None):

@@ -107,9 +107,6 @@ class KernelReport:
         self.monotone_chain_ok = monotone_chain_ok
         self.gap_tol = gap_tol
 
-    def positive(self):
-        return self.min_value > 0
-
 
 def E_eval(t, spec, params):
     """E(t) = exp(c t^2) prod_k (1 + t^2 / a_k^2), the reciprocal multiplier."""

@@ -1,9 +1,10 @@
 """One-shot verification suite for the library's primary guarantees.
 
-Each criterion is a self-contained check producing a pass/fail verdict with
-a scalar measure against its stated threshold.  The suite is shared by the
-command line (`qbft verify`) and the acceptance tests, so there is exactly
-one implementation of every check.
+Each criterion is a self-contained check that returns its verdict, a
+measure against its stated threshold and a detail line; `run_suite` times
+each check and labels its `CriterionResult` with the criterion's number.
+The suite is shared by the command line (`qbft verify`) and the acceptance
+tests, so there is exactly one implementation of every check.
 
 Criterion 8 (pointwise domination within a kernel chain) fails by
 measurement, not by defect: the inequality it asserts does not hold on the
@@ -16,7 +17,9 @@ import time
 
 from mpmath import mp, mpf
 
-from .core import QGrid, QParams, GridFunction, DECAY_RAPID
+from .core import (
+    QGrid, QParams, GridFunction, DECAY_RAPID, InvalidParams, WindowError,
+)
 from .bessel import d_nu, g_a_floored, g_a_lattice, j_nu_lattice
 from .transform import (
     build_plan, convolve_direct, fourier, norm, spectrum, transform_profile,
@@ -103,7 +106,7 @@ def _nstr(x, n=6):
 
 
 class _Context:
-    """Shared plans and corpus for one suite run."""
+    """Shared plans, spectra and corpus (by member name) for one suite run."""
 
     def __init__(self, precision_digits=60, tol="1e-40", window=None):
         self.window = window or REFERENCE_GRID
@@ -111,7 +114,7 @@ class _Context:
         self.tol = tol
         self._plans = {}
         self._spectra = {}
-        self.corpus = load_corpus(precision_digits, tol)
+        self.corpus = {e.name: e for e in load_corpus(precision_digits, tol)}
 
     def params(self, nu):
         return QParams(q="0.5", nu=nu, precision_digits=self.digits, tol=self.tol)
@@ -127,6 +130,20 @@ class _Context:
             self._spectra[entry.name, nu] = spectrum(entry.f, self.plan(nu))
         return self._spectra[entry.name, nu]
 
+    def interior(self):
+        """Exponents n_min + 8 .. n_max - 8 of the window, clear of its edges.
+
+        Criteria 4 and 6 compare spectra there.  A window too short to have
+        such a band raises WindowError, before anything is sampled.
+        """
+        lo, hi = self.window.n_min + 8, self.window.n_max - 8
+        if lo > hi:
+            raise WindowError(
+                f"window [{self.window.n_min}, {self.window.n_max}] has no "
+                f"interior band [n_min + 8, n_max - 8]; it needs at least "
+                f"17 points")
+        return range(lo, hi + 1)
+
 
 def _rel_sup_distance(f, g, window):
     """max |f - g| / max |f| over a common window of exponents."""
@@ -139,27 +156,25 @@ def _rel_sup_distance(f, g, window):
 def _criterion_1(ctx):
     threshold = mpf("1e-25")
     worst = mp.zero
-    t0 = time.time()
+    t0 = time.perf_counter()
     for nu in ALL_NUS:
         plan = ctx.plan(nu)
-        for entry in ctx.corpus:
+        for entry in ctx.corpus.values():
             back = fourier(ctx.spectrum(entry, nu), plan)
             r = _rel_sup_distance(entry.f, back, entry.f.grid.exponents())
             if r > worst:
                 worst = r
-    elapsed = time.time() - t0
-    ok = worst <= threshold and elapsed < 60
-    detail = f"48 double transforms, sup-norm relative; time bound 60s"
-    return CriterionResult(1, ok, _nstr(worst), f"<= {_nstr(threshold)}",
-                           elapsed, detail)
+    # the time bound is part of the verdict, so this criterion keeps a clock
+    ok = worst <= threshold and time.perf_counter() - t0 < 60
+    return (ok, _nstr(worst), f"<= {_nstr(threshold)}",
+            "48 double transforms, sup-norm relative; time bound 60s")
 
 def _criterion_2(ctx):
     threshold = mpf("1e-25")
     worst = mp.zero
-    t0 = time.time()
     for nu in ALL_NUS:
         params = ctx.params(nu)
-        for entry in ctx.corpus:
+        for entry in ctx.corpus.values():
             if not entry.plancherel:
                 continue
             # the corpus member vanishes off its window, so norm() over the
@@ -171,14 +186,12 @@ def _criterion_2(ctx):
                 r = abs(n_f - n_t) / n_f
             if r > worst:
                 worst = r
-    return CriterionResult(2, worst <= threshold, _nstr(worst),
-                           f"<= {_nstr(threshold)}", time.time() - t0,
-                           "2-norm of f vs its whole-lattice spectrum, all four nu")
+    return (worst <= threshold, _nstr(worst), f"<= {_nstr(threshold)}",
+            "2-norm of f vs its whole-lattice spectrum, all four nu")
 
 def _criterion_3(ctx):
     threshold = mpf("1e-25")
     worst = mp.zero
-    t0 = time.time()
     for nu in ALL_NUS:
         params = ctx.params(nu)
         dps = ctx.digits + 30
@@ -212,12 +225,11 @@ def _criterion_3(ctx):
                     r = abs(w[n] - delta / a2) / (abs(w[n]) + mass / a2)
                     if r > worst:
                         worst = r
-    return CriterionResult(3, worst <= threshold, _nstr(worst),
-                           f"<= {_nstr(threshold)}", time.time() - t0,
-                           "stencil residuals against local scale, a in {q^2, 1, q^-2}")
+    return (worst <= threshold, _nstr(worst), f"<= {_nstr(threshold)}",
+            "stencil residuals against local scale, a in {q^2, 1, q^-2}")
 
 def _ga_samples(params, a_exp, grid):
-    """Per-point adaptive g_a on a window, flooring certified-tiny values."""
+    """Per-point adaptive g_a on a grid, flooring certified-tiny values."""
     with params.working(15):
         a = params.q ** a_exp
         vals = [mp.zero if g_a_floored(n + a_exp, params)
@@ -227,18 +239,12 @@ def _ga_samples(params, a_exp, grid):
 
 def _criterion_4(ctx):
     thr_pair = mpf("1e-20")
-    t0 = time.time()
+    interior = ctx.interior()
     positive = True
     worst_pair = mp.zero
     for nu in ALL_NUS:
         params = ctx.params(nu)
         plan = ctx.plan(nu)
-        kv = _ga_samples(params, 0, ctx.window)
-        for n in ctx.window.exponents():
-            # a floored sample's positivity is certified by the bound
-            if not g_a_floored(n, params) and kv.value_at(n) <= 0:
-                positive = False
-        interior = range(ctx.window.n_min + 8, ctx.window.n_max - 7)
         # the pair check samples g_a over the whole plan lattice: g_a levels
         # off to a positive constant at small x, and for slow measure weights
         # (nu near -1) the mass beyond the window still moves the quadrature
@@ -246,6 +252,13 @@ def _criterion_4(ctx):
         full = QGrid(plan.lat_lo, plan.lat_hi)
         for a_exp in (2, 0, -2):
             g = _ga_samples(params, a_exp, full)
+            if a_exp == 0:
+                # per-point kernel positivity on the window, which the plan
+                # lattice contains; a floored sample's positivity is
+                # certified by the bound
+                for n in ctx.window.exponents():
+                    if not g_a_floored(n, params) and g.value_at(n) <= 0:
+                        positive = False
             spec = fourier(g, plan)
             with mp.workdps(ctx.digits + 10):
                 q = params.q
@@ -254,15 +267,13 @@ def _criterion_4(ctx):
                         for k in interior)
             if d > worst_pair:
                 worst_pair = d
-    ok = positive and worst_pair <= thr_pair
-    return CriterionResult(
-        4, ok, f"positivity={positive}, pair={_nstr(worst_pair)}",
-        f"positive and <= {_nstr(thr_pair)}", time.time() - t0,
-        "per-point kernel positivity on the window; F(g_a) vs Lorentz profile")
+    return (positive and worst_pair <= thr_pair,
+            f"positivity={positive}, pair={_nstr(worst_pair)}",
+            f"positive and <= {_nstr(thr_pair)}",
+            "per-point kernel positivity on the window; F(g_a) vs Lorentz profile")
 
 def _criterion_5(ctx):
     threshold = mpf("1e-20")
-    t0 = time.time()
     worst_spread = mp.zero
     all_positive = True
     values = []
@@ -275,10 +286,8 @@ def _criterion_5(ctx):
             all_positive = False
     ok = all_positive and worst_spread <= threshold
     detail = ", ".join(f"d({nu})={_nstr(v, 8)}" for nu, v in values)
-    return CriterionResult(5, ok,
-                           f"spread={_nstr(worst_spread)}, positive={all_positive}",
-                           f"<= {_nstr(threshold)} and positive",
-                           time.time() - t0, detail)
+    return (ok, f"spread={_nstr(worst_spread)}, positive={all_positive}",
+            f"<= {_nstr(threshold)} and positive", detail)
 
 CONVOLUTION_PAIRS = [
     ("lorentz_1", "lorentz_q2"),
@@ -291,14 +300,12 @@ CONVOLUTION_PAIRS = [
 
 def _criterion_6(ctx):
     threshold = mpf("1e-20")
-    t0 = time.time()
+    interior = ctx.interior()
     plan = ctx.plan(REFERENCE_NU)
-    by_name = {e.name: e for e in ctx.corpus}
     worst = mp.zero
-    interior = range(ctx.window.n_min + 8, ctx.window.n_max - 7)
     for name_f, name_g in CONVOLUTION_PAIRS:
-        f = by_name[name_f]
-        g = by_name[name_g]
+        f = ctx.corpus[name_f]
+        g = ctx.corpus[name_g]
         lhs = fourier(convolve_direct(f.f, g.f, plan), plan)
         ff = ctx.spectrum(f, REFERENCE_NU)
         fg = ctx.spectrum(g, REFERENCE_NU)
@@ -309,10 +316,9 @@ def _criterion_6(ctx):
             r = +(d / scale)
         if r > worst:
             worst = r
-    return CriterionResult(6, worst <= threshold, _nstr(worst),
-                           f"<= {_nstr(threshold)}", time.time() - t0,
-                           "spectrum of the definitional convolution vs product "
-                           "of spectra, six corpus pairs")
+    return (worst <= threshold, _nstr(worst), f"<= {_nstr(threshold)}",
+            "spectrum of the definitional convolution vs product "
+            "of spectra, six corpus pairs")
 
 def _vd_kernels(ctx):
     """The five kernels of the variation check, as window samples."""
@@ -330,14 +336,13 @@ def _vd_kernels(ctx):
             ("composite_0_(1,2)", comp12), ("composite_0.25_(1)", comp25)]
 
 def _criterion_7(ctx):
-    t0 = time.time()
     plan = ctx.plan(REFERENCE_NU)
     violations = 0
     checks = 0
     worst_excess = 0
     for kname, kernel in _vd_kernels(ctx):
-        report = vd_check(kernel, [e.f for e in ctx.corpus], plan,
-                          names=[e.name for e in ctx.corpus])
+        report = vd_check(kernel, [e.f for e in ctx.corpus.values()], plan,
+                          names=list(ctx.corpus))
         for row in report.rows:
             checks += 1
             excess = row["v_out"] - row["v_in"]
@@ -345,30 +350,25 @@ def _criterion_7(ctx):
                 worst_excess = excess
             if not row["ok"]:
                 violations += 1
-    ok = violations == 0
-    return CriterionResult(7, ok, f"{violations} violations in {checks} checks",
-                           "zero violations", time.time() - t0,
-                           f"worst variation excess {worst_excess}")
+    return (violations == 0, f"{violations} violations in {checks} checks",
+            "zero violations", f"worst variation excess {worst_excess}")
 
 def _criterion_8(ctx):
-    t0 = time.time()
     plan = ctx.plan(REFERENCE_NU)
     report = composite_kernel(KernelSpec("0", ("1", "2", "4")), plan, chain=True)
     compared = [row for row in report.chain if not row["skipped"]]
     skipped = [row["prefix"] for row in report.chain if row["skipped"]]
     with mp.workdps(20):
         worst = min((row["worst_gap"] for row in compared), default=mp.zero)
-    ok = report.monotone_chain_ok is True
     detail = (f"prefixes skipped by integrability: {skipped}; "
               + "; ".join(f"vs prefix {row['prefix']}: worst gap "
                           f"{_nstr(row['worst_gap'])} at n={row['at']}"
                           for row in compared))
-    return CriterionResult(8, ok, f"worst gap {_nstr(worst)}",
-                           ">= -1e-25 pointwise", time.time() - t0, detail)
+    return (report.monotone_chain_ok is True, f"worst gap {_nstr(worst)}",
+            ">= -1e-25 pointwise", detail)
 
 def _criterion_9(ctx):
     threshold = mpf("1e-10")
-    t0 = time.time()
     plan = ctx.plan(REFERENCE_NU)
     params = ctx.params(REFERENCE_NU)
     kernel = composite_kernel(KernelSpec("0", ("1", "2")), plan, chain=False).kernel
@@ -383,26 +383,24 @@ def _criterion_9(ctx):
         roots_ok = roots_ok and rep.all_real
         if rep.max_imag > max_imag:
             max_imag = rep.max_imag
-    ok = worst <= threshold and roots_ok
-    return CriterionResult(
-        9, ok, f"coeff rel err {_nstr(worst)}, real-rooted={roots_ok}",
-        f"<= {_nstr(threshold)} and real-rooted", time.time() - t0,
+    return (
+        worst <= threshold and roots_ok,
+        f"coeff rel err {_nstr(worst)}, real-rooted={roots_ok}",
+        f"<= {_nstr(threshold)} and real-rooted",
         f"recovered w = ({_nstr(w[0], 12)}, {_nstr(w[1], 12)}, {_nstr(w[2], 12)}); "
         f"max imaginary part {_nstr(max_imag)}")
 
 def _criterion_10(ctx):
-    t0 = time.time()
     plan = ctx.plan(REFERENCE_NU)
-    f = next(e.f for e in ctx.corpus if e.name == "lorentz_1")
-    runs = approx_identity_run(f, plan, (2, 4, 6, 8))
+    runs = approx_identity_run(ctx.corpus["lorentz_1"].f, plan, (2, 4, 6, 8))
     with mp.workdps(30):
         dists = [d for _, d in runs]
         strict = all(dists[i] > dists[i + 1] for i in range(len(dists) - 1))
         positive = all(d > 0 for d in dists)
     ok = strict and positive
     detail = ", ".join(f"n={n}: {_nstr(d)}" for n, d in runs)
-    return CriterionResult(10, ok, "strictly decreasing" if ok else "not decreasing",
-                           "strict decrease over n=2,4,6,8", time.time() - t0, detail)
+    return (ok, "strictly decreasing" if ok else "not decreasing",
+            "strict decrease over n=2,4,6,8", detail)
 
 
 _RUNNERS = {
@@ -414,17 +412,27 @@ _RUNNERS = {
 
 def run_suite(only=None, precision_digits=60, tol="1e-40", window=None,
               progress=None):
-    """Run the requested criteria (default: all ten) and collect a report."""
-    idents = sorted(only) if only else sorted(_RUNNERS)
-    bad = [i for i in idents if i not in _RUNNERS]
+    """Run the requested criteria (default: all ten) and collect a report.
+
+    Each runner returns (passed, measure, threshold, detail); the suite times
+    the call and builds its `CriterionResult`, and `progress`, when given,
+    receives each result's line as it completes.  An unknown criterion
+    number raises InvalidParams before anything is loaded, and criteria 4
+    and 6 raise WindowError on a window too short for their interior band.
+    """
+    bad = [i for i in only or () if i not in _RUNNERS]
     if bad:
-        raise ValueError(f"unknown criteria: {bad}")
+        raise InvalidParams(f"unknown criteria: {bad}")
     ctx = _Context(precision_digits, tol, window)
     results = []
-    t0 = time.time()
-    for i in idents:
-        res = _RUNNERS[i](ctx)
+    t0 = time.perf_counter()
+    for i in sorted(only) if only else sorted(_RUNNERS):
+        t1 = time.perf_counter()
+        passed, measure, threshold, detail = _RUNNERS[i](ctx)
+        res = CriterionResult(i, passed, measure, threshold,
+                              time.perf_counter() - t1, detail)
         results.append(res)
         if progress:
             progress(res.line())
-    return SuiteReport(results, time.time() - t0, ctx.params(REFERENCE_NU))
+    return SuiteReport(results, time.perf_counter() - t0,
+                       ctx.params(REFERENCE_NU))

@@ -273,6 +273,11 @@ class TestVerifyCommand:
         assert main(["verify", "--only", "99"]) == 2
         assert "unknown criteria" in capsys.readouterr().err
 
+    def test_window_without_interior_band_exits_2(self, capsys):
+        assert main(["--nmin", "0", "--nmax", "10", "verify", "--only", "4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
 
 class TestReportCommand:
     def test_saved_run_replays_with_same_exit(self, tmp_path, capsys):
