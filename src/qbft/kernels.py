@@ -11,6 +11,15 @@ c = 0 the weighted head terms behave like q^(l(2nu+2-2Z)), so Z zero
 factors give an L^1 profile only when 2Z > 2nu+2.  Below that the transform
 sum still exists pointwise on the I/O window but the object has no kernel
 calculus (no mass, no chain), and composite_kernel refuses it.
+
+A composite kernel is kept as a record, one per plan and spec
+(_kernel_record): its window store with its mass, mass defect and minimum,
+keyed by the plan's identity and the spec's strings, at most
+KERNEL_CACHE_CAP of them.  Repeated kernels and the shorter prefixes a
+chain compares against read their store from it, and since the stores are
+shared, so do transform's lattice records of those kernels.  What depends
+on the call (the integrability gate, gap_tol and the chain comparison)
+runs on every call, and each report gets its own kernel GridFunction.
 """
 
 import functools
@@ -122,6 +131,38 @@ def _is_divergent(spec, params):
     with mp.workdps(30):
         return spec.c == 0 and 2 * len(spec.zeros_str) <= 2 * params.nu + 2
 
+KERNEL_CACHE_CAP = 32
+"""Most composite-kernel records _kernel_record keeps, each a window store
+of at most MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits
+and three mpf, besides the plan of its key, which it keeps alive."""
+
+@functools.lru_cache(maxsize=KERNEL_CACHE_CAP)
+def _kernel_record(plan, c_str, zeros_str):
+    """The composite kernel of KernelSpec(c_str, zeros_str) through plan,
+    memoized: (window store, mass, mass_defect, min_value).
+
+    The store is transform_profile's window samples of 1/E.  The mass is
+    c (1-q) sum q^(n(2nu+2)) K(q^n) over the window at the plan's working
+    precision, the defect its distance to 1/E(0) = 1, and the minimum the
+    least sample.  The plan is keyed by identity, as transform._record keys
+    it, and the spec by its strings; the store is never mutated, so every
+    report and chain comparison of the kernel shares it.
+    """
+    spec = KernelSpec(c_str, zeros_str)
+    params = plan.params
+    samples = transform_profile(plan, spec.reciprocal_profile(plan)).samples
+    with mp.workdps(plan.dps):
+        q = params.q
+        c = constants(params, plan.dps).c_q_nu
+        grid = samples.grid
+        kernel_values = samples.values
+        weights = unsplit_mpf(*lattice_weights(params, grid.n_min, grid.n_max))
+        mass = c * (1 - q) * mpmath.fsum(w * v for w, v in zip(weights, kernel_values))
+        mass = +mass
+        mass_defect = +abs(mass - 1)
+        min_value = +min(kernel_values)
+    return samples, mass, mass_defect, min_value
+
 def composite_kernel(spec, plan, chain=True, gap_tol=None):
     """Transform 1/E into kernel samples on the plan's output window.
 
@@ -129,6 +170,15 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
     1/E(0) = 1, its minimum sample, and, when the spec has several zeros,
     the pointwise comparison of the kernel against each shorter-prefix
     kernel (skipping prefixes that fail the integrability gate).
+
+    The samples, mass, defect and minimum come from the memoized record of
+    (plan, spec strings), _kernel_record, and so does each compared
+    prefix's store: a repeated kernel, or one that is another's prefix,
+    computes no row.  The integrability gate and the gap_tol parse run on
+    every call, before the memo is read, so a divergent spec is refused
+    each time and never enters it.  report.kernel is a new GridFunction
+    over the record's store; assigning its .values repacks its own samples
+    and leaves the record's untouched.
     """
     params = plan.params
     if _is_divergent(spec, params):
@@ -137,33 +187,25 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
             f"1/E with c=0 and {z} zero factor(s) is not lattice-integrable "
             f"at nu={params.nu_str}; supply more zero factors")
     gap_tol = mpf("1e-25") if gap_tol is None else parse_number(gap_tol, "gap_tol")
-    kernel = transform_profile(plan, spec.reciprocal_profile(plan))
-    with mp.workdps(plan.dps):
-        q = params.q
-        c = constants(params, plan.dps).c_q_nu
-        grid = kernel.grid
-        kernel_values = kernel.values
-        weights = unsplit_mpf(*lattice_weights(params, grid.n_min, grid.n_max))
-        mass = c * (1 - q) * mpmath.fsum(w * v for w, v in zip(weights, kernel_values))
-        mass = +mass
-        mass_defect = +abs(mass - 1)
-        min_value = +min(kernel_values)
+    samples, mass, mass_defect, min_value = _kernel_record(
+        plan, spec.c_str, spec.zeros_str)
     chain_rows = []
     chain_ok = None
     if chain and len(spec.zeros_str) >= 2:
         chain_ok = True
+        kernel_values = samples.values
         for m in range(1, len(spec.zeros_str)):
             sub = spec.prefix(m)
             if _is_divergent(sub, params):
                 chain_rows.append({"prefix": m, "skipped": True,
                                    "worst_gap": None, "at": None})
                 continue
-            sub_kernel = transform_profile(plan, sub.reciprocal_profile(plan))
+            sub_samples = _kernel_record(plan, sub.c_str, sub.zeros_str)[0]
             with mp.workdps(plan.dps):
                 worst = None
                 worst_at = None
-                for n, v, w in zip(grid.exponents(), kernel_values,
-                                   sub_kernel.values):
+                for n, v, w in zip(samples.grid.exponents(), kernel_values,
+                                   sub_samples.values):
                     gap = +(v - w)
                     if worst is None or gap < worst:
                         worst = gap
@@ -172,8 +214,8 @@ def composite_kernel(spec, plan, chain=True, gap_tol=None):
                                "worst_gap": worst, "at": worst_at})
             if worst < -gap_tol:
                 chain_ok = False
-    return KernelReport(spec, kernel, mass, mass_defect, min_value,
-                        chain_rows, chain_ok, gap_tol)
+    return KernelReport(spec, GridFunction.packed(samples, DECAY_RAPID), mass,
+                        mass_defect, min_value, chain_rows, chain_ok, gap_tol)
 
 
 def _gauss_constants(c, params):

@@ -130,19 +130,36 @@ class _Context:
             self._spectra[entry.name, nu] = spectrum(entry.f, self.plan(nu))
         return self._spectra[entry.name, nu]
 
-    def interior(self):
-        """Exponents n_min + 8 .. n_max - 8 of the window, clear of its edges.
 
-        Criteria 4 and 6 compare spectra there.  A window too short to have
-        such a band raises WindowError, before anything is sampled.
-        """
-        lo, hi = self.window.n_min + 8, self.window.n_max - 8
-        if lo > hi:
-            raise WindowError(
-                f"window [{self.window.n_min}, {self.window.n_max}] has no "
-                f"interior band [n_min + 8, n_max - 8]; it needs at least "
-                f"17 points")
-        return range(lo, hi + 1)
+def _interior(window):
+    """Exponents n_min + 8 .. n_max - 8 of the window, clear of its edges,
+    where criteria 4 and 6 compare spectra; WindowError when the band is
+    empty, since a window shorter than 17 points has none."""
+    lo, hi = window.n_min + 8, window.n_max - 8
+    if lo > hi:
+        raise WindowError(
+            f"window [{window.n_min}, {window.n_max}] has no "
+            f"interior band [n_min + 8, n_max - 8]; it needs at least "
+            f"17 points")
+    return range(lo, hi + 1)
+
+INTERIOR_CRITERIA = {4, 6}
+CORPUS_WINDOW_CRITERIA = {1, 2, 6}
+
+def _check_window(window, idents):
+    """Refuse, before anything is loaded, a window the requested criteria
+    cannot check: one without an interior band (criteria 4 and 6), then one
+    that does not cover the corpus window (criteria 1, 2 and 6, which compare
+    corpus members over their whole window)."""
+    if INTERIOR_CRITERIA.intersection(idents):
+        _interior(window)
+    needing = sorted(CORPUS_WINDOW_CRITERIA.intersection(idents))
+    if needing and (window.n_min > REFERENCE_GRID.n_min
+                    or window.n_max < REFERENCE_GRID.n_max):
+        raise WindowError(
+            f"window [{window.n_min}, {window.n_max}] does not cover the corpus "
+            f"window [{REFERENCE_GRID.n_min}, {REFERENCE_GRID.n_max}] that "
+            f"criteria {needing} compare over")
 
 
 def _rel_sup_distance(f, g, window):
@@ -239,7 +256,7 @@ def _ga_samples(params, a_exp, grid):
 
 def _criterion_4(ctx):
     thr_pair = mpf("1e-20")
-    interior = ctx.interior()
+    interior = _interior(ctx.window)
     positive = True
     worst_pair = mp.zero
     for nu in ALL_NUS:
@@ -300,7 +317,7 @@ CONVOLUTION_PAIRS = [
 
 def _criterion_6(ctx):
     threshold = mpf("1e-20")
-    interior = ctx.interior()
+    interior = _interior(ctx.window)
     plan = ctx.plan(REFERENCE_NU)
     worst = mp.zero
     for name_f, name_g in CONVOLUTION_PAIRS:
@@ -416,17 +433,23 @@ def run_suite(only=None, precision_digits=60, tol="1e-40", window=None,
 
     Each runner returns (passed, measure, threshold, detail); the suite times
     the call and builds its `CriterionResult`, and `progress`, when given,
-    receives each result's line as it completes.  An unknown criterion
-    number raises InvalidParams before anything is loaded, and criteria 4
-    and 6 raise WindowError on a window too short for their interior band.
+    receives each result's line as it completes.  Before anything is
+    loaded, an unknown criterion number, then one given twice, raises
+    InvalidParams, and a window the requested criteria cannot check raises
+    WindowError (see _check_window).
     """
     bad = [i for i in only or () if i not in _RUNNERS]
     if bad:
         raise InvalidParams(f"unknown criteria: {bad}")
+    idents = sorted(only) if only else sorted(_RUNNERS)
+    dup = sorted({a for a, b in zip(idents, idents[1:]) if a == b})
+    if dup:
+        raise InvalidParams(f"duplicate criteria: {dup}")
+    _check_window(window or REFERENCE_GRID, idents)
     ctx = _Context(precision_digits, tol, window)
     results = []
     t0 = time.perf_counter()
-    for i in sorted(only) if only else sorted(_RUNNERS):
+    for i in idents:
         t1 = time.perf_counter()
         passed, measure, threshold, detail = _RUNNERS[i](ctx)
         res = CriterionResult(i, passed, measure, threshold,

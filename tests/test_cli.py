@@ -245,6 +245,27 @@ class TestKernelCommand:
         assert main(["kernel", "--spec", spec]) == 2
         assert "malformed kernel spec" in capsys.readouterr().err
 
+    # the kernel specs of the cold CLI benchmark as (q, nu, spec), then its
+    # known failure, which exits 4
+    BENCH_SPECS = (
+        [("0.5", nu, {"c": "0", "zeros": zeros}) for nu in ("0.5", "1")
+         for zeros in (["1", "2"], ["0.5", "1"], ["1", "3"], ["2", "4"])]
+        + [("0.6", "0.5", {"c": c, "zeros": [a]}) for c in ("0.25", "0.5", "1")
+           for a in ("1", "2", "4")]
+        + [("0.5", "-0.5", {"c": "0", "zeros": ["1", "2"]})])
+
+    @pytest.mark.parametrize("q, nu, payload", BENCH_SPECS)
+    def test_repeat_run_prints_the_same_report(self, tmp_path, capsys, q, nu, payload):
+        argv = ["--q", q, "--nu", nu, "kernel", "--spec", self.spec_file(tmp_path, payload)]
+        runs = []
+        for _ in range(2):
+            code = main(argv)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[1] == runs[0]
+        if nu == "-0.5":
+            assert runs[0][0] == 4
+
     def test_oversized_plan_exits_2(self, tmp_path, capsys):
         spec = self.spec_file(tmp_path, {"c": "0.5", "zeros": ["1", "2"]})
         argv = ["--q", "0.9", "--nu", "-0.9", "--nmin", "-6", "--nmax", "12",
@@ -277,6 +298,17 @@ class TestVerifyCommand:
         assert main(["--nmin", "0", "--nmax", "10", "verify", "--only", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    def test_duplicate_criterion_exits_2(self, capsys):
+        assert main(["verify", "--only", "10,10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "duplicate criteria: [10]" in err
+
+    @pytest.mark.parametrize("ident", ["1", "2", "6"])
+    def test_window_short_of_the_corpus_exits_2(self, capsys, ident):
+        assert main(["--nmin", "-4", "--nmax", "12", "verify", "--only", ident]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "corpus window" in err
 
 
 class TestReportCommand:

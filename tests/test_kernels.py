@@ -12,9 +12,11 @@ convolution route use calibrated bounds on the unamplified range.
 """
 
 import json
+import time
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from qbft.core import (
@@ -25,6 +27,7 @@ from qbft.core import (
     IntegrabilityError,
     InvalidParams,
     NoWitness,
+    PrecisionExhausted,
     QGrid,
     QParams,
     WindowError,
@@ -39,14 +42,18 @@ from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
 import qbft.kernels
 import qbft.transform
 from qbft.transform import (
-    apply_multiplier, build_plan, convolve, fourier, norm, plan_window, transform_profile,
+    MAX_PLAN_POINTS, apply_multiplier, build_plan, convolve, fourier, norm, plan_window,
+    transform_profile,
 )
 from qbft.kernels import (
     E_eval,
     GAUSS_ROW_CACHE_CAP,
+    KERNEL_CACHE_CAP,
     KernelSpec,
     _gauss_multiplier,
     _gauss_multiplier_row,
+    _is_divergent,
+    _kernel_record,
     approx_identity_run,
     composite_kernel,
     factorization_check,
@@ -202,6 +209,115 @@ class TestCompositeKernel:
         assert len(payload["values"]) == len(REFERENCE_GRID)
         with mp.workdps(80):
             assert abs(mpf(payload["mass"]) - rep.mass) < mpf("1e-58")
+
+
+def report_bits(report):
+    """Every field of a kernel report, mpf as their raw tuples."""
+    def bits(x):
+        return None if x is None else x._mpf_
+    return (report.spec.c_str, report.spec.zeros_str, report.kernel.grid,
+            report.kernel.decay_class, report.kernel.samples.split(),
+            bits(report.mass), bits(report.mass_defect), bits(report.min_value),
+            [(row["prefix"], row["skipped"], bits(row["worst_gap"]), row["at"])
+             for row in report.chain],
+            report.monotone_chain_ok, bits(report.gap_tol))
+
+
+class TestKernelRecord:
+    """One memoized record per (plan, spec): a repeat call, or a chain
+    prefix, reads the kernel's store and its mass, defect and minimum."""
+
+    # the composite specs of the session-warm workload, then those of the suite
+    SPECS = [("0", ("1", "2")), ("0", ("0.5", "1")), ("0", ("1", "3")),
+             ("0", ("2", "4")), ("0.25", ("1",)), ("0", ("1", "2", "4"))]
+
+    @pytest.mark.parametrize("c, zeros", SPECS)
+    def test_repeat_call_is_bit_identical(self, plan, c, zeros):
+        _kernel_record.cache_clear()
+        spec = KernelSpec(c, zeros)
+        first = composite_kernel(spec, plan)
+        hits = _kernel_record.cache_info().hits
+        second = composite_kernel(spec, plan)
+        assert _kernel_record.cache_info().hits > hits
+        assert report_bits(second) == report_bits(first)
+        # the stored samples are the transform of 1/E
+        assert first.kernel.samples.split() == transform_profile(
+            plan, spec.reciprocal_profile(plan)).samples.split()
+        assert _kernel_record.cache_info().maxsize == KERNEL_CACHE_CAP
+
+    def test_chain_prefix_reads_the_memo(self, plan):
+        _kernel_record.cache_clear()
+        chained = composite_kernel(KernelSpec("0", ("1", "2", "4")), plan)
+        # the full kernel and its one integrable prefix
+        assert _kernel_record.cache_info().currsize == 2
+        hits = _kernel_record.cache_info().hits
+        prefix = composite_kernel(KernelSpec("0", ("1", "2")), plan, chain=False)
+        assert _kernel_record.cache_info().hits == hits + 1
+        assert _kernel_record.cache_info().currsize == 2
+        with mp.workdps(plan.dps):
+            gaps = [v - w for v, w in zip(chained.kernel.values, prefix.kernel.values)]
+        assert chained.chain[1]["worst_gap"]._mpf_ == min(gaps)._mpf_
+
+    def test_reports_share_the_store_not_the_shell(self, plan):
+        spec = KernelSpec("0", ("1", "2"))
+        first = composite_kernel(spec, plan, chain=False)
+        second = composite_kernel(spec, plan, chain=False)
+        assert second.kernel is not first.kernel
+        assert second.kernel.samples is first.kernel.samples
+
+    def test_assigning_kernel_values_leaves_the_record(self, plan):
+        spec = KernelSpec("0", ("1", "3"))
+        first = composite_kernel(spec, plan)
+        want = report_bits(composite_kernel(spec, plan))
+        first.kernel.values = [mp.zero] * len(first.kernel.grid)
+        assert report_bits(composite_kernel(spec, plan)) == want
+
+    def test_divergent_spec_is_refused_every_call(self, plan):
+        spec = KernelSpec("0", ("1",))
+        size = _kernel_record.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(IntegrabilityError):
+                composite_kernel(spec, plan)
+        assert _kernel_record.cache_info().currsize == size
+
+
+Q_STRS = st.decimals("0.1", "0.9", places=2).map(str)
+NU_STRS = st.decimals("-0.99", "2", places=2).map(str)
+C_STRS = st.sampled_from(["0", "0.25", "1"])
+ZEROS = st.lists(st.decimals("0.25", "8", places=2), min_size=1, max_size=3).map(
+    lambda zs: [str(z) for z in sorted(zs)])
+
+
+class TestPromisedParameterSpace:
+    """composite_kernel over q in [0.1, 0.9], nu in (-1, 2], c in {0, 1/4, 1}
+    and one to three zeros on the window [-2, 6]: a report that a second call
+    repeats bit for bit, IntegrabilityError exactly where the gate holds, or
+    a typed refusal before the work it refuses."""
+
+    @given(q=Q_STRS, nu=NU_STRS, c=C_STRS, zeros=ZEROS)
+    @settings(max_examples=12, deadline=None)
+    def test_kernel_repeats_or_refuses(self, q, nu, c, zeros):
+        p = QParams(q=q, nu=nu)
+        grid = QGrid(-2, 6)
+        spec = KernelSpec(c, zeros)
+        lat_lo, lat_hi = plan_window(p, grid.n_min, grid.n_max)
+        start = time.perf_counter()
+        if lat_hi - lat_lo + 1 > MAX_PLAN_POINTS:
+            with pytest.raises(WindowError):
+                build_plan(p, grid)
+            assert time.perf_counter() - start < 0.5
+            return
+        try:
+            plan = build_plan(p, grid)
+        except PrecisionExhausted:
+            return
+        try:
+            first = composite_kernel(spec, plan)
+        except IntegrabilityError:
+            assert _is_divergent(spec, p)
+            return
+        assert not _is_divergent(spec, p)
+        assert report_bits(composite_kernel(spec, plan)) == report_bits(first)
 
 
 class TestGaussKernel:
