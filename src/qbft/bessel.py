@@ -82,26 +82,42 @@ def decay_bound_log10(s, params):
     return base - (s * s - (2 * nu + 1) * s) * lq
 
 
-def _jnu_series(x2, q_str, nu_str, dps):
-    """One ladder rung: the alternating series at fixed working precision."""
+def _series(x2, sign, q_str, nu_str, dps):
+    """The power series of j_nu (sign -1) or i_nu (sign +1) at x^2 = x2 and
+    dps digits: term n+1 is term n times sign * num * x2 / den, with
+    (num, den) from _term_ratio.
+
+    The sum stops before the first term below 10^-(dps+3) times the larger
+    of the largest term and |total|, and does not add it.  The term ratio
+    q^(2n+2) x^2 / ((1 - q^(2nu+2+2n)) (1 - q^(2n+2))) strictly decreases
+    in n for 0 < q < 1 and nu > -1, so the terms rise to one peak and then
+    fall.  Before the peak each term is the largest so far and |total| is
+    at most n times it, so the stop lies past the peak.  For i every later
+    term is below half an ulp of the total, so summing on changes no bit.
+    For j the omitted tail alternates with falling terms, so it is below
+    the first of them; |total| is at most twice the largest term (the
+    rising head and the falling tail are alternating sums bounded by it),
+    so the tail is below 2 * 10^-(dps+3) * max_term_magnitude, which
+    digits_lost already charges.
+    """
     with mp.workdps(dps):
-        term = mp.one
+        step = sign * x2  # exact, so each product has the bits of sign * num * x2
+        term = at = max_term = mp.one
         total = mp.zero
-        max_term = mp.one
         floor = mpf(10) ** (-dps - 3)
+        # at >= floor * max(max_term, |total|) as two tests; cut = floor * max_term
+        cut = floor
         n = 0
-        below = 0
-        while below < 40:
+        while at >= cut and at >= floor * abs(total):
             total += term
-            at = abs(term)
             if at > max_term:
                 max_term = at
+                cut = floor * at
             num, den = _term_ratio(q_str, nu_str, n, mp.prec)
-            term *= -num * x2 / den
+            term *= num * step / den
+            at = abs(term)
             n += 1
-            scale = max_term if max_term > abs(total) else abs(total)
-            below = below + 1 if abs(term) < floor * scale else 0
-        return BesselEval(+total, n, +max_term, dps)
+        return BesselEval(total, n, max_term, dps)  # both already rounded to dps
 
 def j_nu(x, params):
     """Normalized q-Bessel function j_nu(x; q^2), certified.
@@ -119,7 +135,7 @@ def j_nu(x, params):
     for rung in (d, 2 * d, 4 * d, 8 * d):
         with mp.workdps(rung + 10):
             x2 = parse_number(x, "x") ** 2
-        ev = _jnu_series(x2, params.q_str, params.nu_str, rung + 10)
+        ev = _series(x2, -1, params.q_str, params.nu_str, rung + 10)
         if ev.digits_lost() + d + 10 <= ev.precision_used:
             return ev
     raise PrecisionExhausted(
@@ -139,7 +155,7 @@ def _lattice_series(q_str, nu_str, s, rung):
     """The series for j_nu(q^s) at rung dps: its value and the digits it lost."""
     with mp.workdps(rung):
         x2 = materialize(q_str, mp.prec) ** (2 * s)
-    ev = _jnu_series(x2, q_str, nu_str, rung)
+    ev = _series(x2, -1, q_str, nu_str, rung)
     return ev.value, ev.digits_lost()
 
 def j_nu_lattice(s, params, digits=None):
@@ -279,36 +295,17 @@ def j_nu_lattice_row(s_lo, s_hi, params, digits=None):
 def i_nu(x, params):
     """Modified companion series: all terms positive, no cancellation.
 
-    Its term ratio is j_nu's without the sign, from the same memo.  Order
-    nu + 1 is i_nu(x, params.replace(nu=...)).
-
-    The sum stops before the first term below 10^-(dps+3) times the running
-    total, at the working dps = digits + 20.  No later term could change it:
-    the ratio q^(2n+2) x^2 / ((1 - q^(2nu+2+2n)) (1 - q^(2n+2))) of term
-    n+1 to term n strictly decreases in n for 0 < q < 1 and nu > -1, so the
-    terms rise to one peak and then fall.  A term that small is past the
-    peak, since before it each term is the largest so far and at least
-    total / (n+1); every later term is smaller still, and each lies below
-    half an ulp of the total at dps, so adding it would leave the total's
-    bits unchanged.
+    _series with sign +1 at dps = digits + 20; its early exit leaves every
+    bit of the total.  Order nu + 1 is i_nu(x, params.replace(nu=...)).
     """
     with params.working(20):
         xv = parse_number(x, "x")
         if xv < 0:
             raise DomainError("i_nu is evaluated for x >= 0")
-        x2 = xv * xv
-        term = mp.one
-        total = mp.zero
-        n = 0
-        floor = mpf(10) ** (-mp.dps - 3)
-        while term >= floor * total:
-            total += term
-            num, den = _term_ratio(params.q_str, params.nu_str, n, mp.prec)
-            term *= num * x2 / den
-            n += 1
-        if mp.isinf(total):
-            raise Overflow("i_nu overflowed the representable range")
-        return +total
+        total = _series(xv * xv, 1, params.q_str, params.nu_str, mp.dps).value
+    if mp.isinf(total):
+        raise Overflow("i_nu overflowed the representable range")
+    return total
 
 
 def envelope_scale(m, params):
@@ -374,7 +371,7 @@ def _weight_block(q_str, nu_str, a_raw, b, prec):
 @functools.lru_cache(maxsize=WEIGHT_TABLE_CAP)
 def _term_ratio(q_str, nu_str, n, prec):
     """Term n+1 over term n of i_nu's series is num x^2 / den, and of
-    j_nu's -num x^2 / den; returns (num, den)."""
+    j_nu's -num x^2 / den; returns (num, den).  Only _series reads it."""
     q = materialize(q_str, prec)
     nu = materialize(nu_str, prec)
     q2 = q * q

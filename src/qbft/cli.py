@@ -20,6 +20,7 @@ from .core import (
     QGrid, QParams, decimal_str, gridfunction_from_json, gridfunction_to_json,
 )
 from .bessel import g_a, i_nu, j_nu, k_nu
+from .corpus import REFERENCE_GRID
 from .kernels import KernelSpec, composite_kernel, gauss_kernel, kernel_report_to_json
 from .transform import build_plan, convolve, fourier
 from .verify import run_suite
@@ -86,9 +87,10 @@ def _params(args):
     return QParams(q=args.q, nu=args.nu, precision_digits=args.digits,
                    tol=args.tol)
 
-def _window(args):
-    lo = args.nmin if args.nmin is not None else DEFAULT_CLI_WINDOW[0]
-    hi = args.nmax if args.nmax is not None else DEFAULT_CLI_WINDOW[1]
+def _window(args, default=QGrid(*DEFAULT_CLI_WINDOW)):
+    """--nmin/--nmax as a QGrid, a missing bound taken from default."""
+    lo = args.nmin if args.nmin is not None else default.n_min
+    hi = args.nmax if args.nmax is not None else default.n_max
     return QGrid(lo, hi)
 
 def _read_file(path):
@@ -186,9 +188,8 @@ def _cmd_verify(args):
             only = [int(s) for s in args.only.split(",") if s.strip()]
         except ValueError:
             raise UsageError(f"cannot parse criterion list {args.only!r}")
-    window = None
-    if args.nmin is not None or args.nmax is not None:
-        window = _window(args)
+    # a missing bound comes from the suite's own window, not the CLI default
+    window = _window(args, REFERENCE_GRID)
     report = run_suite(only=only, precision_digits=args.digits, tol=args.tol,
                        window=window, progress=lambda line: print(line, flush=True))
     print(report.lines()[-1])

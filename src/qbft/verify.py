@@ -106,14 +106,14 @@ def _nstr(x, n=6):
 
 
 class _Context:
-    """Shared plans, spectra and corpus (by member name) for one suite run."""
+    """Shared plans and corpus (by member name) for one suite run; spectra
+    are memoized by transform itself, per plan and source."""
 
     def __init__(self, precision_digits=60, tol="1e-40", window=None):
         self.window = window or REFERENCE_GRID
         self.digits = precision_digits
         self.tol = tol
         self._plans = {}
-        self._spectra = {}
         self.corpus = {e.name: e for e in load_corpus(precision_digits, tol)}
 
     def params(self, nu):
@@ -123,12 +123,6 @@ class _Context:
         if nu not in self._plans:
             self._plans[nu] = build_plan(self.params(nu), self.window)
         return self._plans[nu]
-
-    def spectrum(self, entry, nu):
-        """Whole-lattice spectrum of a corpus member, computed once per suite."""
-        if (entry.name, nu) not in self._spectra:
-            self._spectra[entry.name, nu] = spectrum(entry.f, self.plan(nu))
-        return self._spectra[entry.name, nu]
 
 
 def _interior(window):
@@ -177,7 +171,7 @@ def _criterion_1(ctx):
     for nu in ALL_NUS:
         plan = ctx.plan(nu)
         for entry in ctx.corpus.values():
-            back = fourier(ctx.spectrum(entry, nu), plan)
+            back = fourier(spectrum(entry.f, plan), plan)
             r = _rel_sup_distance(entry.f, back, entry.f.grid.exponents())
             if r > worst:
                 worst = r
@@ -199,7 +193,7 @@ def _criterion_2(ctx):
             # the entire lattice, so its norm must be summed there
             with mp.workdps(ctx.digits + 10):
                 n_f = norm(entry.f, 2, params)
-                n_t = norm(ctx.spectrum(entry, nu), 2, params)
+                n_t = norm(spectrum(entry.f, ctx.plan(nu)), 2, params)
                 r = abs(n_f - n_t) / n_f
             if r > worst:
                 worst = r
@@ -324,8 +318,8 @@ def _criterion_6(ctx):
         f = ctx.corpus[name_f]
         g = ctx.corpus[name_g]
         lhs = fourier(convolve_direct(f.f, g.f, plan), plan)
-        ff = ctx.spectrum(f, REFERENCE_NU)
-        fg = ctx.spectrum(g, REFERENCE_NU)
+        ff = spectrum(f.f, plan)
+        fg = spectrum(g.f, plan)
         with mp.workdps(plan.dps):
             scale = max(abs(ff.value_at(k) * fg.value_at(k)) for k in interior)
             d = max(abs(lhs.value_at(k) - ff.value_at(k) * fg.value_at(k))

@@ -8,9 +8,12 @@ They are stored as strings and materialized inside an explicit precision
 context, never at import time.
 """
 
+import contextlib
 import functools
 import inspect
+import io
 import itertools
+import json
 import time
 
 import mpmath
@@ -53,6 +56,7 @@ from qbft.bessel import (
     quadrature_range,
     triple_kernel,
 )
+from qbft.cli import main
 from qbft.transform import build_plan, fourier
 
 # Independent oracles, q = 1/2.  "HALF"/"ZERO"/"ONE" name the order nu.
@@ -735,6 +739,91 @@ class TestPositiveCompanionExit:
         with mp.workdps(p.precision_digits + 40):
             x = mpmathify(q) ** k
         assert i_nu(x, p)._mpf_ == ten_term_i_nu(x, p)._mpf_
+
+
+def forty_term_j_nu(x, params):
+    """j_nu as it was before its early exit: each ladder rung sums on past
+    the first term below 10^-(dps+3) of the larger of the largest term and
+    the total until forty such terms in a row, with the term ratios
+    computed inline; the rungs and the certificate are j_nu's."""
+    d = params.precision_digits
+    for rung in (d, 2 * d, 4 * d, 8 * d):
+        with mp.workdps(rung + 10):
+            q = mpmathify(params.q_str)
+            nu = mpmathify(params.nu_str)
+            x2 = mpmathify(x) ** 2
+            term = mp.one
+            total = mp.zero
+            max_term = mp.one
+            floor = mpf(10) ** (-mp.dps - 3)
+            n = 0
+            below = 0
+            while below < 40:
+                total += term
+                max_term = max(max_term, abs(term))
+                q2 = q * q
+                num, den = q2 ** (n + 1), (1 - q ** (2 * nu + 2 + 2 * n)) * (1 - q2 ** (n + 1))
+                term *= -num * x2 / den
+                n += 1
+                below = below + 1 if abs(term) < floor * max(max_term, abs(total)) else 0
+            ev = bessel.BesselEval(+total, n, +max_term, mp.dps)
+        if ev.digits_lost() + d + 10 <= ev.precision_used:
+            return ev
+    raise PrecisionExhausted(f"j_nu({x}) beyond the ladder")
+
+
+class TestOscillatoryExit:
+    """j_nu stops before its first term below the floor; summing on as the
+    forty-term rule did moves the value by less than the certificate."""
+
+    @staticmethod
+    def outcome(evaluate, x, p):
+        try:
+            return evaluate(x, p)
+        except PrecisionExhausted:
+            return PrecisionExhausted
+
+    def check(self, x, p):
+        new = self.outcome(j_nu, x, p)
+        old = self.outcome(forty_term_j_nu, x, p)
+        if old is PrecisionExhausted:
+            assert new is PrecisionExhausted
+            return
+        assert new.precision_used == old.precision_used
+        assert new.max_term_magnitude._mpf_ == old.max_term_magnitude._mpf_
+        assert new.terms_used == old.terms_used - 39
+        with mp.workdps(new.precision_used):
+            assert (abs(new.value - old.value)
+                    <= mpf(10) ** -(new.precision_used + 2) * new.max_term_magnitude)
+
+    @given(q=Q_STRS, nu=NU_STRS, k=st.integers(-12, 20))
+    @settings(max_examples=25, deadline=None)
+    def test_lattice_points(self, q, nu, k):
+        p = QParams(q=q, nu=nu)
+        with mp.workdps(p.precision_digits + 40):
+            x = mpmathify(q) ** k
+        self.check(x, p)
+
+    @given(q=Q_STRS, nu=NU_STRS,
+           x=st.decimals("0.01", "2000", places=4).map(str))
+    @settings(max_examples=25, deadline=None)
+    def test_arbitrary_points(self, q, nu, x):
+        self.check(x, QParams(q=q, nu=nu))
+
+    @given(template=st.sampled_from([("0.5", "-0.5", 60), ("0.6", "0", 90)]),
+           x=st.floats(0.1, 20).map(lambda v: f"{v:.6g}"))
+    @settings(max_examples=10, deadline=None)
+    def test_cli_prints_what_it_printed(self, template, x):
+        q, nu, d = template
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--q", q, "--nu", nu, "--digits", str(d),
+                         "--format", "json", "eval", "jnu", "--x", x]) == 0
+        payload = json.loads(out.getvalue())
+        old = forty_term_j_nu(x, QParams(q=q, nu=nu, precision_digits=d))
+        assert payload["value"] == core.decimal_str(old.value, d)
+        assert payload["max_term_magnitude"] == core.decimal_str(old.max_term_magnitude, 8)
+        assert payload["precision_used"] == old.precision_used
 
 
 def per_entry_route(ks, est, start, dps, a, power, params):

@@ -281,6 +281,16 @@ class TestVerifyCommand:
         assert "criterion  2" in out and "PASS" in out
         assert "ALL PASS" in out
 
+    def test_one_window_bound_fills_from_the_suite_window(self, capsys):
+        def criterion_2(argv):
+            assert main(argv + ["verify", "--only", "2"]) == 0
+            line = capsys.readouterr().out.splitlines()[0]
+            assert line.startswith("criterion  2")
+            # drop the timing, keep verdict and measure
+            return line.rsplit("(", 1)[0]
+        assert criterion_2(["--nmax", "64"]) == criterion_2([])
+        assert criterion_2(["--nmin", "-24"]) == criterion_2([])
+
     def test_violated_criterion_exits_4(self, capsys):
         assert main(["verify", "--only", "8"]) == 4
         out = capsys.readouterr().out

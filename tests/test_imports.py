@@ -14,7 +14,9 @@ rules, so each rule is written once: the per-point quadratures (g_a_lattice,
 triple_kernel) size and sum their range in bessel, and other modules call
 them, g_a_floored or j_nu_lattice_row.  No module but bessel names
 decay_bound_log10, envelope_scale or quadrature_range.  Other modules reach
-a whole-lattice spectrum through transform.spectrum.  core is the one
+a whole-lattice spectrum through transform.spectrum.  Only bessel's
+_series reads the series' term ratios (_term_ratio), so j_nu and i_nu are
+summed by one loop with one stop rule.  core is the one
 module that imports mpmath.libmp, by an import statement or as an
 attribute of a bare `import mpmath`: it owns the arithmetic on the integer
 mantissas and exponents core.split_mpf reads.  transform and bessel share
@@ -229,6 +231,47 @@ def test_values_lint_sees_a_decode(tmp_path):
                       "    samples.values = vec\n")
     assert [hit.split(" ", 1)[1] for hit in values_reads(module)] == [
         "reads .values in _lift"]
+
+
+def term_ratio_reads(path, allowed=("_series",)):
+    """Reads of _term_ratio, by name or as an attribute, outside the
+    functions named in allowed, each attributed to its innermost enclosing
+    function: a call, and an alias that could be called elsewhere."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Name, ast.Attribute))
+                    and getattr(child, "id", getattr(child, "attr", None)) == "_term_ratio"
+                    and isinstance(child.ctx, ast.Load) and func not in allowed):
+                yield f"{path.name}:{child.lineno} reads _term_ratio in {func}"
+            inner = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else func
+            yield from visit(child, inner)
+
+    yield from visit(tree, "module scope")
+
+
+def test_only_the_series_loop_reads_the_term_ratios():
+    offenders = [hit for path in sorted(PACKAGE.glob("*.py"))
+                 for hit in term_ratio_reads(path)]
+    assert offenders == []
+    # and _series does read them, once
+    assert [hit.split(" in ")[1] for hit in
+            term_ratio_reads(PACKAGE / "bessel.py", allowed=())] == ["_series"]
+
+
+def test_term_ratio_lint_sees_a_second_caller(tmp_path):
+    module = tmp_path / "series.py"
+    module.write_text("def _series(x2, n):\n"
+                      "    return _term_ratio(n) * x2\n"
+                      "def i_nu(x2, n):\n"
+                      "    ratio = _term_ratio\n"
+                      "    return bessel._term_ratio(n) * x2\n"
+                      "FIRST = _term_ratio(0)\n")
+    assert [hit.split(":", 1)[1] for hit in term_ratio_reads(module)] == [
+        "4 reads _term_ratio in i_nu", "5 reads _term_ratio in i_nu",
+        "6 reads _term_ratio in module scope"]
 
 
 PARAMETER_STRINGS = ("q_str", "nu_str", "tol_str")
