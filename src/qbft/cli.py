@@ -183,7 +183,7 @@ def _cmd_kernel(args):
 
 def _cmd_verify(args):
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = [int(s) for s in args.only.split(",") if s.strip()]
         except ValueError:

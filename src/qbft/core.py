@@ -569,7 +569,11 @@ def qpochhammer_infinite(a, q):
     threshold, then applies one log-tail correction exp(-term / (1 - q)) for
     the remaining factors.  Declared stable when one further factor moves the
     corrected value by less than 10^-(dps - 8) at the working dps (the
-    active dps + 10); otherwise NonConvergent.
+    active dps + 10); otherwise NonConvergent.  More than 4 000 000 factors
+    is NonConvergent too, refused up front when the factor count
+    log(thresh / |a|) / log|q|, estimated at low precision, exceeds that cap
+    by more than 1 %, so a q near 1 fails fast; a count near the cap is left
+    to the loop.
     """
     with mp.workdps(mp.dps + 10):
         a = parse_number(a, "a")
@@ -578,6 +582,12 @@ def qpochhammer_infinite(a, q):
             raise NonConvergent("infinite pochhammer needs |q| < 1")
         tol = mpf(10) ** (-(mp.dps - 8))
         thresh = tol * mpf("1e-2")
+        cap = 4_000_000
+        if q and abs(a) > thresh:
+            with mp.workdps(10):
+                factors = mp.log(thresh / abs(a)) / mp.log(abs(q))
+            if factors > 1.01 * cap:
+                raise NonConvergent("pochhammer truncation did not reach threshold")
         prod = mp.one
         term = a
         steps = 0
@@ -585,7 +595,7 @@ def qpochhammer_infinite(a, q):
             prod *= (1 - term)
             term *= q
             steps += 1
-            if steps > 4_000_000:
+            if steps > cap:
                 raise NonConvergent("pochhammer truncation did not reach threshold")
         first = prod * mp.e ** (-term / (1 - q))
         prod *= (1 - term)

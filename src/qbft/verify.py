@@ -18,7 +18,7 @@ import time
 from mpmath import mp, mpf
 
 from .core import (
-    QGrid, QParams, GridFunction, DECAY_RAPID, InvalidParams, WindowError,
+    QGrid, GridFunction, DECAY_RAPID, InvalidParams, WindowError, decimal_str,
 )
 from .bessel import d_nu, g_a_floored, g_a_lattice, j_nu_lattice
 from .transform import (
@@ -28,23 +28,10 @@ from .kernels import (
     KernelSpec, approx_identity_run, composite_kernel, gauss_kernel_grid,
 )
 from .variation import Qn_polynomial, omega_series, real_roots_check, vd_check
-from .corpus import load_corpus, REFERENCE_GRID
+from .corpus import load_corpus, reference_params, REFERENCE_GRID
 
 ALL_NUS = ("-0.5", "0", "0.5", "1")
 REFERENCE_NU = "0.5"
-
-CRITERIA = {
-    1: "transform inversion on the corpus",
-    2: "norm preservation on the rapid-decay subset",
-    3: "eigenfunction and resolvent residuals",
-    4: "kernel positivity and the Lorentz transform pair",
-    5: "constancy and positivity of d_nu",
-    6: "convolution theorem across independent routes",
-    7: "variation diminishing under five kernels",
-    8: "pointwise domination within a kernel chain",
-    9: "spectrum inversion and limit-polynomial real-rootedness",
-    10: "approximate-identity contraction",
-}
 
 EXPECTED_FAIL = {8}
 
@@ -100,11 +87,6 @@ class SuiteReport:
         }, indent=1)
 
 
-def _nstr(x, n=6):
-    with mp.workdps(20):
-        return mp.nstr(mpf(x) if not isinstance(x, mpf) else x, n)
-
-
 class _Context:
     """Shared plans and corpus (by member name) for one suite run; spectra
     are memoized by transform itself, per plan and source."""
@@ -117,7 +99,7 @@ class _Context:
         self.corpus = {e.name: e for e in load_corpus(precision_digits, tol)}
 
     def params(self, nu):
-        return QParams(q="0.5", nu=nu, precision_digits=self.digits, tol=self.tol)
+        return reference_params(self.digits, self.tol).replace(nu=nu)
 
     def plan(self, nu):
         if nu not in self._plans:
@@ -127,8 +109,8 @@ class _Context:
 
 def _interior(window):
     """Exponents n_min + 8 .. n_max - 8 of the window, clear of its edges,
-    where criteria 4 and 6 compare spectra; WindowError when the band is
-    empty, since a window shorter than 17 points has none."""
+    where the criteria that need "interior" compare spectra; WindowError
+    when the band is empty, since a window shorter than 17 points has none."""
     lo, hi = window.n_min + 8, window.n_max - 8
     if lo > hi:
         raise WindowError(
@@ -137,23 +119,20 @@ def _interior(window):
             f"17 points")
     return range(lo, hi + 1)
 
-INTERIOR_CRITERIA = {4, 6}
-CORPUS_WINDOW_CRITERIA = {1, 2, 6}
-
 def _check_window(window, idents):
     """Refuse, before anything is loaded, a window the requested criteria
-    cannot check: one without an interior band (criteria 4 and 6), then one
-    that does not cover the corpus window (criteria 1, 2 and 6, which compare
-    corpus members over their whole window)."""
-    if INTERIOR_CRITERIA.intersection(idents):
+    cannot check: one without an interior band (needed by "interior"
+    criteria), then one that does not cover the corpus window ("corpus"
+    criteria compare corpus members over their whole window)."""
+    if any("interior" in _SUITE[i][2] for i in idents):
         _interior(window)
-    needing = sorted(CORPUS_WINDOW_CRITERIA.intersection(idents))
-    if needing and (window.n_min > REFERENCE_GRID.n_min
-                    or window.n_max < REFERENCE_GRID.n_max):
+    corpus = [i for i in idents if "corpus" in _SUITE[i][2]]
+    if corpus and (window.n_min > REFERENCE_GRID.n_min
+                   or window.n_max < REFERENCE_GRID.n_max):
         raise WindowError(
             f"window [{window.n_min}, {window.n_max}] does not cover the corpus "
             f"window [{REFERENCE_GRID.n_min}, {REFERENCE_GRID.n_max}] that "
-            f"criteria {needing} compare over")
+            f"criteria {corpus} compare over")
 
 
 def _rel_sup_distance(f, g, window):
@@ -177,7 +156,7 @@ def _criterion_1(ctx):
                 worst = r
     # the time bound is part of the verdict, so this criterion keeps a clock
     ok = worst <= threshold and time.perf_counter() - t0 < 60
-    return (ok, _nstr(worst), f"<= {_nstr(threshold)}",
+    return (ok, decimal_str(worst, 6), f"<= {decimal_str(threshold, 6)}",
             "48 double transforms, sup-norm relative; time bound 60s")
 
 def _criterion_2(ctx):
@@ -197,7 +176,7 @@ def _criterion_2(ctx):
                 r = abs(n_f - n_t) / n_f
             if r > worst:
                 worst = r
-    return (worst <= threshold, _nstr(worst), f"<= {_nstr(threshold)}",
+    return (worst <= threshold, decimal_str(worst, 6), f"<= {decimal_str(threshold, 6)}",
             "2-norm of f vs its whole-lattice spectrum, all four nu")
 
 def _criterion_3(ctx):
@@ -236,7 +215,7 @@ def _criterion_3(ctx):
                     r = abs(w[n] - delta / a2) / (abs(w[n]) + mass / a2)
                     if r > worst:
                         worst = r
-    return (worst <= threshold, _nstr(worst), f"<= {_nstr(threshold)}",
+    return (worst <= threshold, decimal_str(worst, 6), f"<= {decimal_str(threshold, 6)}",
             "stencil residuals against local scale, a in {q^2, 1, q^-2}")
 
 def _ga_samples(params, a_exp, grid):
@@ -279,8 +258,8 @@ def _criterion_4(ctx):
             if d > worst_pair:
                 worst_pair = d
     return (positive and worst_pair <= thr_pair,
-            f"positivity={positive}, pair={_nstr(worst_pair)}",
-            f"positive and <= {_nstr(thr_pair)}",
+            f"positivity={positive}, pair={decimal_str(worst_pair, 6)}",
+            f"positive and <= {decimal_str(thr_pair, 6)}",
             "per-point kernel positivity on the window; F(g_a) vs Lorentz profile")
 
 def _criterion_5(ctx):
@@ -296,9 +275,9 @@ def _criterion_5(ctx):
         if not mean > 0:
             all_positive = False
     ok = all_positive and worst_spread <= threshold
-    detail = ", ".join(f"d({nu})={_nstr(v, 8)}" for nu, v in values)
-    return (ok, f"spread={_nstr(worst_spread)}, positive={all_positive}",
-            f"<= {_nstr(threshold)} and positive", detail)
+    detail = ", ".join(f"d({nu})={decimal_str(v, 8)}" for nu, v in values)
+    return (ok, f"spread={decimal_str(worst_spread, 6)}, positive={all_positive}",
+            f"<= {decimal_str(threshold, 6)} and positive", detail)
 
 CONVOLUTION_PAIRS = [
     ("lorentz_1", "lorentz_q2"),
@@ -327,7 +306,7 @@ def _criterion_6(ctx):
             r = +(d / scale)
         if r > worst:
             worst = r
-    return (worst <= threshold, _nstr(worst), f"<= {_nstr(threshold)}",
+    return (worst <= threshold, decimal_str(worst, 6), f"<= {decimal_str(threshold, 6)}",
             "spectrum of the definitional convolution vs product "
             "of spectra, six corpus pairs")
 
@@ -335,10 +314,9 @@ def _vd_kernels(ctx):
     """The five kernels of the variation check, as window samples."""
     plan = ctx.plan(REFERENCE_NU)
     params = ctx.params(REFERENCE_NU)
-    with mp.workdps(40):
-        q_str = mp.nstr(params.q, 20)
     # neither 1/E is integrable at this nu; their transforms exist pointwise
-    g_q = transform_profile(plan, KernelSpec("0", (q_str,)).reciprocal_profile(plan))
+    g_q = transform_profile(plan, KernelSpec("0", (params.q_str,))
+                            .reciprocal_profile(plan))
     g_1 = transform_profile(plan, KernelSpec("0", ("1",)).reciprocal_profile(plan))
     h = gauss_kernel_grid("0.5", params, ctx.window)
     comp12 = composite_kernel(KernelSpec("0", ("1", "2")), plan, chain=False).kernel
@@ -373,9 +351,9 @@ def _criterion_8(ctx):
         worst = min((row["worst_gap"] for row in compared), default=mp.zero)
     detail = (f"prefixes skipped by integrability: {skipped}; "
               + "; ".join(f"vs prefix {row['prefix']}: worst gap "
-                          f"{_nstr(row['worst_gap'])} at n={row['at']}"
+                          f"{decimal_str(row['worst_gap'], 6)} at n={row['at']}"
                           for row in compared))
-    return (report.monotone_chain_ok is True, f"worst gap {_nstr(worst)}",
+    return (report.monotone_chain_ok is True, f"worst gap {decimal_str(worst, 6)}",
             ">= -1e-25 pointwise", detail)
 
 def _criterion_9(ctx):
@@ -396,10 +374,10 @@ def _criterion_9(ctx):
             max_imag = rep.max_imag
     return (
         worst <= threshold and roots_ok,
-        f"coeff rel err {_nstr(worst)}, real-rooted={roots_ok}",
-        f"<= {_nstr(threshold)} and real-rooted",
-        f"recovered w = ({_nstr(w[0], 12)}, {_nstr(w[1], 12)}, {_nstr(w[2], 12)}); "
-        f"max imaginary part {_nstr(max_imag)}")
+        f"coeff rel err {decimal_str(worst, 6)}, real-rooted={roots_ok}",
+        f"<= {decimal_str(threshold, 6)} and real-rooted",
+        f"recovered w = ({', '.join(decimal_str(v, 12) for v in w[:3])}); "
+        f"max imaginary part {decimal_str(max_imag, 6)}")
 
 def _criterion_10(ctx):
     plan = ctx.plan(REFERENCE_NU)
@@ -409,33 +387,50 @@ def _criterion_10(ctx):
         strict = all(dists[i] > dists[i + 1] for i in range(len(dists) - 1))
         positive = all(d > 0 for d in dists)
     ok = strict and positive
-    detail = ", ".join(f"n={n}: {_nstr(d)}" for n, d in runs)
+    detail = ", ".join(f"n={n}: {decimal_str(d, 6)}" for n, d in runs)
     return (ok, "strictly decreasing" if ok else "not decreasing",
             "strict decrease over n=2,4,6,8", detail)
 
 
-_RUNNERS = {
-    1: _criterion_1, 2: _criterion_2, 3: _criterion_3, 4: _criterion_4,
-    5: _criterion_5, 6: _criterion_6, 7: _criterion_7, 8: _criterion_8,
-    9: _criterion_9, 10: _criterion_10,
+# Each criterion's title, check and window needs: "interior" for a check
+# over the interior band, "corpus" for one over the whole corpus window.
+_SUITE = {
+    1: ("transform inversion on the corpus", _criterion_1, {"corpus"}),
+    2: ("norm preservation on the rapid-decay subset", _criterion_2, {"corpus"}),
+    3: ("eigenfunction and resolvent residuals", _criterion_3, set()),
+    4: ("kernel positivity and the Lorentz transform pair", _criterion_4, {"interior"}),
+    5: ("constancy and positivity of d_nu", _criterion_5, set()),
+    6: ("convolution theorem across independent routes", _criterion_6,
+        {"interior", "corpus"}),
+    7: ("variation diminishing under five kernels", _criterion_7, set()),
+    8: ("pointwise domination within a kernel chain", _criterion_8, set()),
+    9: ("spectrum inversion and limit-polynomial real-rootedness", _criterion_9, set()),
+    10: ("approximate-identity contraction", _criterion_10, set()),
 }
+
+CRITERIA = {i: title for i, (title, _, _) in _SUITE.items()}
 
 
 def run_suite(only=None, precision_digits=60, tol="1e-40", window=None,
               progress=None):
     """Run the requested criteria (default: all ten) and collect a report.
 
-    Each runner returns (passed, measure, threshold, detail); the suite times
+    Each check returns (passed, measure, threshold, detail); the suite times
     the call and builds its `CriterionResult`, and `progress`, when given,
     receives each result's line as it completes.  Before anything is
-    loaded, an unknown criterion number, then one given twice, raises
-    InvalidParams, and a window the requested criteria cannot check raises
-    WindowError (see _check_window).
+    loaded, an `only` that is not a non-empty list of criterion numbers
+    (ints, not bools), then a number given twice, raises InvalidParams, and
+    a window the requested criteria cannot check raises WindowError (see
+    _check_window).
     """
-    bad = [i for i in only or () if i not in _RUNNERS]
-    if bad:
-        raise InvalidParams(f"unknown criteria: {bad}")
-    idents = sorted(only) if only else sorted(_RUNNERS)
+    if only is not None:
+        if not isinstance(only, list) or not only:
+            raise InvalidParams(
+                f"criteria must be a non-empty list of numbers, got {only!r}")
+        bad = [i for i in only if type(i) is not int or i not in _SUITE]
+        if bad:
+            raise InvalidParams(f"unknown criteria: {bad}")
+    idents = sorted(only or _SUITE)
     dup = sorted({a for a, b in zip(idents, idents[1:]) if a == b})
     if dup:
         raise InvalidParams(f"duplicate criteria: {dup}")
@@ -445,7 +440,7 @@ def run_suite(only=None, precision_digits=60, tol="1e-40", window=None,
     t0 = time.perf_counter()
     for i in idents:
         t1 = time.perf_counter()
-        passed, measure, threshold, detail = _RUNNERS[i](ctx)
+        passed, measure, threshold, detail = _SUITE[i][1](ctx)
         res = CriterionResult(i, passed, measure, threshold,
                               time.perf_counter() - t1, detail)
         results.append(res)

@@ -68,6 +68,45 @@ def test_measures_are_pinned(suite):
     assert {r.ident: str(r.measure) for r in suite.results} == MEASURES
 
 
+# The threshold and detail strings, pinned the same way: they pass through
+# the same number formatting as the measures.
+THRESHOLDS = {
+    1: "<= 1.0e-25",
+    2: "<= 1.0e-25",
+    3: "<= 1.0e-25",
+    4: "positive and <= 1.0e-20",
+    5: "<= 1.0e-20 and positive",
+    6: "<= 1.0e-20",
+    7: "zero violations",
+    8: ">= -1e-25 pointwise",
+    9: "<= 1.0e-10 and real-rooted",
+    10: "strict decrease over n=2,4,6,8",
+}
+
+DETAILS = {
+    1: "48 double transforms, sup-norm relative; time bound 60s",
+    2: "2-norm of f vs its whole-lattice spectrum, all four nu",
+    3: "stencil residuals against local scale, a in {q^2, 1, q^-2}",
+    4: "per-point kernel positivity on the window; F(g_a) vs Lorentz profile",
+    5: "d(-0.5)=1.6416326, d(0)=1.0, d(0.5)=0.82081628, d(1)=0.75",
+    6: "spectrum of the definitional convolution vs product of spectra, "
+       "six corpus pairs",
+    7: "worst variation excess 0",
+    8: "prefixes skipped by integrability: [1]; "
+       "vs prefix 2: worst gap -1.71789 at n=64",
+    9: "recovered w = (1.0, 1.25, 0.25); max imaginary part 0.0",
+    10: "n=2: 0.0442662, n=4: 0.00385287, n=6: 0.000263657, n=8: 1.66572e-5",
+}
+
+
+def test_thresholds_are_pinned(suite):
+    assert {r.ident: str(r.threshold) for r in suite.results} == THRESHOLDS
+
+
+def test_details_are_pinned(suite):
+    assert {r.ident: r.detail for r in suite.results} == DETAILS
+
+
 def test_every_criterion_ran(suite):
     assert [r.ident for r in suite.results] == sorted(CRITERIA)
 

@@ -8,6 +8,7 @@ through capsys or written to tmp_path files and parsed back.
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,17 @@ class TestEval:
         assert main(["eval", "ga", "--x", x, "--a", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["ga", "--x", "1", "--a", "1"],
+                                      ["gauss", "--x", "1", "--c", "1"],
+                                      ["knu", "--x", "1"]])
+    def test_q_near_one_exits_3_fast(self, capsys, argv):
+        # the infinite products of the constants would need about 10 million
+        # factors, past their cap, and are refused before the first one
+        t0 = time.perf_counter()
+        assert main(["--q", "0.99999", "eval"] + argv) == 3
+        assert time.perf_counter() - t0 < 5
+        assert "pochhammer truncation" in capsys.readouterr().err
 
     def test_uncertifiable_point_exits_3(self, capsys):
         # far enough up the large-x ray the series cancellation exceeds
@@ -308,6 +320,12 @@ class TestVerifyCommand:
         assert main(["--nmin", "0", "--nmax", "10", "verify", "--only", "4"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("only", ["", ",", " , "])
+    def test_empty_criterion_list_exits_2(self, capsys, only):
+        assert main(["verify", "--only", only]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error") and "Traceback" not in err
 
     def test_duplicate_criterion_exits_2(self, capsys):
         assert main(["verify", "--only", "10,10"]) == 2

@@ -1,6 +1,7 @@
 """Lattice arithmetic layer: pochhammers, Jackson integrals, operators."""
 
 import json
+import time
 
 import mpmath
 import pytest
@@ -317,6 +318,22 @@ class TestPochhammer:
     def test_infinite_needs_contracting_base(self):
         with pytest.raises(NonConvergent):
             qpochhammer_infinite("0.5", "1.0")
+
+    def test_infinite_refuses_q_near_one_before_the_loop(self):
+        # about 7.8 million factors to reach the threshold, past the cap of
+        # 4 million; the loop alone took over 20 s to say so
+        t0 = time.perf_counter()
+        with mp.workdps(30), pytest.raises(NonConvergent, match="did not reach threshold"):
+            qpochhammer_infinite("0.5", "0.99999")
+        assert time.perf_counter() - t0 < 1
+
+    def test_infinite_near_one_under_the_cap_still_converges(self):
+        # about 27 000 factors at q = 0.998, so the estimate lets the loop
+        # run; (a; q)_inf = (1 - a) (a q; q)_inf
+        with mp.workdps(20):
+            a, q = mpf("0.5"), mpf("0.998")
+            got = qpochhammer_infinite(a, q)
+            assert rel_err(got, (1 - a) * qpochhammer_infinite(a * q, q)) < mpf("1e-15")
 
     def test_infinite_deterministic(self):
         with mp.workdps(60):

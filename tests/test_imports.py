@@ -32,7 +32,8 @@ every module reads q, nu and tol through core's one bounded memo
 (QParams.q, .nu, .tol, or core.materialize).  Memos are functools.lru_cache
 functions, bounded and keyed on their inputs, so no module needs a global
 statement or a module-level container to fill.  Each passes its bound as an
-explicit maxsize; functools.cache has none.
+explicit maxsize; functools.cache has none.  verify formats its numbers
+through core.decimal_str alone: it calls no nstr and keeps no _nstr.
 """
 
 import ast
@@ -418,3 +419,34 @@ def test_equality_lint_sees_every_definition(tmp_path):
                       "        return __eq__\n")
     assert list(equality_definitions(module)) == [
         ("Column", "__eq__"), ("Column", "__hash__"), ("Product", "__hash__")]
+
+
+def private_formatting(path):
+    """Uses of mpmath's nstr (a call, an attribute, an import or an alias)
+    and definitions of a _nstr, function or binding."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        name = getattr(node, "id", getattr(node, "attr", None))
+        if isinstance(node, ast.alias):
+            name = node.name
+        if isinstance(node, ast.FunctionDef) and node.name == "_nstr" or (
+                name == "_nstr" and isinstance(getattr(node, "ctx", None), ast.Store)):
+            yield f"{path.name}:{node.lineno} defines _nstr"
+        elif name == "nstr":
+            yield f"{path.name}:{getattr(node, 'lineno', '?')} uses nstr"
+
+
+def test_verify_formats_only_through_decimal_str():
+    assert list(private_formatting(PACKAGE / "verify.py")) == []
+
+
+def test_formatting_lint_sees_a_private_formatter(tmp_path):
+    module = tmp_path / "report.py"
+    module.write_text("from mpmath import mp, nstr\n"
+                      "def _nstr(x, n=6):\n"
+                      "    return mp.nstr(x, n)\n"
+                      "def show(x):\n"
+                      "    return nstr(x, 3)\n"
+                      "_nstr = decimal_str\n")
+    assert sorted(hit.split(":", 1)[1] for hit in private_formatting(module)) == [
+        "1 uses nstr", "2 defines _nstr", "3 uses nstr", "5 uses nstr", "6 defines _nstr"]

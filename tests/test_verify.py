@@ -45,3 +45,14 @@ def test_criteria_off_the_corpus_window_still_run_on_it():
     report = run_suite(only=[7, 10], window=QGrid(-4, 12))
     assert [r.ident for r in report.results] == [7, 10]
     assert report.passed
+
+
+@pytest.mark.parametrize("only", [[], [3.0], [True], ["3"], (1, 2)],
+                         ids=["empty", "float", "bool", "str", "tuple"])
+def test_malformed_criterion_list_is_refused_before_loading(only, monkeypatch):
+    def load(*args, **kwargs):
+        raise AssertionError("the suite loaded its corpus")
+
+    monkeypatch.setattr(verify, "load_corpus", load)
+    with pytest.raises(InvalidParams):
+        run_suite(only=only)
