@@ -524,8 +524,8 @@ def d_nu(params, with_spread=False):
         vals = []
         for n in (3, 6, 9, 12, 15):
             x = q ** n
-            kn = k_nu(x, params)
-            kn1 = k_nu(x, up)
+            kn = g_a_lattice(n, 1, params)
+            kn1 = g_a_lattice(n, 1, up)
             in0 = i_nu(x, params)
             in1 = i_nu(x, up)
             v = x ** (2 * (nu + 1)) * (kn * in1 / (1 - q ** (2 * nu + 2)) + kn1 * in0)

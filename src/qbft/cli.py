@@ -20,7 +20,7 @@ from .core import (
     QGrid, QParams, decimal_str, gridfunction_from_json, gridfunction_to_json,
 )
 from .bessel import g_a, i_nu, j_nu, k_nu
-from .corpus import REFERENCE_GRID
+from .corpus import REFERENCE_GRID, reference_params
 from .kernels import KernelSpec, composite_kernel, gauss_kernel, kernel_report_to_json
 from .transform import build_plan, convolve, fourier
 from .verify import run_suite
@@ -38,8 +38,8 @@ def _build_parser():
     p = argparse.ArgumentParser(
         prog="qbft",
         description="q-Bessel Fourier calculus on the geometric lattice")
-    p.add_argument("--q", default="0.5", help="lattice base, 0 < q < 1")
-    p.add_argument("--nu", default="0.5", help="order parameter, nu > -1")
+    p.add_argument("--q", default=None, help="lattice base, 0 < q < 1")
+    p.add_argument("--nu", default=None, help="order parameter, nu > -1")
     p.add_argument("--digits", type=int, default=60, help="target precision")
     p.add_argument("--tol", default="1e-40", help="tolerance")
     p.add_argument("--nmin", type=int, default=None, help="window start exponent")
@@ -84,8 +84,18 @@ def _emit(args, text):
         print(text)
 
 def _params(args):
-    return QParams(q=args.q, nu=args.nu, precision_digits=args.digits,
-                   tol=args.tol)
+    """--q/--nu/--digits/--tol as QParams; a missing --q or --nu takes
+    QParams' default."""
+    given = {k: v for k, v in (("q", args.q), ("nu", args.nu)) if v is not None}
+    return QParams(**given, precision_digits=args.digits, tol=args.tol)
+
+def _require_flags_match(args, params, source):
+    """UsageError when a given --q or --nu string differs from params',
+    which are read from source instead of the flags."""
+    for flag, given, have in (("--q", args.q, params.q_str),
+                              ("--nu", args.nu, params.nu_str)):
+        if given is not None and given != have:
+            raise UsageError(f"{flag} {given} differs from {have}, the value of {source}")
 
 def _window(args, default=QGrid(*DEFAULT_CLI_WINDOW)):
     """--nmin/--nmax as a QGrid, a missing bound taken from default."""
@@ -104,18 +114,14 @@ def _read_file(path):
 def _cmd_eval(args):
     params = _params(args)
     d = params.precision_digits
+    extra = {}
     if args.function == "jnu":
         ev = j_nu(args.x, params)
-        if args.format == "json":
-            _emit(args, json.dumps({
-                "value": decimal_str(ev.value, d),
-                "terms_used": ev.terms_used,
-                "max_term_magnitude": decimal_str(ev.max_term_magnitude, 8),
-                "precision_used": ev.precision_used}, indent=1))
-        else:
-            _emit(args, decimal_str(ev.value, d))
-        return 0
-    if args.function == "inu":
+        val = ev.value
+        extra = {"terms_used": ev.terms_used,
+                 "max_term_magnitude": decimal_str(ev.max_term_magnitude, 8),
+                 "precision_used": ev.precision_used}
+    elif args.function == "inu":
         val = i_nu(args.x, params)
     elif args.function == "knu":
         val = k_nu(args.x, params)
@@ -128,7 +134,7 @@ def _cmd_eval(args):
             raise UsageError("eval gauss needs --c")
         val = gauss_kernel(args.x, args.c, params)
     if args.format == "json":
-        _emit(args, json.dumps({"value": decimal_str(val, d)}, indent=1))
+        _emit(args, json.dumps({"value": decimal_str(val, d), **extra}, indent=1))
     else:
         _emit(args, decimal_str(val, d))
     return 0
@@ -136,6 +142,7 @@ def _cmd_eval(args):
 def _cmd_transform(args):
     f, params = gridfunction_from_json(_read_file(args.infile),
                                        args.digits, args.tol)
+    _require_flags_match(args, params, args.infile)
     plan = build_plan(params, f.grid, _window(args))
     out = fourier(f, plan)
     _emit(args, gridfunction_to_json(out, params))
@@ -148,6 +155,7 @@ def _cmd_convolve(args):
                                         args.digits, args.tol)
     if params.q_str != params2.q_str or params.nu_str != params2.nu_str:
         raise UsageError("the two inputs carry different q or nu")
+    _require_flags_match(args, params, "the inputs")
     io = QGrid(min(f.grid.n_min, g.grid.n_min), max(f.grid.n_max, g.grid.n_max))
     plan = build_plan(params, io, _window(args))
     out = convolve(f, g, plan)
@@ -165,18 +173,16 @@ def _cmd_kernel(args):
     plan = build_plan(params, window, window)
     report = composite_kernel(spec, plan)
     _emit(args, kernel_report_to_json(report, params))
+    problems = []
+    if report.monotone_chain_ok is False:
+        problems.append("chain domination violated")
     with mp.workdps(30):
-        mass_bad = report.mass_defect > 10 * params.tol
-        # samples inside [-tol, 0] are numerical noise, not a violation
-        not_positive = report.min_value < -params.tol
-    if report.monotone_chain_ok is False or mass_bad or not_positive:
-        problems = []
-        if report.monotone_chain_ok is False:
-            problems.append("chain domination violated")
-        if mass_bad:
+        if report.mass_defect > 10 * params.tol:
             problems.append("mass defect beyond 10*tol")
-        if not_positive:
+        # samples inside [-tol, 0] are numerical noise, not a violation
+        if report.min_value < -params.tol:
             problems.append("kernel not positive")
+    if problems:
         print("property violation: " + "; ".join(problems), file=sys.stderr)
         return 4
     return 0
@@ -188,6 +194,7 @@ def _cmd_verify(args):
             only = [int(s) for s in args.only.split(",") if s.strip()]
         except ValueError:
             raise UsageError(f"cannot parse criterion list {args.only!r}")
+    _require_flags_match(args, reference_params(), "the verify suite")
     # a missing bound comes from the suite's own window, not the CLI default
     window = _window(args, REFERENCE_GRID)
     report = run_suite(only=only, precision_digits=args.digits, tol=args.tol,

@@ -14,13 +14,14 @@ against each other.
 """
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 from mpmath import mp, mpf
 
 from .core import (
     DECAY_INTEGRABLE, InvalidParams,
-    GridFunction, QGrid, QParams, decimal_str,
+    GridFunction, QGrid, QParams,
     gridfunction_to_json, gridfunction_from_json,
 )
 from .kernels import KernelSpec, gauss_kernel_grid
@@ -46,34 +47,20 @@ class CorpusEntry:
 
 def _piecewise(plan, bands):
     """Bands (lo, hi, value) in exponents on the plan's window, zero elsewhere."""
+    def value(n):
+        return next((mpf(s) for lo, hi, s in bands if lo <= n <= hi), mp.zero)
     with mp.workdps(30):
-        vals = []
-        for n in plan.out_grid.exponents():
-            v = mp.zero
-            for lo, hi, s in bands:
-                if lo <= n <= hi:
-                    v = mpf(s)
-                    break
-            vals.append(v)
-    return GridFunction(plan.out_grid, vals, DECAY_INTEGRABLE)
+        return GridFunction.from_callable(plan.out_grid, value, DECAY_INTEGRABLE)
 
 def _lorentz(plan, j):
-    """g_a at a = q^j, the transform of 1 / (1 + t^2/a^2)."""
-    with mp.workdps(40):
-        a = decimal_str(plan.params.q ** j, 30)
+    """g_a at a = q^j, the transform of 1 / (1 + t^2/a^2), with a given as
+    an exact rational string, read exactly at any precision."""
+    a = str(Fraction(plan.params.q_str) ** j)
     return transform_profile(plan, KernelSpec("0", (a,)).reciprocal_profile(plan))
 
 def _gauss(plan, c):
     """The Gauss kernel of width c on the plan's window."""
     return gauss_kernel_grid(c, plan.params, plan.out_grid)
-
-def _burst(plan, span):
-    """Alternating +1/-1 on the exponents lo..hi of span, zero elsewhere."""
-    lo, hi = span
-    with mp.workdps(30):
-        vals = [mpf(1 if n % 2 == 0 else -1) if lo <= n <= hi else mp.zero
-                for n in plan.out_grid.exponents()]
-    return GridFunction(plan.out_grid, vals, DECAY_INTEGRABLE)
 
 
 # The corpus, in manifest order: (name, builder, argument, declared V).
@@ -92,7 +79,8 @@ _MEMBERS = [
     ("lorentz_qm2", _lorentz, -2, 0),
     ("gauss_1", _gauss, "1", 0),
     ("gauss_half", _gauss, "0.5", 0),
-    ("alternating_burst", _burst, (0, 21), 21),
+    ("alternating_burst", _piecewise,
+     [(n, n, "1" if n % 2 == 0 else "-1") for n in range(22)], 21),
     ("hump_small_x", _piecewise, [(18, 30, "1")], 0),
 ]
 

@@ -265,9 +265,15 @@ def gauss_kernel_grid(c, params, grid=None):
     return GridFunction(grid, vals, DECAY_RAPID)
 
 
-def _gauss_multiplier_row(params, n, lo, hi, dps):
+GAUSS_ROW_CACHE_CAP = 32
+"""Most Gauss multiplier rows _gauss_multiplier keeps, each at most
+MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits."""
+
+@functools.lru_cache(maxsize=GAUSS_ROW_CACHE_CAP)
+def _gauss_multiplier(params, n, lo, hi, dps):
     """The spectral multiplier 1/(-q^(2n) t^2; q^2)_inf of h_(q^n) at t = q^l,
-    for l = lo..hi, at dps digits.
+    for l = lo..hi, at dps digits, packed on the lattice [lo, hi] as the
+    split integers multiply_spectrum reads, memoized.
 
     One infinite product at the small-t end l = hi, then the telescoping
     (-q^(2n+2l); q^2)_inf = (1 + q^(2n+2l)) (-q^(2n+2l+2); q^2)_inf swept
@@ -286,27 +292,17 @@ def _gauss_multiplier_row(params, n, lo, hi, dps):
             p = (1 + q2 ** (n + l)) * p
             prods.append(p)
     with mp.workdps(dps):
-        return tuple(1 / p for p in reversed(prods))
-
-GAUSS_ROW_CACHE_CAP = 32
-"""Most Gauss multiplier rows _gauss_multiplier keeps, each at most
-MAX_PLAN_POINTS samples of about 36 bytes at a plan's 75 digits."""
-
-@functools.lru_cache(maxsize=GAUSS_ROW_CACHE_CAP)
-def _gauss_multiplier(params, n, lo, hi, dps):
-    """_gauss_multiplier_row packed on the lattice [lo, hi], as the split
-    integers multiply_spectrum reads, memoized."""
-    return PackedSamples(QGrid(lo, hi), _gauss_multiplier_row(params, n, lo, hi, dps))
+        return PackedSamples(QGrid(lo, hi), [1 / p for p in reversed(prods)])
 
 def approx_identity_run(f, plan, ns=(2, 4, 6, 8)):
     """Distances ||f - f * h_(q^n)||_1 for shrinking Gauss widths q^n.
 
     The convolutions go through the spectral multiplier e(-q^(2n) t^2; q^2)
-    of the Gauss kernel, one telescoped row per n (_gauss_multiplier_row),
-    applied to f's spectrum, which is computed once for all widths and
-    read from its memoized record.  The row enters multiply_spectrum packed,
-    as its integers, from a memo keyed on the plan's params, n, lattice and
-    dps (_gauss_multiplier).
+    of the Gauss kernel, one telescoped row per n, applied to f's spectrum,
+    which is computed once for all widths and read from its memoized
+    record.  The row enters multiply_spectrum packed, as its integers, from
+    a memo keyed on the plan's params, n, lattice and dps
+    (_gauss_multiplier).
     For an approximate identity the distances must shrink as n grows.
     """
     params = plan.params

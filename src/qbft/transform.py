@@ -275,9 +275,10 @@ class LatticeRecord:
     caller's PackedSamples (multiply_spectrum).  Each row is computed when
     first read and at most once: window() computes the output window's
     rows and keeps them as one PackedSamples, which every output of the
-    record shares, and samples() computes the rows it lacks, one _matvec,
-    and keeps the whole lattice, the store spectrum() returns.  Once both
-    are kept the record drops the plan, the source and the factor.
+    record shares, and samples() reads window(), computes the other rows
+    in one _matvec and keeps the whole lattice, the store spectrum()
+    returns.  Once both are kept the record drops the plan, the source
+    and the factor.
     """
 
     __slots__ = ("params", "grid", "plan", "source", "factor", "_window", "_samples")
@@ -314,18 +315,13 @@ class LatticeRecord:
         """The PackedSamples on the plan's whole lattice."""
         if self._samples is None:
             plan = self.plan
+            wman, wexp = self.window().split()
             inner = plan.window_rows()
             head, tail = inner.start, inner.stop
-            if self._window is None:
-                mans, exps = _matvec(plan, self._vector())
-                self._window = PackedSamples.from_split(
-                    plan.out_grid, mans[head:tail], exps[head:tail])
-            else:
-                rows = [*range(head), *range(tail, plan.size())]
-                oman, oexp = _matvec(plan, self._vector(), rows)
-                wman, wexp = self._window.split()
-                mans = oman[:head] + wman + oman[head:]
-                exps = oexp[:head] + wexp + oexp[head:]
+            rows = [*range(head), *range(tail, plan.size())]
+            oman, oexp = _matvec(plan, self._vector(), rows)
+            mans = oman[:head] + wman + oman[head:]
+            exps = oexp[:head] + wexp + oexp[head:]
             self._samples = PackedSamples.from_split(self.grid, mans, exps)
             self.plan = self.source = self.factor = None
         return self._samples

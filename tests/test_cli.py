@@ -39,6 +39,21 @@ def member_file(tmp_path, name, f, params):
     return str(path)
 
 
+def small_file(tmp_path, name, values=("1", "0.5", "0")):
+    """A three-point rapid grid function on [0, 2] at q = 1/2, nu = 1/2."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"q": "0.5", "nu": "0.5", "n_min": 0, "n_max": 2,
+                                "decay_class": "rapid", "values": list(values)}))
+    return str(path)
+
+
+# --q/--nu strings that differ from a q = 1/2, nu = 1/2 input
+OTHER_FLAGS = pytest.mark.parametrize(
+    "flags", [["--q", "0.6"], ["--nu", "1"], ["--q", "0.6", "--nu", "1"]],
+    ids=["q", "nu", "both"])
+SMALL_WINDOW = ["--nmin", "0", "--nmax", "2"]
+
+
 class TestUsageGate:
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -181,6 +196,22 @@ class TestTransformCommand:
         assert main(["--nmin", "0", "--nmax", "2", "transform", "--in", str(bad)]) == 2
         assert "malformed grid function payload" in capsys.readouterr().err
 
+    @OTHER_FLAGS
+    def test_flags_differing_from_the_input_exit_2(self, tmp_path, capsys, flags):
+        src = small_file(tmp_path, "g")
+        assert main(flags + SMALL_WINDOW + ["transform", "--in", src]) == 2
+        err = capsys.readouterr().err
+        assert "differs from 0." in err and src in err
+
+    def test_flags_matching_the_input_run(self, tmp_path, capsys):
+        src = small_file(tmp_path, "g")
+        assert main(SMALL_WINDOW + ["transform", "--in", src]) == 0
+        bare = capsys.readouterr().out
+        argv = ["--q", "0.5", "--nu", "0.5"] + SMALL_WINDOW + ["transform", "--in", src]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == bare
+        assert json.loads(bare)["q"] == "0.5"
+
     def test_integral_bounds_still_parse(self):
         f, _ = gridfunction_from_json(json.dumps(
             {"q": "0.5", "nu": "0.5", "n_min": 0.0, "n_max": "2",
@@ -210,6 +241,20 @@ class TestConvolveCommand:
         fb = member_file(tmp_path, "b", members["const_plus"], other)
         assert main(["convolve", "--in", fa, "--in2", fb]) == 2
         assert "different q" in capsys.readouterr().err
+
+    @OTHER_FLAGS
+    def test_flags_differing_from_the_inputs_exit_2(self, tmp_path, capsys, flags):
+        fa, fb = small_file(tmp_path, "a"), small_file(tmp_path, "b", ("0", "1", "1"))
+        assert main(flags + SMALL_WINDOW + ["convolve", "--in", fa, "--in2", fb]) == 2
+        assert "differs from 0." in capsys.readouterr().err
+
+    def test_flags_matching_the_inputs_run(self, tmp_path, capsys):
+        fa, fb = small_file(tmp_path, "a"), small_file(tmp_path, "b", ("0", "1", "1"))
+        assert main(SMALL_WINDOW + ["convolve", "--in", fa, "--in2", fb]) == 0
+        bare = capsys.readouterr().out
+        argv = ["--q", "0.5", "--nu", "0.5"] + SMALL_WINDOW
+        assert main(argv + ["convolve", "--in", fa, "--in2", fb]) == 0
+        assert capsys.readouterr().out == bare
 
 
 class TestKernelCommand:
@@ -302,6 +347,16 @@ class TestVerifyCommand:
             return line.rsplit("(", 1)[0]
         assert criterion_2(["--nmax", "64"]) == criterion_2([])
         assert criterion_2(["--nmin", "-24"]) == criterion_2([])
+
+    @OTHER_FLAGS
+    def test_flags_differing_from_the_reference_exit_2(self, capsys, flags):
+        assert main(flags + ["verify", "--only", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "the verify suite" in captured.err and captured.out == ""
+
+    def test_flags_matching_the_reference_run(self, capsys):
+        assert main(["--q", "0.5", "--nu", "0.5", "verify", "--only", "2"]) == 0
+        assert "ALL PASS" in capsys.readouterr().out
 
     def test_violated_criterion_exits_4(self, capsys):
         assert main(["verify", "--only", "8"]) == 4

@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp, mpf
 
 from qbft.core import DECAY_INTEGRABLE, DECAY_RAPID
+from qbft.kernels import KernelSpec
 from qbft.corpus import (
     MEMBER_ORDER,
     REFERENCE_GRID,
@@ -16,6 +17,7 @@ from qbft.corpus import (
     reference_params,
     write_corpus,
 )
+from qbft.transform import build_plan, transform_profile
 from qbft.variation import sign_changes
 
 RAPID_MEMBERS = {"lorentz_q2", "lorentz_1", "lorentz_qm2", "gauss_1",
@@ -90,6 +92,17 @@ class TestRegeneration:
             with open(str(tmp_path / fn)) as fh:
                 got = fh.read()
             assert got == want, fn
+
+    def test_lorentz_scales_are_exact_rationals(self):
+        # at q = 0.6 the scale q^-2 = 25/9 has no finite decimal form, so a
+        # scale rounded to a decimal string moves the member
+        plan = build_plan(reference_params().replace(q="0.6"), REFERENCE_GRID)
+        built = {e.name: e.f for e in build_corpus(plan=plan)}
+        for name, a in (("lorentz_q2", "9/25"), ("lorentz_1", "1"),
+                        ("lorentz_qm2", "25/9")):
+            want = transform_profile(plan, KernelSpec("0", (a,)).reciprocal_profile(plan))
+            assert [v._mpf_ for v in built[name].values] == [
+                v._mpf_ for v in want.values], name
 
     def test_manifest_parameters(self):
         shipped_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)),

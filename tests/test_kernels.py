@@ -35,7 +35,6 @@ from qbft.core import (
     jackson_integral_infinite,
     q_bessel_operator,
     qpochhammer_infinite,
-    split_mpf,
 )
 from qbft.bessel import g_a, g_a_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
@@ -51,7 +50,6 @@ from qbft.kernels import (
     KERNEL_CACHE_CAP,
     KernelSpec,
     _gauss_multiplier,
-    _gauss_multiplier_row,
     _is_divergent,
     _kernel_record,
     approx_identity_run,
@@ -393,7 +391,7 @@ class TestGaussMultiplierRow:
         ls = (range(lo, hi + 1) if q == "0.5"
               else sorted({lo, lo + 1, hi - 1, hi, *range(lo, hi, (hi - lo) // 12)}))
         for n in (2, 4, 6, 8):
-            row = _gauss_multiplier_row(params, n, lo, hi, dps)
+            row = _gauss_multiplier(params, n, lo, hi, dps).values
             assert len(row) == hi - lo + 1
             for l in ls:
                 want = per_point_multiplier(params, n, l, dps)
@@ -413,7 +411,7 @@ class TestGaussMultiplierRow:
         dps = params.precision_digits + 15
         assert hi - lo + 1 > 1000
         n = 2
-        row = _gauss_multiplier_row(params, n, lo, hi, dps)
+        row = _gauss_multiplier(params, n, lo, hi, dps).values
         with mp.workdps(dps):
             bound = mpf(10) ** (-dps - 6) + mp.eps
         for l in (lo, lo + 1, lo + 50, (lo + hi) // 2, hi):
@@ -463,7 +461,6 @@ class TestApproxIdentity:
         args = (params, 2, plan.lat_lo, plan.lat_hi, plan.dps)
         row = _gauss_multiplier(*args)
         assert row.grid == plan.lattice_grid()
-        assert row.split() == split_mpf(_gauss_multiplier_row(*args))
         assert _gauss_multiplier(*args) is row
         assert _gauss_multiplier.cache_info().maxsize == GAUSS_ROW_CACHE_CAP
 
@@ -473,7 +470,7 @@ class TestApproxIdentity:
         ns = (2, 4)
         want = []
         for n in ns:
-            row = _gauss_multiplier_row(params, n, plan.lat_lo, plan.lat_hi, plan.dps)
+            row = _gauss_multiplier(params, n, plan.lat_lo, plan.lat_hi, plan.dps).values
             conv = apply_multiplier(plan, f, lambda l, row=row: row[l - plan.lat_lo])
             with mp.workdps(plan.dps):
                 diff = GridFunction(f.grid, [a - b for a, b in zip(f.values, conv.values)],
@@ -491,9 +488,10 @@ class TestApproxIdentity:
         monkeypatch.setattr(qbft.transform, "_matvec", counted)
         run = approx_identity_run(f, plan, ns)
         assert [d._mpf_ for _, d in run] == want
-        # the whole lattice once, then each width's window
+        # the whole lattice once, as its window then the rest, then each
+        # width's window
         window = len(plan.window_rows())
-        assert calls == [plan.size()] + [window] * len(ns)
+        assert calls == [window, plan.size() - window] + [window] * len(ns)
         # a repeat call computes no row of f's spectrum
         del calls[:]
         again = approx_identity_run(f, plan, ns)

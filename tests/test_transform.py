@@ -13,6 +13,7 @@ import pickle
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -43,7 +44,7 @@ import qbft.transform
 from qbft import bessel
 from qbft.bessel import g_a_lattice, j_nu_lattice
 from qbft.corpus import REFERENCE_GRID, load_corpus, reference_params
-from qbft.kernels import _gauss_multiplier_row, approx_identity_run
+from qbft.kernels import KernelSpec, _gauss_multiplier, approx_identity_run
 from qbft.variation import vd_check
 from qbft.transform import (
     MAX_PLAN_POINTS,
@@ -254,10 +255,17 @@ NU_STRS = st.decimals("-0.99", "2", places=2).map(str)
 STEPS = st.lists(st.integers(-9, 9), min_size=9, max_size=9)
 
 
+HEAD_DEFECT = pytest.mark.xfail(strict=True, reason=(
+    "plan_window's fixed head -io_hi - 25 certifies nothing at q near 1: at q = 0.9 "
+    "the transform misses g_a(q^12) at a = q^-2 by 1.4e-29 (nu = 0) and 9.7e-29 "
+    "(nu = 2) relative to the window's sup"))
+
+
 class TestPromisedParameterSpace:
     """fourier inverts itself over q in [0.1, 0.9] and nu in (-1, 2] on the
     window [-2, 6], through its lattice record: to 10^-50 at 60 digits, or a
-    typed refusal before the work it refuses."""
+    typed refusal before the work it refuses.  The Lorentz pair holds on
+    the window [-4, 12] to 10^-(digits-10) of its sup, or is refused."""
 
     @given(q=Q_STRS, nu=NU_STRS, steps=STEPS)
     @example(q="0.7", nu="-0.9", steps=[9, -9, 1, 0, 0, 5, -2, 7, -1])
@@ -282,6 +290,26 @@ class TestPromisedParameterSpace:
         back = fourier(fourier(f, plan), plan)
         with mp.workdps(plan.dps):
             assert supdiff(back, f) <= mpf(10) ** -50
+
+    @pytest.mark.parametrize("q, nu", [
+        pytest.param(q, nu, marks=HEAD_DEFECT if (q, nu) in (("0.9", "0"), ("0.9", "2")) else ())
+        for q in ("0.1", "0.5", "0.8", "0.9") for nu in ("-0.9", "0", "2")])
+    def test_lorentz_pair_or_refuses(self, q, nu):
+        # the transform of 1/(1 + t^2/a^2) against per-point g_a, for the
+        # scales a = q^-2, 1, q^2 given as exact rationals
+        p = QParams(q=q, nu=nu)
+        grid = QGrid(-4, 12)
+        try:
+            plan = build_plan(p, grid)
+        except (WindowError, PrecisionExhausted):
+            return
+        for j in (-2, 0, 2):
+            a = str(Fraction(q) ** j)
+            got = transform_profile(plan, KernelSpec("0", (a,)).reciprocal_profile(plan))
+            want = [g_a_lattice(n, a, p) for n in grid.exponents()]
+            with mp.workdps(plan.dps):
+                err = max(abs(x - y) for x, y in zip(got.values, want))
+                assert err <= mpf(10) ** (10 - p.precision_digits) * max(map(abs, want)), a
 
 
 class TestSpectrum:
@@ -457,7 +485,6 @@ class TestPendingRecord:
                                          cold_memos):
         f = members["step_two_flips"]
         win = (plan.size(), window_rows(plan))
-        full = (plan.size(), all_rows(plan))
         off = (plan.size(), tuple(r for r in all_rows(plan) if r not in window_rows(plan)))
         out = fourier(f, plan)
         transform_profile(plan, lambda l: mpf(1) / (1 + mpf(2) ** (-2 * l)))
@@ -473,10 +500,11 @@ class TestPendingRecord:
         assert spectrum(f, plan).samples is first
         assert matvec_rows == []
         # f's spectrum is read from its record: only the products' windows
-        # and gauss_1's and lorentz_1's spectra are computed
+        # and gauss_1's and lorentz_1's spectra, each its window then the
+        # rest, are computed
         approx_identity_run(f, plan, (2, 4))
         vd_check(members["gauss_1"], [f, members["lorentz_1"]], plan)
-        assert matvec_rows == [win, win, full, win, full, win]
+        assert matvec_rows == [win, win, win, off, win, win, off, win]
         # the Gauss widths are caller multipliers, computed again; the
         # convolutions are memoized and computed once
         del matvec_rows[:]
@@ -663,11 +691,12 @@ class TestRecordMemo:
                 vd_check(g, [f], plan)
             return convolve(f, g, plan)
 
-        full = (plan.size(), all_rows(plan))
         win = (plan.size(), window_rows(plan))
+        off = (plan.size(), tuple(r for r in all_rows(plan) if r not in window_rows(plan)))
+        # each spectrum is its window, then the rest of the lattice
         first = run()
-        assert matvec_rows == ([full, win] if route.startswith("translate")
-                               else [full, full, win])
+        assert matvec_rows == ([win, off, win] if route.startswith("translate")
+                               else [win, off, win, off, win])
         del matvec_rows[:]
         again = run()
         assert matvec_rows == []
@@ -873,7 +902,7 @@ class TestIntegerPipeline:
     def test_reference_plan_equals_the_mpf_route(self, params, plan, members):
         # the Gauss row of approx_identity_run as the multiplier, and a g of
         # two points, one each side of x = 1, to keep the mpf route short
-        factors = _gauss_multiplier_row(params, 2, plan.lat_lo, plan.lat_hi, plan.dps)
+        factors = _gauss_multiplier(params, 2, plan.lat_lo, plan.lat_hi, plan.dps).values
         g = GridFunction.from_callable(REFERENCE_GRID, lambda n: mpf(n in (-3, 20)),
                                        DECAY_RAPID)
         for name in ("step_two_flips", "gauss_1", "alternating_burst"):

@@ -195,14 +195,18 @@ class TestVdCheck:
         matvec = qbft.transform._matvec
 
         def counted(plan, vec, rows=None):
-            calls.append("window" if rows is not None else "lattice")
+            inner = list(plan.window_rows())
+            rest = [r for r in range(plan.size()) if r not in inner]
+            got = list(range(plan.size()) if rows is None else rows)
+            calls.append("window" if got == inner else "rest" if got == rest else got)
             return matvec(plan, vec, rows)
 
         monkeypatch.setattr(qbft.transform, "_matvec", counted)
         functions = [members[n] for n in ("step_one_flip", "gauss_1", "lorentz_1")]
         first = vd_check(two_zero_kernel, functions, plan)
-        # the kernel's spectrum, then each function's and its convolution's window
-        assert calls == ["lattice"] + ["lattice", "window"] * len(functions)
+        # the kernel's spectrum, then each function's and its convolution's
+        # window; each spectrum is its window, then the rest of the lattice
+        assert calls == ["window", "rest"] + ["window", "rest", "window"] * len(functions)
         # a repeat call computes no row: each convolution is memoized
         del calls[:]
         assert vd_check(two_zero_kernel, functions, plan).rows == first.rows
