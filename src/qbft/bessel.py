@@ -21,6 +21,7 @@ remain an independent oracle for the rows.  Lattice rows (j_nu_lattice_row,
 lattice_weights) come split, as the integers core.exact_dot reads.
 """
 
+import decimal
 import functools
 import math
 
@@ -28,20 +29,31 @@ import mpmath
 from mpmath import mp, mpf
 
 from .core import (
-    DomainError, Overflow, PrecisionExhausted, ConstancyViolation, WindowError,
-    LATTICE_DPS, QParams, constants, exact_dot, lattice_exponent, materialize,
-    nearest_exponent, parse_number, split_mpf, split_products,
+    DomainError, InvalidParams, Overflow, PrecisionExhausted, ConstancyViolation,
+    WindowError, LATTICE_DPS, QParams, constants, exact_dot, lattice_exponent,
+    materialize, nearest_exponent, parse_number, split_mpf, split_products,
 )
 
 
 class BesselEval:
-    """Certified series evaluation: value plus the evidence for trusting it."""
+    """Certified series evaluation: value plus the evidence for trusting it.
+
+    Read-only, since the series memo (_series) hands one instance to every
+    call with the same inputs."""
+
+    __slots__ = ("value", "terms_used", "max_term_magnitude", "precision_used")
 
     def __init__(self, value, terms_used, max_term_magnitude, precision_used):
-        self.value = value
-        self.terms_used = terms_used
-        self.max_term_magnitude = max_term_magnitude
-        self.precision_used = precision_used
+        for name, v in zip(self.__slots__,
+                           (value, terms_used, max_term_magnitude, precision_used)):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BesselEval is read-only: cannot set {name}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, not the blocked setattr
+        return BesselEval, tuple(getattr(self, name) for name in self.__slots__)
 
     def digits_lost(self):
         """Decimal digits cancelled between the largest term and the result."""
@@ -82,10 +94,22 @@ def decay_bound_log10(s, params):
     return base - (s * s - (2 * nu + 1) * s) * lq
 
 
+SERIES_CACHE_CAP = 1024
+"""Most series evaluations _series keeps.  An entry holds x^2, the value
+and the largest term, each at its dps, so at j_nu's top rung (8 x digits +
+10 dps) it takes at most about 11 x digits + 1100 bytes: about 1.8 MB for
+the whole memo at 60 digits.  Entries of j_nu, i_nu and d_nu at 60 digits
+average about 630 bytes."""
+
+@functools.lru_cache(maxsize=SERIES_CACHE_CAP)
 def _series(x2, sign, q_str, nu_str, dps):
     """The power series of j_nu (sign -1) or i_nu (sign +1) at x^2 = x2 and
     dps digits: term n+1 is term n times sign * num * x2 / den, with
     (num, den) from _term_ratio.
+
+    Memoized on all five inputs, which are all its bits depend on (x2 by
+    value), so j_nu and i_nu sum each series once; the returned BesselEval
+    is read-only and shared.
 
     The sum stops before the first term below 10^-(dps+3) times the larger
     of the largest term and |total|, and does not add it.  The term ratio
@@ -152,10 +176,16 @@ def _rung(work):
 
 @functools.lru_cache(maxsize=LATTICE_CACHE_CAP)
 def _lattice_series(q_str, nu_str, s, rung):
-    """The series for j_nu(q^s) at rung dps: its value and the digits it lost."""
+    """The series for j_nu(q^s) at rung dps: its value and the digits it lost.
+
+    It keeps a memo of its own, keyed by the exponent s and the rung, so a
+    warm call skips the power q^(2s) that a _series key needs, and
+    LATTICE_CACHE_CAP bounds it alone.  It sums through the unmemoized
+    series (_series.__wrapped__), so no lattice value is stored twice.
+    """
     with mp.workdps(rung):
         x2 = materialize(q_str, mp.prec) ** (2 * s)
-    ev = _series(x2, -1, q_str, nu_str, rung)
+    ev = _series.__wrapped__(x2, -1, q_str, nu_str, rung)
     return ev.value, ev.digits_lost()
 
 def j_nu_lattice(s, params, digits=None):
@@ -297,6 +327,8 @@ def i_nu(x, params):
 
     _series with sign +1 at dps = digits + 20; its early exit leaves every
     bit of the total.  Order nu + 1 is i_nu(x, params.replace(nu=...)).
+    The series is memoized by _series on (x^2, q, nu, dps), so a repeated
+    i_nu sums nothing.
     """
     with params.working(20):
         xv = parse_number(x, "x")
@@ -398,10 +430,22 @@ def lattice_weights(params, lo, hi):
     (mantissas, exponents) pair of lists, as core.split_mpf splits."""
     return _split_weights(params, None, lo, hi)
 
+QUADRATURE_CACHE_CAP = 1024
+"""Most sums _quadrature keeps.  An entry holds its key and the sum; a and
+the sum are at dps, at most the top rung of 8 x digits, so it takes at most
+about 7 x digits + 800 bytes: about 1.3 MB for the whole memo at 60 digits.
+Entries of g_a and d_nu at 60 digits average about 420 bytes."""
+
+@functools.lru_cache(maxsize=QUADRATURE_CACHE_CAP)
 def _quadrature(ks, est, start, dps, a, power, params):
     """c^power (1-q) sum_l w(l) prod_(k in ks) j(q^(k+l)) at dps, over
     quadrature_range(ks, est, start): w(l) is the plain lattice weight if
     a is None, else g_a's Lorentz weight for a, an mpf at dps.
+
+    Memoized on all seven arguments (a by value), which are all its bits
+    depend on, so g_a, k_nu, triple_kernel and d_nu sum each quadrature
+    once.  A refusal (PrecisionExhausted, WindowError) is raised on every
+    call and never stored.
 
     The inputs arrive split: the weights from their block memo and the j
     row from its certified-row memo, both as the integer mantissas and
@@ -447,7 +491,9 @@ def g_a_lattice(k, a, params):
     oscillatory region.  a's nearest lattice exponent, which sizes the
     precision, comes from core.nearest_exponent, the rule lattice_exponent
     applies to points; a is parsed once at its LATTICE_DPS digits and once
-    at the working precision, where it keys the weight blocks.
+    at the working precision, where it keys the weight blocks.  The sum is
+    read from _quadrature's memo, keyed by (k,), its precision, head and a
+    at that precision: k_nu(q^k) and g_a(q^k, 1) share one entry.
     """
     if not isinstance(k, int):
         raise DomainError("lattice evaluation needs an integer exponent")
@@ -509,18 +555,31 @@ def g_a(x, a, params):
     k = lattice_exponent(x, params)
     return g_a_lattice(k, a, params)
 
+def _next_order(params):
+    """params at order nu + 1, summed exactly from nu's decimal string: the
+    context holds every digit from the sum's carry down to nu's last one.
+    A sum of more than 4000 digits raises InvalidParams, as QParams could
+    not parse it (Python's int string limit is 4300 digits)."""
+    nu = decimal.Decimal(params.nu_str)
+    width = max(nu.adjusted(), 0) + 2 - min(nu.as_tuple().exponent, 0)
+    if width > 4000:
+        raise InvalidParams(f"nu + 1 needs {width} digits to be exact, beyond 4000")
+    return params.replace(nu=str(decimal.Context(prec=width).add(nu, 1)))
+
 def d_nu(params, with_spread=False):
     """Wronskian-type constant combining K and i at neighbouring orders.
 
     Evaluates x^(2(nu+1)) [ K_nu(x) i_(nu+1)(x) / (1 - q^(2nu+2))
     + K_(nu+1)(x) i_nu(x) ] at x = q^n for n = 3, 6, 9, 12, 15; the spread
     must stay below ten times the tolerance or ConstancyViolation is raised.
+    Order nu + 1 is exact (_next_order).  Its K and i values come from the
+    quadrature and series memos, so a repeated d_nu sums nothing.
     Returns the mean, or (mean, spread) when asked.
     """
     with params.working(20):
         q = params.q
         nu = params.nu
-        up = params.replace(nu=mp.nstr(nu + 1, 50))
+        up = _next_order(params)
         vals = []
         for n in (3, 6, 9, 12, 15):
             x = q ** n

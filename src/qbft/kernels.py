@@ -346,6 +346,9 @@ def order_diagnostic(G, params, candidates=None, points=16, slack="1e-8"):
         candidates = [params.q ** m for m in range(-8, 13)]
     points = min(points, len(G.grid))
     slack = parse_number(slack, "slack")
+    # bessel's quadrature memo holds the sums; this local one also remembers
+    # each refusal, which an lru_cache never stores, so a refused exponent
+    # is tried once per call, not once per candidate scale
     kcache = {}
     def k_at(e):
         if e not in kcache:

@@ -14,6 +14,7 @@ import inspect
 import io
 import itertools
 import json
+import pickle
 import time
 
 import mpmath
@@ -27,6 +28,7 @@ from qbft.core import (
     ConstancyViolation,
     DomainError,
     GridFunction,
+    InvalidParams,
     PrecisionExhausted,
     QGrid,
     QParams,
@@ -179,6 +181,14 @@ class TestOscillatorySeries:
         assert ev.max_term_magnitude >= abs(ev.value)
         assert ev.digits_lost() + params.precision_digits + 10 <= ev.precision_used
         assert "BesselEval" in repr(ev)
+        # the series memo shares ev with every later j_nu("8", params)
+        with pytest.raises(AttributeError):
+            ev.value = mpf(0)
+        assert j_nu("8", params) is ev
+        back = pickle.loads(pickle.dumps(ev))
+        assert (back.value._mpf_, back.terms_used, back.max_term_magnitude._mpf_,
+                back.precision_used) == (ev.value._mpf_, ev.terms_used,
+                                         ev.max_term_magnitude._mpf_, ev.precision_used)
 
     def test_precision_escalates_for_deep_cancellation(self, params):
         ev = j_nu(str(2 ** 12), params)  # q^-12: two ladder rungs are too small
@@ -634,13 +644,33 @@ class TestWeightTable:
     @pytest.mark.parametrize("nu", ["-0.5", "0", "1"])
     def test_g_a_cold_equals_warm(self, nu, cold_memos):
         p = QParams(nu=nu)
-        args = [(k, a) for k in (-3, 0, 4) for a in ("0.25", "1", "4")]
+        with mp.workdps(p.precision_digits + 40):
+            point = {k: p.q ** k for k in (-2, -1, 0, 2, 3, 4)}
+        calls = ([functools.partial(g_a_lattice, k, a, p)
+                  for k in (-3, 0, 4) for a in ("0.25", "1", "4")]
+                 + [functools.partial(k_nu, point[k], p) for k in (-1, 3)]
+                 + [functools.partial(triple_kernel, *(point[k] for k in ks), p)
+                    for ks in ((-2, 0, 3), (2, -1, 4))])
         cold = []
-        for k, a in args:
+        for call in calls:
             cold_memos()
-            cold.append(g_a_lattice(k, a, p))
-        warm = [g_a_lattice(k, a, p) for k, a in args]
-        assert [v._mpf_ for v in cold] == [v._mpf_ for v in warm]
+            cold.append(call())
+        warm = [call() for call in calls]
+        # every sum is in the quadrature memo now, and reads the same
+        memo = bessel._quadrature.cache_info()
+        again = [call() for call in calls]
+        assert bessel._quadrature.cache_info().hits == memo.hits + len(calls)
+        assert ([v._mpf_ for v in cold] == [v._mpf_ for v in warm]
+                == [v._mpf_ for v in again])
+        # k_nu(x) is g_a(x, 1): one entry
+        cold_memos()
+        assert k_nu(point[2], p)._mpf_ == g_a(point[2], 1, p)._mpf_
+        assert bessel._quadrature.cache_info() == (1, 1, bessel.QUADRATURE_CACHE_CAP, 1)
+        # a refusal is raised again on every call and never stored
+        for _ in range(2):
+            with pytest.raises(PrecisionExhausted):
+                g_a_lattice(-40, "1", p)
+        assert bessel._quadrature.cache_info()[1:] == (3, bessel.QUADRATURE_CACHE_CAP, 1)
 
     def test_i_nu_and_d_nu_cold_equal_warm(self, cold_memos):
         # i_nu at 100 digits and j_nu_lattice at s >= 0 both run at 120 dps,
@@ -658,16 +688,24 @@ class TestWeightTable:
                   for x in xs for o in orders]
                  + [functools.partial(lattice, s) for s in (0, 2, 5)]
                  + [functools.partial(series, x) for x in ("2.5", "7")]
-                 + [lambda: [d_nu(p)]])
+                 + [lambda: [d_nu(p)], lambda: [d_nu(orders[1])]])
         cold = []
         for call in calls:
             cold_memos()
             cold.append(call())
         # backwards, so every call finds the ratios of the calls after it
         warm = [call() for call in reversed(calls)][::-1]
+        # every series and quadrature is in its memo now
+        misses = [memo.cache_info().misses for memo in (bessel._series, bessel._quadrature)]
+        again = [call() for call in calls]
+        assert [memo.cache_info().misses
+                for memo in (bessel._series, bessel._quadrature)] == misses
         def raw(rows):
             return [[v._mpf_ for v in row] for row in rows]
-        assert raw(cold) == raw(warm)
+        assert raw(cold) == raw(warm) == raw(again)
+        for memo, cap in ((bessel._series, bessel.SERIES_CACHE_CAP),
+                          (bessel._quadrature, bessel.QUADRATURE_CACHE_CAP)):
+            assert 0 < memo.cache_info().currsize <= memo.cache_info().maxsize == cap
 
     def test_weights_are_the_plain_expression(self, params, cold_memos):
         with mp.workdps(90):
@@ -921,6 +959,8 @@ class TestSplitInputs:
         monkeypatch.setattr(bessel, "split_mpf", lambda v: splits.append(v) or split(v))
         memos = (core.materialize, core._log_q, core._constants,
                  bessel._weight_block, bessel._certified_row)
+        # sum again from the warm inputs, not from the memo of the sums
+        bessel._quadrature.cache_clear()
         before = [memo.cache_info().misses for memo in memos]
         assert g_a(x, a, p)._mpf_ == first._mpf_
         # three columns: two are multiplied in on their integers
@@ -954,6 +994,19 @@ class TestWronskianConstant:
     def test_constancy_gate_trips_on_unreachable_tolerance(self, params):
         with pytest.raises(ConstancyViolation):
             d_nu(params.replace(tol="1e-90"))
+
+    @pytest.mark.parametrize("nu", ["0.5" + "0" * 52 + "7", "0.5" + "0" * 50 + "7"])
+    def test_order_nu_plus_one_is_exact(self, nu):
+        # nu's last digit lies past the 50th: an order nu + 1 rounded there
+        # mixes two orders, whose spread (9.6e-53, 9.6e-51) exceeds 10 tol
+        p = QParams(nu=nu, precision_digits=90, tol="1e-85")
+        mean, spread = d_nu(p, with_spread=True)
+        assert spread < mpf("1e-105")
+        assert bessel._next_order(p).nu_str == "1." + nu[2:]
+        assert bessel._next_order(QParams(nu="-0.5")).nu_str == "0.5"
+        assert bessel._next_order(QParams(nu="5e-7")).nu_str == "1.0000005"
+        with pytest.raises(InvalidParams):
+            bessel._next_order(QParams(nu="1e-999999999"))
 
 
 class TestDerivativeRelations:
