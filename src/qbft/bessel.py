@@ -24,14 +24,16 @@ lattice_weights) come split, as the integers core.exact_dot reads.
 import decimal
 import functools
 import math
+import sys
 
 import mpmath
 from mpmath import mp, mpf
 
 from .core import (
-    DomainError, InvalidParams, Overflow, PrecisionExhausted, ConstancyViolation,
-    WindowError, LATTICE_DPS, QParams, constants, exact_dot, lattice_exponent,
-    materialize, nearest_exponent, parse_number, split_mpf, split_products,
+    DomainError, InvalidParams, NonConvergent, Overflow, PrecisionExhausted,
+    ConstancyViolation, WindowError, LATTICE_DPS, POCHHAMMER_CAP, constants,
+    exact_dot, lattice_exponent, materialize, nearest_exponent, parse_number,
+    split_mpf, split_products,
 )
 
 
@@ -76,13 +78,60 @@ def bound_constant(params):
     with mp.workdps(dps):
         return k.B_q_nu / k.c_q_nu
 
+BOUND_TERMS = 100_000
+"""Most terms of each product _log10_bound_constant sums one by one."""
+
 @functools.lru_cache(maxsize=256)
 def _log10_bound_constant(q_str, nu_str):
-    """log10 of bound_constant for q and nu, at least 2.0; a float needs
-    no more than 15 digits of the constant."""
-    k = constants(QParams(q=q_str, nu=nu_str), 15)
-    with mp.workdps(15):
-        return max(2.0, math.log10(k.B_q_nu / k.c_q_nu))
+    """An upper bound on log10 of bound_constant for q and nu, at least 2.0,
+    in floats: no product is multiplied out.
+
+    With s = q^2 and t = q^(2nu+2), ln(B_q_nu / c_q_nu) is the sum over
+    i >= 0 of ln(1 + s^(i+1)) + ln(1 + t s^i) - ln(1 - t s^i), all
+    positive; ln(1 - t) is taken through expm1, so a t near 1 keeps its
+    distance from 1.  The terms are summed by log1p while s^(i+1) or
+    t s^i exceeds 2^-80, at most BOUND_TERMS of them.  Past the last, at
+    p = s^(n+1) and u = t s^n, ln(1 + x) <= x and -ln(1 - x) <= x / (1 - x)
+    bound the three tails by p / (1 - s), u / (1 - s) and
+    u / ((1 - u) (1 - s)).  Rounding moves the total by far less than 1e-9
+    of itself: q and 2nu + 2 are rounded to floats, each power takes at
+    most BOUND_TERMS roundings and each log1p one more, so with every term
+    positive the sum is within about 3 x BOUND_TERMS ulps (4e-11) of itself
+    relative, more only for a t within about 1e-5 of 1, where ln(1 - t)
+    magnifies t's rounding.  The bound is the total raised by 1e-9
+    relative.
+
+    Near q = 1 it refuses and overflows where the constants at 15 digits
+    did, so every caller sees the refusals it saw when the bound was their
+    quotient: NonConvergent where one of their products (first term t or s,
+    base s) needs more than POCHHAMMER_CAP factors to fall below their
+    10^-39 threshold, and infinity for a bound past log10 of the largest
+    float (a t that rounds to 1 gives infinity too).
+    """
+    q = float(q_str)
+    s = q * q
+    log_t = float(2 * decimal.Decimal(nu_str) + 2) * math.log(q)
+    first = max(s, math.exp(log_t))
+    if s >= 1.0 or 0 < s and first > 1e-39 and (
+            math.log(1e-39 / first) / math.log(s) > POCHHAMMER_CAP):
+        raise NonConvergent("pochhammer truncation did not reach threshold")
+    if log_t == 0.0:
+        return math.inf
+    u = math.exp(log_t)
+    total = math.log1p(s) + math.log1p(u) - math.log(-math.expm1(log_t))
+    p = s * s
+    u *= s
+    n = 1
+    while max(p, u) > 2.0 ** -80 and n < BOUND_TERMS:
+        total += math.log1p(p) + math.log1p(u) - math.log1p(-u)
+        p *= s
+        u *= s
+        n += 1
+    total += (p + u + u / (1 - u)) / (1 - s)
+    bound = total * (1 + 1e-9) / math.log(10)
+    if bound > math.log10(sys.float_info.max):
+        return math.inf
+    return max(2.0, bound)
 
 def decay_bound_log10(s, params):
     """log10 of the envelope bound for |j_nu(q^s)|; quadratic decay for s < 0."""
@@ -484,34 +533,61 @@ def _quadrature(ks, est, start, dps, a, power, params):
         scale = c if power == 1 else c * c
         return +(scale * (1 - params.q) * total)
 
-def g_a_lattice(k, a, params):
-    """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
-
-    Summed over quadrature_range; for k > 0 the head starts beyond j's
-    oscillatory region.  a's nearest lattice exponent, which sizes the
-    precision, comes from core.nearest_exponent, the rule lattice_exponent
-    applies to points; a is parsed once at its LATTICE_DPS digits and once
-    at the working precision, where it keys the weight blocks.  The sum is
-    read from _quadrature's memo, keyed by (k,), its precision, head and a
-    at that precision: k_nu(q^k) and g_a(q^k, 1) share one entry.
-    """
-    if not isinstance(k, int):
-        raise DomainError("lattice evaluation needs an integer exponent")
+@functools.lru_cache(maxsize=QUADRATURE_CACHE_CAP)
+def _g_a_arguments(k, kind, a, params):
+    """g_a_lattice's quadrature arguments (est, start, dps, a at dps) for
+    g_a(q^k) at scale a, memoized on (k, type(a), a, params), all their bits
+    depend on.  An entry holds its node, key and dict slot, three small
+    numbers and a at dps, or None where dps is above the top rung of
+    8 x digits (_quadrature refuses that sum, and g_a_lattice parses a for
+    it on each call), so it takes at most about 3.3 x digits + 500 bytes,
+    and keeps the caller's a alive, which adds a's own size: about 0.7 MB
+    for the whole memo at 60 digits with short arguments.  Entries of
+    130-digit strings at 60 digits average about 460 bytes beside a."""
     lq = params.log10_inv_q
     nu = params.nu_float
     with mp.workdps(LATTICE_DPS):
         av = parse_number(a, "a")
         if av <= 0:
             raise DomainError("scale a must be positive")
-    shift, _ = nearest_exponent(av, params)
+    shift, _ = nearest_exponent(av, params.q_str)
     m_eff = max(0, -(k + shift))
     est = envelope_scale(m_eff, params)
     max_weight = (m_eff * (2 * nu + 2)) * lq if m_eff > 0 else 0.0
     digits = params.precision_digits
     dps = int(digits + est + max_weight + 30)
     start = -k - math.ceil(math.sqrt((digits + est) / lq)) - 6 if k > 0 else -4
+    if dps > 8 * digits:
+        # _quadrature refuses this sum: a is not kept above the top rung
+        return est, start, dps, None
     with mp.workdps(dps):
-        a_dps = parse_number(a, "a")
+        return est, start, dps, parse_number(a, "a")
+
+def g_a_lattice(k, a, params):
+    """g_a(q^k) for integer k: c (1-q) sum_l q^(l(2nu+2)) j(q^(k+l)) / (1 + q^(2l)/a^2).
+
+    Summed over quadrature_range; for k > 0 the head starts beyond j's
+    oscillatory region.  a's nearest lattice exponent, which sizes the
+    precision, comes from core.nearest_exponent, the rule lattice_exponent
+    applies to points.  The quadrature's arguments, its envelope scale,
+    head and precision and a at that precision, where a keys the weight
+    blocks, are memoized on (k, type(a), a, params) by _g_a_arguments, at
+    most QUADRATURE_CACHE_CAP of them; the type is in the key because equal
+    values of two types parse apart (0.1 == mpf(0.1), but a float is read
+    through its repr).  A refusal is never stored, and an unhashable a is
+    refused by parse_number.  The sum is read from _quadrature's memo,
+    keyed by (k,), its precision, head and a at that precision: k_nu(q^k)
+    and g_a(q^k, 1) share one entry.
+    """
+    if not isinstance(k, int):
+        raise DomainError("lattice evaluation needs an integer exponent")
+    try:
+        est, start, dps, a_dps = _g_a_arguments(k, type(a), a, params)
+    except TypeError:
+        est, start, dps, a_dps = _g_a_arguments.__wrapped__(k, type(a), a, params)
+    if a_dps is None:
+        with mp.workdps(dps):
+            a_dps = parse_number(a, "a")
     return _quadrature((k,), est, start, dps, a_dps, 1, params)
 
 def triple_kernel(x, y, z, params):
@@ -524,6 +600,11 @@ def triple_kernel(x, y, z, params):
     D is certified on the absolute scale q^(-min(ks)(2nu+2)) of its terms,
     not relative to D: where D is a deep cancellation of such terms it has
     no relative accuracy, and may even come out with the wrong sign.
+
+    Each point's exponent is read from lattice_exponent's memo, keyed by
+    (type, value, q), and the sum from _quadrature's, keyed by the
+    exponents in the order given, so each order of the points keeps its
+    own bits.  A refusal is never stored.
     """
     ks = tuple(lattice_exponent(v, params, n) for v, n in zip((x, y, z), "xyz"))
     est = envelope_scale(max(0, -min(ks)), params)
@@ -543,6 +624,11 @@ def k_nu(x, params):
     Strictly positive on the whole lattice; decays like q^(m^2+(2nu+1)m)
     at x = q^-m, which is why the quadrature range adapts to x instead of
     using a fixed window (a fixed window mis-signs the deep tail).
+
+    x's exponent is read from lattice_exponent's memo, keyed by
+    (type(x), x, q), and the quadrature's arguments and sum from
+    g_a_lattice's memos, so a warm call resolves and sums nothing.  A
+    refusal is never stored.
     """
     k = lattice_exponent(x, params)
     return g_a_lattice(k, 1, params)

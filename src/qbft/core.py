@@ -562,6 +562,9 @@ def qpochhammer_finite(a, q, n):
             ap *= q
         return +prod
 
+POCHHAMMER_CAP = 4_000_000
+"""Most factors qpochhammer_infinite multiplies before it refuses."""
+
 def qpochhammer_infinite(a, q):
     """(a; q)_inf for |q| < 1.
 
@@ -569,8 +572,8 @@ def qpochhammer_infinite(a, q):
     threshold, then applies one log-tail correction exp(-term / (1 - q)) for
     the remaining factors.  Declared stable when one further factor moves the
     corrected value by less than 10^-(dps - 8) at the working dps (the
-    active dps + 10); otherwise NonConvergent.  More than 4 000 000 factors
-    is NonConvergent too, refused up front when the factor count
+    active dps + 10); otherwise NonConvergent.  More than POCHHAMMER_CAP
+    factors is NonConvergent too, refused up front when the factor count
     log(thresh / |a|) / log|q|, estimated at low precision, exceeds that cap
     by more than 1 %, so a q near 1 fails fast; a count near the cap is left
     to the loop.
@@ -582,7 +585,7 @@ def qpochhammer_infinite(a, q):
             raise NonConvergent("infinite pochhammer needs |q| < 1")
         tol = mpf(10) ** (-(mp.dps - 8))
         thresh = tol * mpf("1e-2")
-        cap = 4_000_000
+        cap = POCHHAMMER_CAP
         if q and abs(a) > thresh:
             with mp.workdps(10):
                 factors = mp.log(thresh / abs(a)) / mp.log(abs(q))
@@ -643,28 +646,49 @@ def _log_q(q_str):
     with mp.workdps(LATTICE_DPS):
         return mp.log(materialize(q_str, mp.prec))
 
-def nearest_exponent(v, params):
+def nearest_exponent(v, q_str):
     """(k, k_real - k) for a positive mpf v, where k_real = log(v) / log(q)
-    at LATTICE_DPS digits and k is the integer nearest it.  log q comes from
-    a memo per q string."""
+    at LATTICE_DPS digits for q = q_str and k is the integer nearest it.
+    log q comes from a memo per q string."""
     with mp.workdps(LATTICE_DPS):
-        k_real = mp.log(v) / _log_q(params.q_str)
+        k_real = mp.log(v) / _log_q(q_str)
         k = int(mp.nint(k_real))
         return k, k_real - k
+
+def _resolve_exponent(x, q_str, what):
+    with mp.workdps(LATTICE_DPS):
+        xv = parse_number(x, what)
+        if xv <= 0:
+            raise DomainError(f"{what} must be a positive lattice point")
+        k, off = nearest_exponent(xv, q_str)
+        if abs(off) > LATTICE_SLACK:
+            raise DomainError(f"{what} = {x} is not a lattice point q^n")
+        return k
+
+@functools.lru_cache(maxsize=PARAMETER_CACHE_CAP)
+def _exponent(kind, x, q_str):
+    """lattice_exponent's memo, keyed by x's type, x and q.  An entry takes
+    about 190 bytes (its node, key and the dict slot; the exponent is a
+    small int) and keeps the caller's x alive, which adds x's own size: 89
+    bytes for a str of 40 ASCII characters, about 100 for an mpf at 60
+    digits, so about 0.3 MB for the whole memo with such arguments."""
+    return _resolve_exponent(x, q_str, "x")
 
 def lattice_exponent(x, params, what="x"):
     """Resolve a positive real to its lattice exponent; DomainError off-lattice.
 
     x is parsed at LATTICE_DPS digits and must lie within LATTICE_SLACK of
-    its nearest exponent (see nearest_exponent)."""
-    with mp.workdps(LATTICE_DPS):
-        xv = parse_number(x, what)
-        if xv <= 0:
-            raise DomainError(f"{what} must be a positive lattice point")
-        k, off = nearest_exponent(xv, params)
-        if abs(off) > LATTICE_SLACK:
-            raise DomainError(f"{what} = {x} is not a lattice point q^n")
-        return k
+    its nearest exponent (see nearest_exponent).  The exponent is memoized,
+    at most PARAMETER_CACHE_CAP of them, on (type(x), x, params.q_str), all
+    its bits depend on: the type is in the key because equal values of two
+    types parse apart (0.1 == mpf(0.1), but a float is read through its
+    repr).  A refusal is never stored: it is raised again, labelled by
+    what, on every call, and an unhashable x is refused by parse_number."""
+    try:
+        return _exponent(type(x), x, params.q_str)
+    except (TypeError, QbftError):
+        pass
+    return _resolve_exponent(x, params.q_str, what)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,11 @@ import inspect
 import io
 import itertools
 import json
+import math
 import pickle
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -29,6 +32,7 @@ from qbft.core import (
     DomainError,
     GridFunction,
     InvalidParams,
+    NonConvergent,
     PrecisionExhausted,
     QGrid,
     QParams,
@@ -164,6 +168,32 @@ class TestOscillatorySeries:
             with mp.workdps(30):
                 got = float(mp.log10(abs(j_nu_lattice(s, p))))
             assert got <= decay_bound_log10(s, p), s
+
+    @pytest.mark.parametrize("q", ["0.1", "0.3", "0.5", "0.6", "0.7", "0.8",
+                                   "0.9", "0.95", "0.99"])
+    def test_log_bound_constant_is_an_upper_bound(self, q):
+        # never below log10 of the constants' quotient at 15 digits, and
+        # above it by no more than the rounding margin
+        for nu in ("-0.9", "-0.5", "0", "0.25", "0.5", "1", "2"):
+            k = constants(QParams(q=q, nu=nu), 15)
+            with mp.workdps(15):
+                quotient = math.log10(k.B_q_nu / k.c_q_nu)
+            got = bessel._log10_bound_constant(q, nu)
+            assert max(2.0, quotient) <= got <= max(2.0, quotient * (1 + 1e-8)), nu
+
+    def test_log_bound_constant_refuses_near_q_one_as_the_constants_do(self):
+        # the constants refuse q = 0.99999 before their first factor, and
+        # their quotient at q = 0.998 is past the float range
+        for q, nu in (("0.99999", "0.5"), ("0.99999", "-0.9")):
+            with pytest.raises(NonConvergent, match="pochhammer truncation"):
+                constants(QParams(q=q, nu=nu), 15)
+            with pytest.raises(NonConvergent, match="pochhammer truncation"):
+                bessel._log10_bound_constant(q, nu)
+        k = constants(QParams(q="0.998", nu="0.5"), 15)
+        with mp.workdps(15):
+            assert math.log10(k.B_q_nu / k.c_q_nu) == math.inf
+        assert bessel._log10_bound_constant("0.998", "0.5") == math.inf
+        assert bessel._log10_bound_constant("0.995", "0.5") < 308
 
     def test_negative_argument_rejected(self, params):
         with pytest.raises(DomainError):
@@ -650,7 +680,14 @@ class TestWeightTable:
                   for k in (-3, 0, 4) for a in ("0.25", "1", "4")]
                  + [functools.partial(k_nu, point[k], p) for k in (-1, 3)]
                  + [functools.partial(triple_kernel, *(point[k] for k in ks), p)
-                    for ks in ((-2, 0, 3), (2, -1, 4))])
+                    for ks in ((-2, 0, 3), (2, -1, 4))]
+                 # x = q^-2 and a = q^3, each in every type a caller may pass
+                 + [functools.partial(g_a, x, a, p) for x, a in zip(
+                     ("4", 4, 4.0, mpf(4), Fraction(4), Decimal("4")),
+                     ("0.125", Decimal("0.125"), 0.125, Fraction(1, 8), 0.125,
+                      mpf("0.125")))]
+                 + [functools.partial(k_nu, x, p)
+                    for x in (8, 0.25, Fraction(1, 4), Decimal("0.25"))])
         cold = []
         for call in calls:
             cold_memos()
@@ -672,6 +709,58 @@ class TestWeightTable:
                 g_a_lattice(-40, "1", p)
         assert bessel._quadrature.cache_info()[1:] == (3, bessel.QUADRATURE_CACHE_CAP, 1)
 
+    def test_a_float_and_an_mpf_of_equal_value_keep_their_own_bits(self, cold_memos):
+        # 0.1 == mpf(0.1) and they hash alike, but the float is read through
+        # its repr, "0.1", and the mpf in binary
+        p = QParams(q="0.1")
+        cold = {}
+        for a in (0.1, mpf(0.1)):
+            cold_memos()
+            cold[type(a)] = g_a("0.001", a, p)._mpf_
+        assert cold[float] != cold[mpf]
+        for order in ((0.1, mpf(0.1)), (mpf(0.1), 0.1)):
+            cold_memos()
+            for _ in range(2):
+                assert [g_a("0.001", a, p)._mpf_ for a in order] == [
+                    cold[type(a)] for a in order]
+
+    @pytest.mark.parametrize("x, a, error, message", [
+        ("0.3", "1", DomainError, "x = 0.3 is not a lattice point q^n"),
+        ("0.25", "0", DomainError, "scale a must be positive"),
+        ("0.25", -2, DomainError, "scale a must be positive"),
+        (float("nan"), "1", InvalidParams, "x: nan is not a finite number"),
+        ("0.25", float("nan"), InvalidParams, "a: nan is not a finite number"),
+        ("abc", "1", InvalidParams, "x: cannot parse 'abc' as a real number"),
+        ("0.25", "abc", InvalidParams, "a: cannot parse 'abc' as a real number"),
+        ([1], "1", InvalidParams, "x: cannot parse [1] as a real number"),
+        ("0.25", [1], InvalidParams, "a: cannot parse [1] as a real number"),
+    ])
+    def test_refusals_are_raised_each_time_and_never_stored(
+            self, params, x, a, error, message, cold_memos):
+        g_a("0.25", "1", params)
+        memos = (core._exponent, bessel._g_a_arguments, bessel._quadrature)
+        sizes = [memo.cache_info().currsize for memo in memos]
+        for _ in range(2):
+            with pytest.raises(error) as refusal:
+                g_a(x, a, params)
+            assert type(refusal.value) is error and str(refusal.value) == message
+        assert [memo.cache_info().currsize for memo in memos] == sizes
+
+    def test_triple_kernel_keeps_each_order_s_bits(self, cold_memos):
+        p = QParams(q="0.6", nu="0.25")
+        with mp.workdps(p.precision_digits + 40):
+            xyz = [p.q ** k for k in (-2, 1, 5)]
+        orders = list(itertools.permutations(xyz))
+        cold = []
+        for order in orders:
+            cold_memos()
+            cold.append(triple_kernel(*order, p)._mpf_)
+        # backwards, so each order finds the exponents of the orders after it
+        warm = [triple_kernel(*order, p)._mpf_ for order in reversed(orders)][::-1]
+        assert warm == cold
+        assert [triple_kernel(*order, p)._mpf_ for order in orders] == cold
+        assert core._exponent.cache_info().currsize == 3
+
     def test_i_nu_and_d_nu_cold_equal_warm(self, cold_memos):
         # i_nu at 100 digits and j_nu_lattice at s >= 0 both run at 120 dps,
         # so each series also reads ratios the other stored
@@ -688,7 +777,8 @@ class TestWeightTable:
                   for x in xs for o in orders]
                  + [functools.partial(lattice, s) for s in (0, 2, 5)]
                  + [functools.partial(series, x) for x in ("2.5", "7")]
-                 + [lambda: [d_nu(p)], lambda: [d_nu(orders[1])]])
+                 + [lambda: [d_nu(p)], lambda: [d_nu(orders[1])],
+                    lambda: [k_nu(xs[1], orders[1])]])
         cold = []
         for call in calls:
             cold_memos()
@@ -704,7 +794,9 @@ class TestWeightTable:
             return [[v._mpf_ for v in row] for row in rows]
         assert raw(cold) == raw(warm) == raw(again)
         for memo, cap in ((bessel._series, bessel.SERIES_CACHE_CAP),
-                          (bessel._quadrature, bessel.QUADRATURE_CACHE_CAP)):
+                          (bessel._quadrature, bessel.QUADRATURE_CACHE_CAP),
+                          (bessel._g_a_arguments, bessel.QUADRATURE_CACHE_CAP),
+                          (core._exponent, core.PARAMETER_CACHE_CAP)):
             assert 0 < memo.cache_info().currsize <= memo.cache_info().maxsize == cap
 
     def test_weights_are_the_plain_expression(self, params, cold_memos):
@@ -744,6 +836,16 @@ class TestWeightTable:
             g_a_lattice(k, "2", p)
         for name, per_entry in self.MEMOS.items():
             assert getattr(bessel, name).cache_info().currsize * per_entry <= cap
+        # the argument memos: past their caps, each drops its oldest entry
+        cap = core.PARAMETER_CACHE_CAP
+        with mp.workdps(60):
+            points = [mp.nstr(mpf("0.6") ** k, 50) for k in range(cap + 9)]
+        assert [core.lattice_exponent(x, p) for x in points] == list(range(cap + 9))
+        assert core._exponent.cache_info().currsize == cap
+        cap = bessel.QUADRATURE_CACHE_CAP
+        for a in range(1, cap + 10):
+            bessel._g_a_arguments(3, int, a, p)
+        assert bessel._g_a_arguments.cache_info().currsize == cap
 
 
 def ten_term_i_nu(x, params):

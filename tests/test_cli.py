@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
+from qbft import core
 from qbft.cli import _build_parser, main
 from qbft.core import gridfunction_from_json, gridfunction_to_json
 from qbft.bessel import g_a, j_nu_lattice, k_nu
@@ -136,6 +137,15 @@ class TestEval:
         assert main(["--q", "0.99999", "eval"] + argv) == 3
         assert time.perf_counter() - t0 < 5
         assert "pochhammer truncation" in capsys.readouterr().err
+
+    def test_q_near_one_head_refusal_computes_no_constants(self, capsys, cold_memos):
+        # the envelope's bound on B_q_nu / c_q_nu is summed in floats, so the
+        # quadrature head is refused before any infinite product is formed
+        assert main(["--q", "0.9999", "eval", "ga", "--x", "1", "--a", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: quadrature head for exponents (0,) not certified "
+            "within 4000 steps below l = -4\n")
+        assert core._constants.cache_info().misses == 0
 
     def test_uncertifiable_point_exits_3(self, capsys):
         # far enough up the large-x ray the series cancellation exceeds

@@ -2,6 +2,8 @@
 
 import json
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -393,6 +395,59 @@ class TestConstants:
         assert constants(params, 80) is constants(params.replace(tol="1e-30"), 80)
         assert constants(params, 80) is not constants(params, 81)
         assert constants(params, 80) is not constants(params.replace(nu="0.25"), 80)
+
+
+# ---------------------------------------------------------------------------
+# lattice points
+
+# q^-3 at q = 0.5 in each type a caller may pass
+EIGHT = ("8", 8, 8.0, mpf(8), Fraction(8), Decimal("8"))
+EIGHTH = ("0.125", 0.125, mpf("0.125"), Fraction(1, 8), Decimal("0.125"))
+
+
+class TestLatticeExponent:
+    def test_warm_equals_cold_for_every_argument_type(self, params, cold_memos):
+        xs = EIGHT + EIGHTH
+        cold = []
+        for x in xs:
+            cold_memos()
+            cold.append(core.lattice_exponent(x, params))
+        warm = [core.lattice_exponent(x, params) for x in xs]
+        # one entry per type and value, each read again here
+        hits = core._exponent.cache_info().hits
+        again = [core.lattice_exponent(x, params) for x in xs]
+        assert cold == warm == again == [-3] * len(EIGHT) + [3] * len(EIGHTH)
+        info = core._exponent.cache_info()
+        assert info.currsize == len(xs) and info.hits == hits + len(xs)
+        assert info.maxsize == core.PARAMETER_CACHE_CAP
+
+    def test_q_is_part_of_the_key(self, cold_memos):
+        assert core.lattice_exponent("0.25", QParams(q="0.5")) == 2
+        assert core.lattice_exponent("0.25", QParams(q="0.25")) == 1
+        assert core._exponent.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("x, error, message", [
+        ("0.3", DomainError, "x = 0.3 is not a lattice point q^n"),
+        ("0", DomainError, "x must be a positive lattice point"),
+        (-0.5, DomainError, "x must be a positive lattice point"),
+        (float("nan"), InvalidParams, "x: nan is not a finite number"),
+        ("abc", InvalidParams, "x: cannot parse 'abc' as a real number"),
+        ([1], InvalidParams, "x: cannot parse [1] as a real number"),
+    ])
+    def test_refusals_are_raised_each_time_and_never_stored(
+            self, params, x, error, message, cold_memos):
+        core.lattice_exponent("0.5", params)
+        for _ in range(2):
+            with pytest.raises(error) as refusal:
+                core.lattice_exponent(x, params)
+            assert type(refusal.value) is error and str(refusal.value) == message
+        assert core._exponent.cache_info().currsize == 1
+
+    def test_a_refusal_keeps_its_caller_s_label(self, params, cold_memos):
+        for what in ("x", "upper limit", "candidate scale", "x"):
+            with pytest.raises(DomainError, match=f"^{what} = 0.3 is not"):
+                core.lattice_exponent("0.3", params, what)
+        assert core._exponent.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
